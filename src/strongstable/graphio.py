@@ -10,7 +10,6 @@ terminated.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from .core import Graph, GraphError, Multigraph, from_edge_list
 
 
@@ -163,13 +162,6 @@ def format_edgelist(g: Graph | Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Read a graph file in graph6 or edge-list form."""
-    path = Path(path)
-    text = path.read_text()
-    return parse_graph(text, fmt, name=str(path))
-
-
 def parse_graph(text: str, fmt: str = "auto", name: str = "<input>") -> Graph:
     if fmt == "auto":
         fmt = "graph6" if name.endswith((".g6", ".graph6")) else _sniff(text)
@@ -205,7 +197,3 @@ def _jsonify(obj):
     if isinstance(obj, (set, tuple)):
         return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def write_certificate(path: str | Path, cert: dict) -> None:
-    Path(path).write_text(certificate_json(cert))

@@ -196,48 +196,35 @@ def cobipartite_partition(g: Graph) -> Optional[CobipartitePartition]:
     return CobipartitePartition(a, frozenset(range(g.n)) - a)
 
 
-def linear_interval_order(
-    g: Graph, budget: Budget | None = None
-) -> Optional[LinearIntervalOrder]:
+def linear_interval_order(g: Graph) -> Optional[LinearIntervalOrder]:
     """A numbering where every edge's index window is a clique, if one exists.
 
-    Backtracking over the next vertex; when a vertex is placed, the window
-    from its earliest placed neighbor must already be a clique, which is
-    exactly the defining condition restricted to the prefix.
+    Such a numbering is a proper interval ordering, so Corneil's 3-sweep
+    LexBFS finds one: LBFS with ties to the smallest id, then LBFS+ twice,
+    each tie going to the vertex latest in the previous sweep. The last
+    sweep is returned exactly when ``check_linear_interval_order`` accepts
+    it, which decides the answer.
     """
-    budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "linear interval order")
-    meter = _Meter(budget)
-    n = g.n
-    if n == 0:
-        return LinearIntervalOrder(())
-
-    def window_ok(order: list[int], v: int) -> bool:
-        pos = {u: i for i, u in enumerate(order)}
-        nbr_positions = [pos[u] for u in g.adj[v] if u in pos]
-        if not nbr_positions:
-            return True
-        lo = min(nbr_positions)
-        window = order[lo:] + [v]
-        for i in range(len(window)):
-            for j in range(i + 1, len(window)):
-                if not g.has_edge(window[i], window[j]):
-                    return False
-        return True
-
-    def place(order: list[int], remaining: set[int]) -> Optional[list[int]]:
-        meter.tick()
-        if not remaining:
-            return order
-        for v in sorted(remaining):
-            if window_ok(order, v):
-                res = place(order + [v], remaining - {v})
-                if res is not None:
-                    return res
+    order = _lbfs(g, {v: -v for v in range(g.n)})
+    for _ in range(2):
+        order = _lbfs(g, {v: i for i, v in enumerate(order)})
+    if not check_linear_interval_order(g, order):
         return None
+    return LinearIntervalOrder(tuple(order))
 
-    res = place([], set(range(n)))
-    return None if res is None else LinearIntervalOrder(tuple(res))
+
+def _lbfs(g: Graph, tie: dict[int, int]) -> list[int]:
+    """Lexicographic BFS; among equal labels the largest ``tie`` goes first."""
+    label: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    order = []
+    for step in range(g.n, 0, -1):
+        v = max(label, key=lambda u: (label[u], tie[u]))
+        order.append(v)
+        del label[v]
+        for w in g.adj[v]:
+            if w in label:
+                label[w].append(step)
+    return order
 
 
 def check_linear_interval_order(g: Graph, order: Iterable[int]) -> bool:

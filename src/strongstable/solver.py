@@ -30,6 +30,7 @@ from .core import (
     _Meter,
     _check_size,
     components,
+    components_within,
     delete_vertices,
     from_edge_list,
     induced,
@@ -359,24 +360,19 @@ def solve_linear_interval(
             return frozenset(active)
         aset = frozenset(active)
         # per-component split keeps the order valid on each part
-        comp = _component_of(g, active[0], aset)
-        if comp != aset:
-            left = rec(tuple(v for v in active if v in comp), zz & comp)
-            right = rec(tuple(v for v in active if v not in comp), zz - comp)
-            return left | right
+        comps = components_within(g, aset)
+        if len(comps) > 1:
+            return frozenset().union(
+                *(rec(tuple(v for v in active if v in c), zz & c) for c in comps)
+            )
         if all(g.adj[u] >= aset - {u} for u in active):  # complete
             return zz if zz else frozenset({active[0]})
         first, last = active[0], active[-1]
+        # both ends of the order are simplicial in the active subgraph
         if first not in zz:
-            s = rec(active[1:], zz)
-            if is_strong_set_of_induced(g, aset, s):
-                return s
-            return s | {first}
+            return _lift_simplicial(g, first, rec(active[1:], zz))
         if last not in zz:
-            s = rec(active[:-1], zz)
-            if is_strong_set_of_induced(g, aset, s):
-                return s
-            return s | {last}
+            return _lift_simplicial(g, last, rec(active[:-1], zz))
         second = active[1]
         idx = max(i for i, u in enumerate(active) if u in g.adj[second] or u == second)
         v_i = active[idx]
@@ -391,33 +387,21 @@ def solve_linear_interval(
         return s | {first}
 
     res = rec(seq, z)
-    if not is_strong_set_of_induced(g, frozenset(seq), res, budget):
+    if not is_strong_stable_set(g, res, budget):
         raise GraphError("construction failed; host out of scope")
     if not z <= res:
         raise GraphError("construction lost a prescribed vertex; host out of scope")
     return res
 
 
-def _component_of(g: Graph, start: int, within: frozenset[int]) -> frozenset[int]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v] & within:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
+def _lift_simplicial(g: Graph, v: int, s: frozenset[int]) -> frozenset[int]:
+    """Lift a strong stable set s of G - v, for a simplicial v, to G.
 
-
-def is_strong_set_of_induced(
-    g: Graph, active: frozenset[int], s: frozenset[int], budget: Budget | None = None
-) -> bool:
-    sub, mapping = induced(g, active)
-    pos = {old: new for new, old in enumerate(mapping)}
-    if not s <= active:
-        return False
-    return is_strong_stable_set(sub, frozenset(pos[v] for v in s), budget)
+    N[v] is the only maximal clique of G containing v, and every other
+    maximal clique of G is one of G - v; so s needs v exactly when it
+    misses N(v).
+    """
+    return s if g.adj[v] & s else s | {v}
 
 
 # -- recombination cases ----------------------------------------------------------
@@ -474,7 +458,7 @@ def combine_w_join(
         raise CaseNotApplicable("attachment sets see each other")
     f_c: set[int] = set()
     f_d: set[int] = set()
-    for comp in _f_components(g, f):
+    for comp in components_within(g, f):
         touches_c = any(g.adj[v] & c for v in comp)
         touches_d = any(g.adj[v] & d for v in comp)
         if touches_c and touches_d:
@@ -488,18 +472,6 @@ def combine_w_join(
         raise CaseNotApplicable("no cosimplicial non-edge across the join")
     back = dict(enumerate(mapping))
     return s_c | s_d | {back[pair[0]], back[pair[1]]}
-
-
-def _f_components(g: Graph, f: frozenset[int]) -> list[frozenset[int]]:
-    out = []
-    seen: set[int] = set()
-    for v in sorted(f):
-        if v in seen:
-            continue
-        comp = _component_of(g, v, f)
-        seen |= comp
-        out.append(comp)
-    return out
 
 
 def _solve_side(
@@ -777,10 +749,7 @@ def _branch_simplicial(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
     pos = {old: new for new, old in enumerate(mapping)}
     s = _solve(ctx, sub, frozenset(pos[x] for x in z), depth=1)
     back = dict(enumerate(mapping))
-    lifted = frozenset(back[x] for x in s)
-    if is_strong_stable_set(g, lifted, ctx.budget):
-        return lifted
-    return lifted | {v}
+    return _lift_simplicial(g, v, frozenset(back[x] for x in s))
 
 
 @_branch("cobipartite")
@@ -792,7 +761,7 @@ def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int
 
 @_branch("linear-interval")
 def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    order = linear_interval_order(g, ctx.budget)
+    order = linear_interval_order(g)
     if order is None:
         raise CaseNotApplicable
     return solve_linear_interval(g, z, order, ctx.budget)

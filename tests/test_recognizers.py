@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,28 @@ class TestLinearInterval:
                     assert check_linear_interval_order(g, found.order)
                 else:
                     assert not naive_linear_interval_exists(g), sorted(g.edges())
+
+    def test_random_unit_interval_graphs(self):
+        # unit intervals on a line, vertex ids shuffled; far past the size
+        # an exhaustive order search could handle
+        rng = random.Random(2004)
+        for _ in range(20):
+            n = rng.randint(25, 40)
+            xs = [rng.uniform(0, n / 4) for _ in range(n)]
+            ids = list(range(n))
+            rng.shuffle(ids)
+            edges = [
+                (ids[i], ids[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if abs(xs[i] - xs[j]) <= 1
+            ]
+            g = from_edge_list(n, edges)
+            found = linear_interval_order(g)
+            assert found is not None and check_linear_interval_order(g, found.order)
+
+    def test_long_cycle_none(self):
+        assert linear_interval_order(cycle(30)) is None
 
 
 class TestChainOrder:

@@ -102,6 +102,15 @@ class TestSolveBasics:
         res = solve(g, {6}, trusted=True)
         assert res.s is None or is_strong_stable_set(g, res.s)
 
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_even_cycle_within_budget(self, n):
+        # recognizing a long cycle as not linear interval must not use up
+        # the enumeration budget of the whole solve
+        budget = Budget(n + 1, 100_000)
+        res = solve(cycle(n), budget=budget)
+        assert res.status == SolveStatus.FOUND
+        assert is_strong_stable_set(cycle(n), res.s, budget)
+
     def test_budget_status(self):
         res = solve(complete(10), budget=Budget(max_vertices=24, max_enumerations=2))
         assert res.status == SolveStatus.BUDGET and res.s is None
