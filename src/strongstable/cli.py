@@ -24,15 +24,13 @@ from .core import (
     Multigraph,
     is_strong_stable_set,
     line_graph,
-    squares,
 )
 from .decompose import (
-    HypothesisViolationError,
     find_clique_cutset,
     find_one_join,
     find_zero_join,
-    grow_square_connected_pair,
     internal_clique_cutset_from_deletion,
+    iter_w_joins,
 )
 from .forbidden import Innocent, innocence_certificate
 from .generators import GenSpec, GenerationError, generate
@@ -295,21 +293,8 @@ def _cmd_decompose(args) -> int:
         if oj
         else None
     )
-    wj_found = None
-    for cyc in squares(g, budget):
-        for a_side, b_side in (
-            ((cyc[0], cyc[1]), (cyc[2], cyc[3])),
-            ((cyc[1], cyc[2]), (cyc[3], cyc[0])),
-        ):
-            try:
-                wj = grow_square_connected_pair(g, cyc, a_side, b_side)
-            except (HypothesisViolationError, GraphError):
-                continue
-            wj_found = {"a": sorted(wj.a), "b": sorted(wj.b)}
-            break
-        if wj_found:
-            break
-    report["w_join"] = wj_found
+    wj = next(iter_w_joins(g, budget), None)
+    report["w_join"] = {"a": sorted(wj.a), "b": sorted(wj.b)} if wj else None
     if args.json:
         _emit(args, certificate_json(report))
     else:

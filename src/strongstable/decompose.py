@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Budget,
@@ -18,6 +18,7 @@ from .core import (
     components,
     components_within,
     delete_vertices,
+    squares,
 )
 from .recognizers import simplicial_vertices
 
@@ -430,6 +431,19 @@ def grow_square_connected_pair(
     return join
 
 
+def iter_w_joins(g: Graph, budget: Budget | None = None) -> Iterator[WJoin]:
+    """Proper coherent W-joins grown from every square, split into sides
+    both ways; seeds that violate the growth hypothesis are skipped."""
+    for cyc in squares(g, budget):
+        c0, c1, c2, c3 = cyc
+        for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
+            try:
+                wj = grow_square_connected_pair(g, cyc, a_side, b_side)
+            except (HypothesisViolationError, GraphError):
+                continue
+            yield wj
+
+
 # -- lifted internal clique cutsets ----------------------------------------------
 
 
@@ -448,10 +462,9 @@ def internal_clique_cutset_from_deletion(
     cut = find_clique_cutset(rest, budget)
     if cut is None:
         return None
-    back = dict(enumerate(mapping))
-    k = frozenset(back[v] for v in cut.k)
-    side_a = set(back[v] for v in cut.side_a)
-    side_b = set(back[v] for v in cut.side_b)
+    k = frozenset(mapping[v] for v in cut.k)
+    side_a = set(mapping[v] for v in cut.side_a)
+    side_b = set(mapping[v] for v in cut.side_b)
     for v in sorted(simp):
         if g.adj[v] & side_a:
             side_a.add(v)

@@ -2,12 +2,8 @@
 and linear-interval structure, chain orders, clowns, consistent sets, safe
 vertices, and peculiar structure.
 
-Path-parity checks (even pairs, safe vertices) come in two modes:
-
-* ``"induced"`` (default): quantify over chordless paths, the definition used
-  everywhere else in this package;
-* ``"all"``: quantify over all simple paths, a strictly stronger condition
-  kept for callers who want the conservative reading.
+Path-parity checks (even pairs, safe vertices) quantify over chordless
+paths, the definition used everywhere else in this package.
 """
 
 from __future__ import annotations
@@ -23,15 +19,12 @@ from .core import (
     GraphError,
     _Meter,
     _check_size,
-    all_paths_between,
     complement,
     components,
     induced,
     induced_cycles,
     induced_paths_between,
 )
-
-PathMode = str  # "induced" | "all"
 
 
 @dataclass(frozen=True)
@@ -282,13 +275,12 @@ def find_clowns(g: Graph, budget: Budget | None = None) -> Iterator[Clown]:
 
 
 def _odd_pair_witness(
-    g: Graph, u: int, v: int, budget: Budget, mode: PathMode
+    g: Graph, u: int, v: int, budget: Budget
 ) -> Optional[tuple[int, ...]]:
     """An odd path between u and v, or None when {u, v} is an even pair."""
     if g.has_edge(u, v):
         return (u, v)
-    paths = induced_paths_between if mode == "induced" else all_paths_between
-    for p in paths(g, u, v, budget):
+    for p in induced_paths_between(g, u, v, budget):
         if (len(p) - 1) % 2 == 1:
             return p
     return None
@@ -298,12 +290,11 @@ def is_consistent_set(
     g: Graph,
     z: Iterable[int],
     budget: Budget | None = None,
-    mode: PathMode = "induced",
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether every pair of z is an even pair; on failure, a violating path."""
     budget = budget or DEFAULT_BUDGET
     for u, v in itertools.combinations(sorted(frozenset(z)), 2):
-        witness = _odd_pair_witness(g, u, v, budget, mode)
+        witness = _odd_pair_witness(g, u, v, budget)
         if witness is not None:
             return False, witness
     return True, None
@@ -313,7 +304,6 @@ def is_safe_vertex(
     g: Graph,
     v: int,
     budget: Budget | None = None,
-    mode: PathMode = "induced",
 ) -> tuple[bool, Optional[tuple[Clown, tuple[int, ...]]]]:
     """Simplicial, and every qualifying path to a clown hat is odd.
 
@@ -336,12 +326,10 @@ def is_safe_vertex(
         if v not in allowed:
             continue
         sub, mapping = induced(g, allowed)
-        back = dict(enumerate(mapping))
         pos = {old: new for new, old in enumerate(mapping)}
-        paths = induced_paths_between if mode == "induced" else all_paths_between
-        for p in paths(sub, pos[v], pos[h], budget):
+        for p in induced_paths_between(sub, pos[v], pos[h], budget):
             if (len(p) - 1) % 2 == 0:
-                return False, (clown, tuple(back[x] for x in p))
+                return False, (clown, tuple(mapping[x] for x in p))
     return True, None
 
 

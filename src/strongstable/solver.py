@@ -3,10 +3,10 @@
 ``brute_force`` is the oracle: lexicographically smallest strong stable set
 containing a prescribed set, by exhaustive enumeration. ``solve`` is the
 structure-guided recursion: a cascade of reductions (complete, components,
-twins, simplicial removal, cobipartite, linear interval, W-join, 1-join,
-line graph of a bipartite multigraph, smooth augmentation, peculiar), each
-recursing on strictly smaller instances, with brute force as the flagged
-last resort. Every candidate produced by a structural branch is re-verified
+one ``peel`` pass that removes free twins and simplicial vertices,
+cobipartite, linear interval, W-join, 1-join, line graph of a bipartite
+multigraph, smooth augmentation, peculiar), each recursing on strictly
+smaller instances, with brute force as the flagged last resort. Every candidate produced by a structural branch is re-verified
 before being accepted, so results are sound on arbitrary inputs; the
 structure theory makes the cascade hit a structural branch on claw-free
 innocent inputs of the shapes it recognizes.
@@ -31,7 +31,6 @@ from .core import (
     _check_size,
     components,
     components_within,
-    delete_vertices,
     from_edge_list,
     induced,
     induced_cycles,
@@ -45,7 +44,7 @@ from .decompose import (
     OneJoin,
     WJoin,
     find_one_join,
-    grow_square_connected_pair,
+    iter_w_joins,
     verify_w_join,
     w_join_partition,
 )
@@ -61,12 +60,10 @@ from .recognizers import (
     check_linear_interval_order,
     cobipartite_partition,
     find_cosimplicial_nonedge,
-    find_twins,
     is_consistent_set,
     is_safe_vertex,
     linear_interval_order,
     peculiar_structure,
-    simplicial_vertices,
     verify_peculiar,
 )
 
@@ -326,8 +323,7 @@ def solve_peculiar(g: Graph, parts: PeculiarParts) -> frozenset[int]:
     pair = find_cosimplicial_nonedge(sub)
     if pair is None:
         raise GraphError("no cosimplicial non-edge across the pair; host out of scope")
-    back = dict(enumerate(mapping))
-    return frozenset({back[pair[0]], back[pair[1]]})
+    return frozenset({mapping[pair[0]], mapping[pair[1]]})
 
 
 def solve_linear_interval(
@@ -410,25 +406,38 @@ def _lift_simplicial(g: Graph, v: int, s: frozenset[int]) -> frozenset[int]:
 SubSolver = Callable[[Graph, frozenset[int]], frozenset[int]]
 
 
-def _with_apex(
-    g: Graph, keep: frozenset[int], complete_to: frozenset[int], pendant: bool = False
-) -> tuple[Graph, tuple[int, ...], int, Optional[int]]:
-    """Induced subgraph on ``keep`` plus an apex complete to ``complete_to``
-    (given in g's ids), optionally with a pendant hanging off the apex.
-
-    Returns (graph, mapping new->old for the kept part, apex id, pendant id).
-    """
+def _solve_on(
+    g: Graph, keep: Iterable[int], z: frozenset[int], subsolver: SubSolver
+) -> frozenset[int]:
+    """Solve G[keep] with z (a subset of keep) prescribed; g's ids in and out."""
     sub, mapping = induced(g, keep)
     pos = {old: new for new, old in enumerate(mapping)}
-    n = sub.n
-    edges = list(sub.edges())
-    apex = n
-    edges.extend((apex, pos[v]) for v in complete_to)
-    pend = None
+    s = subsolver(sub, frozenset(pos[v] for v in z))
+    return frozenset(mapping[v] for v in s)
+
+
+def _solve_with_apex(
+    g: Graph,
+    keep: frozenset[int],
+    complete_to: frozenset[int],
+    z: frozenset[int],
+    subsolver: SubSolver,
+    pendant: bool = False,
+) -> frozenset[int]:
+    """Solve G[keep] plus an apex complete to ``complete_to`` (g's ids).
+
+    The apex is prescribed along with z; with ``pendant``, a pendant hanging
+    off the apex is prescribed in its place. The answer is in g's ids,
+    without the apex and the pendant.
+    """
+    apex = top = g.n
+    edges = list(g.edges())
+    edges.extend((apex, v) for v in complete_to)
     if pendant:
-        pend = n + 1
-        edges.append((apex, pend))
-    return from_edge_list(n + (2 if pendant else 1), edges), mapping, apex, pend
+        top = apex + 1
+        edges.append((apex, top))
+    h = from_edge_list(top + 1, edges)
+    return _solve_on(h, keep | {apex, top}, z | {top}, subsolver) - {apex, top}
 
 
 def combine_w_join(
@@ -464,31 +473,14 @@ def combine_w_join(
         if touches_c and touches_d:
             raise CaseNotApplicable("far side not splittable")
         (f_d if touches_d else f_c).update(comp)
-    s_c = _solve_side(g, frozenset(f_c), c, z & frozenset(f_c), subsolver)
-    s_d = _solve_side(g, frozenset(f_d), d, z & frozenset(f_d), subsolver)
+    # each attachment side is solved with an apex standing in for the join
+    s_c = _solve_with_apex(g, frozenset(f_c) | c, c, z & frozenset(f_c), subsolver)
+    s_d = _solve_with_apex(g, frozenset(f_d) | d, d, z & frozenset(f_d), subsolver)
     sub, mapping = induced(g, w.a | w.b)
     pair = find_cosimplicial_nonedge(sub)
     if pair is None:
         raise CaseNotApplicable("no cosimplicial non-edge across the join")
-    back = dict(enumerate(mapping))
-    return s_c | s_d | {back[pair[0]], back[pair[1]]}
-
-
-def _solve_side(
-    g: Graph,
-    far: frozenset[int],
-    attach: frozenset[int],
-    z_side: frozenset[int],
-    subsolver: SubSolver,
-) -> frozenset[int]:
-    """Solve one attachment side with an apex standing in for the join."""
-    keep = far | attach
-    side, mapping, apex, _ = _with_apex(g, keep, attach)
-    pos = {old: new for new, old in enumerate(mapping)}
-    z_new = frozenset(pos[v] for v in z_side) | {apex}
-    s = subsolver(side, z_new)
-    back = dict(enumerate(mapping))
-    return frozenset(back[v] for v in s if v != apex)
+    return s_c | s_d | {mapping[pair[0]], mapping[pair[1]]}
 
 
 def combine_one_join(
@@ -516,26 +508,9 @@ def combine_one_join(
         p2 = _side_parity(g, j.v2, j.a2, j.v2 - j.a2, min(j.a1), budget)
         if p1 is None or p2 is None or p1 == p2:
             raise CaseNotApplicable("parity analysis inapplicable")
-        sides = ((j.v1, j.a1, p1), (j.v2, j.a2, p2))
-        picks: list[frozenset[int]] = []
-        for verts, interface, parity in sides:
-            if parity == 0:
-                side, mapping, apex, _ = _with_apex(g, verts, interface)
-                pos = {old: new for new, old in enumerate(mapping)}
-                z_new = frozenset(pos[v] for v in z & verts) | {apex}
-                s = subsolver(side, z_new)
-                drop = {apex}
-            else:
-                side, mapping, apex, pend = _with_apex(
-                    g, verts, interface, pendant=True
-                )
-                pos = {old: new for new, old in enumerate(mapping)}
-                z_new = frozenset(pos[v] for v in z & verts) | {pend}
-                s = subsolver(side, z_new)
-                drop = {apex, pend}
-            back = dict(enumerate(mapping))
-            picks.append(frozenset(back[v] for v in s if v not in drop))
-        return picks[0] | picks[1]
+        s1 = _solve_with_apex(g, j.v1, j.a1, z & j.v1, subsolver, p1 == 1)
+        s2 = _solve_with_apex(g, j.v2, j.a2, z & j.v2, subsolver, p2 == 1)
+        return s1 | s2
     # small join: one side is an interface vertex plus a pendant
     for small, big in ((j.v1, j.v2), (j.v2, j.v1)):
         if len(small) != 2:
@@ -548,16 +523,11 @@ def combine_one_join(
         big_a = (j.a1 | j.a2) & big
         big_b = big - big_a
         for a2 in sorted(big_a):
-            keep = big_b | {a2}
-            sub, mapping = induced(g, keep)
-            pos = {old: new for new, old in enumerate(mapping)}
-            z_new = frozenset(pos[v] for v in z & big_b) | {pos[a2]}
             try:
-                s = subsolver(sub, z_new)
+                s = _solve_on(g, big_b | {a2}, (z & big_b) | {a2}, subsolver)
             except CaseNotApplicable:
                 continue
-            back = dict(enumerate(mapping))
-            cand = frozenset(back[v] for v in s) | {b1}
+            cand = s | {b1}
             if z <= cand and is_strong_stable_set(g, cand, budget):
                 return cand
     raise CaseNotApplicable("small-join construction did not verify")
@@ -581,9 +551,8 @@ def _side_parity(
             return None
         return (len(path) - 1) % 2
     sub, mapping = induced(g, verts)
-    back = dict(enumerate(mapping))
     for cyc in induced_cycles(sub, budget, min_len=4, parity=0):
-        hole = frozenset(back[v] for v in cyc)
+        hole = frozenset(mapping[v] for v in cyc)
         if g.adj[anchor] & hole:
             return 1  # zero-length qualifying path, plus the step onto the hole
         ring = g.neighborhood(hole) & verts
@@ -608,11 +577,8 @@ class _Ctx:
     def record(self, branch: str, **detail) -> None:
         self.trace.append(BranchRecord(branch, dict(detail)))
 
-    def subsolver(self) -> SubSolver:
-        def run(h: Graph, zz: frozenset[int]) -> frozenset[int]:
-            return _solve(self, h, zz, depth=1)
-
-        return run
+    def subsolver(self, h: Graph, zz: frozenset[int]) -> frozenset[int]:
+        return _solve(self, h, zz)
 
 
 def validate_prescribed(
@@ -650,7 +616,7 @@ def solve(
         validate_prescribed(g, z, budget)
     ctx = _Ctx(budget)
     try:
-        s = _solve(ctx, g, z, depth=0)
+        s = _solve(ctx, g, z)
         status = SolveStatus.FALLBACK_FOUND if ctx.fallback else SolveStatus.FOUND
         return SolveResult(status, s, tuple(ctx.trace))
     except _SubInstanceInfeasible:
@@ -680,7 +646,7 @@ def _branch(name: str):
     return deco
 
 
-def _solve(ctx: _Ctx, g: Graph, z: frozenset[int], depth: int) -> frozenset[int]:
+def _solve(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     ctx.meter.tick()
     for name, fn in _BRANCHES:
         try:
@@ -713,43 +679,47 @@ def _branch_components(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
     comps = components(g)
     if len(comps) < 2:
         raise CaseNotApplicable
-    out: set[int] = set()
-    for comp in comps:
-        sub, mapping = induced(g, comp)
-        pos = {old: new for new, old in enumerate(mapping)}
-        s = _solve(ctx, sub, frozenset(pos[v] for v in z & comp), depth=1)
-        back = dict(enumerate(mapping))
-        out |= {back[v] for v in s}
-    return frozenset(out)
+    return frozenset().union(
+        *(_solve_on(g, comp, z & comp, ctx.subsolver) for comp in comps)
+    )
 
 
-@_branch("twins")
-def _branch_twins(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    pair = find_twins(g)
-    if pair is None:
+@_branch("peel")
+def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
+    """Drop free true twins and free simplicial vertices until none is left,
+    solve what remains once, and lift the simplicial ones back in reverse.
+
+    A dropped twin needs no lift: every maximal clique through it holds its
+    twin too. A vertex becomes a twin or simplicial only when a neighbor of
+    it or of its twin is dropped, so only those neighbors are looked at
+    again.
+    """
+    keep = set(range(g.n))
+    todo = list(reversed(range(g.n)))  # popped smallest first
+    lifts: list[int] = []
+    while todo:
+        v = todo.pop()
+        if v not in keep:
+            continue
+        near = g.adj[v] & keep
+        twins = {u for u in near if (g.adj[u] & keep) | {u} == near | {v}}
+        if twins:
+            drop = min((twins | {v}) - z, default=None)
+            if drop is None:
+                continue
+        elif v not in z and g.is_clique(near):
+            drop = v
+            lifts.append(v)
+        else:
+            continue
+        keep.remove(drop)
+        todo.extend(sorted(g.adj[drop] & keep, reverse=True))
+    if len(keep) == g.n:
         raise CaseNotApplicable
-    u, v = pair
-    drop = u if u not in z else v
-    if drop in z:
-        raise CaseNotApplicable("both twins prescribed")
-    sub, mapping = delete_vertices(g, {drop})
-    pos = {old: new for new, old in enumerate(mapping)}
-    s = _solve(ctx, sub, frozenset(pos[x] for x in z), depth=1)
-    back = dict(enumerate(mapping))
-    return frozenset(back[x] for x in s)
-
-
-@_branch("simplicial")
-def _branch_simplicial(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    free = sorted(simplicial_vertices(g) - z)
-    if not free:
-        raise CaseNotApplicable
-    v = free[0]
-    sub, mapping = delete_vertices(g, {v})
-    pos = {old: new for new, old in enumerate(mapping)}
-    s = _solve(ctx, sub, frozenset(pos[x] for x in z), depth=1)
-    back = dict(enumerate(mapping))
-    return _lift_simplicial(g, v, frozenset(back[x] for x in s))
+    s = _solve_on(g, keep, z, ctx.subsolver)
+    for v in reversed(lifts):
+        s = _lift_simplicial(g, v, s)
+    return s
 
 
 @_branch("cobipartite")
@@ -761,6 +731,10 @@ def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int
 
 @_branch("linear-interval")
 def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
+    if not z:
+        # the first vertex of such an order is simplicial, and peel leaves
+        # only prescribed ones
+        raise CaseNotApplicable("nothing prescribed")
     order = linear_interval_order(g)
     if order is None:
         raise CaseNotApplicable
@@ -769,17 +743,11 @@ def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset
 
 @_branch("w-join")
 def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    for cyc in squares(g, ctx.budget):
-        c0, c1, c2, c3 = cyc
-        for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
-            try:
-                wj = grow_square_connected_pair(g, cyc, a_side, b_side)
-            except (HypothesisViolationError, GraphError):
-                continue
-            try:
-                return combine_w_join(g, wj, z, ctx.subsolver())
-            except (CaseNotApplicable, GraphError):
-                continue
+    for wj in iter_w_joins(g, ctx.budget):
+        try:
+            return combine_w_join(g, wj, z, ctx.subsolver)
+        except (CaseNotApplicable, GraphError):
+            continue
     raise CaseNotApplicable
 
 
@@ -788,7 +756,7 @@ def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     j = find_one_join(g, ctx.budget)
     if j is None:
         raise CaseNotApplicable
-    return combine_one_join(g, j, z, ctx.subsolver(), ctx.budget)
+    return combine_one_join(g, j, z, ctx.subsolver, ctx.budget)
 
 
 @_branch("line-graph")
@@ -827,11 +795,7 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
         if u is None or v is None:
             continue
         drop = (xs - {u}) | (ys - {v})
-        sub2, mapping = delete_vertices(g, drop)
-        pos = {old: new for new, old in enumerate(mapping)}
-        s = _solve(ctx, sub2, frozenset(pos[x] for x in z), depth=1)
-        back = dict(enumerate(mapping))
-        return frozenset(back[x] for x in s)
+        return _solve_on(g, g.vertex_set() - drop, z, ctx.subsolver)
     raise CaseNotApplicable
 
 

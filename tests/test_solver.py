@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from strongstable.core import (
@@ -8,7 +10,7 @@ from strongstable.core import (
 )
 from strongstable.decompose import OneJoin, WJoin, find_one_join, grow_square_connected_pair
 from strongstable.forbidden import Innocent, innocence_certificate
-from strongstable.recognizers import find_claw
+from strongstable.recognizers import find_claw, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
     SolveStatus,
@@ -111,9 +113,41 @@ class TestSolveBasics:
         assert res.status == SolveStatus.FOUND
         assert is_strong_stable_set(cycle(n), res.s, budget)
 
+    @pytest.mark.parametrize("n", [800, 2000])
+    def test_long_path_without_recursion(self, n):
+        # the peel pass is a loop, not one recursion level per vertex
+        budget = Budget(n + 1, 10_000_000)
+        res = solve(path(n), budget=budget)
+        assert res.status == SolveStatus.FOUND
+        assert [r.branch for r in res.trace] == ["complete", "peel"]
+        assert is_strong_stable_set(path(n), res.s, budget)
+
     def test_budget_status(self):
         res = solve(complete(10), budget=Budget(max_vertices=24, max_enumerations=2))
         assert res.status == SolveStatus.BUDGET and res.s is None
+
+
+def test_prescribed_exhaustive_against_brute_force(graphs_by_n):
+    # every graph on up to 7 vertices, every valid z of one or two simplicial
+    # vertices: solve agrees with the oracle on existence and keeps z
+    cases = 0
+    for n in range(1, 8):
+        for g in graphs_by_n[n]:
+            simp = sorted(simplicial_vertices(g))
+            for k in (1, 2):
+                for z in map(frozenset, itertools.combinations(simp, k)):
+                    try:
+                        validate_prescribed(g, z)
+                    except GraphError:
+                        continue
+                    cases += 1
+                    res = solve(g, z, trusted=True)
+                    bf = brute_force(g, z)
+                    assert (res.s is None) == (bf is None), (sorted(g.edges()), z)
+                    assert all(r.branch != "verify-failed" for r in res.trace)
+                    if res.s is not None:
+                        assert z <= res.s and is_strong_stable_set(g, res.s)
+    assert cases == 5070
 
 
 class TestSolveCobipartite:

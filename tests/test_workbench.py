@@ -242,6 +242,15 @@ class TestCli:
         payload = json.loads(out)
         assert payload["clique_cutset"]["internal"] is True
         assert payload["one_join"] is not None
+        assert payload["w_join"] is None
+
+    def test_decompose_reports_w_join(self, capsys, tmp_path):
+        # a square (0,1)x(2,3) with a pendant path hanging off each side
+        p = tmp_path / "wj.txt"
+        p.write_text("0 1\n2 3\n0 2\n1 3\n4 0\n4 1\n5 2\n5 3\n6 4\n7 5\n")
+        code, out, _ = self._run(["decompose", str(p), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["w_join"] == {"a": [0, 1], "b": [2, 3]}
 
     def test_roundtrip_command(self, capsys, tmp_path):
         p = tmp_path / "c6.g6"
