@@ -281,7 +281,7 @@ def _cmd_decompose(args) -> int:
         if lifted
         else None
     )
-    oj = find_one_join(g, budget)
+    oj = find_one_join(g)
     report["one_join"] = (
         {
             "v1": sorted(oj.v1),

@@ -203,22 +203,7 @@ def delete_vertices(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    return components_within(g, range(g.n))
 
 
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
@@ -260,6 +245,28 @@ def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[i
         seen |= comp
         out.append(frozenset(comp))
     return out
+
+
+def two_coloring(g: Graph) -> Optional[frozenset[int]]:
+    """Colour 0 of a proper 2-colouring, or None if g is not bipartite.
+
+    Deterministic: each component's smallest vertex gets colour 0.
+    """
+    color: dict[int, int] = {}
+    for start in range(g.n):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return frozenset(v for v in range(g.n) if color[v] == 0)
 
 
 # -- maximal cliques -------------------------------------------------------
@@ -344,7 +351,8 @@ def induced_paths_between(
 
     Depth-first with forbidden-neighbor pruning: once a vertex stops being
     the tip, its whole neighborhood is off limits, so no chord can ever
-    appear (endpoint chords included).
+    appear (endpoint chords included). An explicit stack of neighbor
+    iterators keeps long paths off the call stack.
     """
     if u == v:
         raise GraphError("endpoints must differ")
@@ -352,18 +360,24 @@ def induced_paths_between(
     meter = _Meter(budget)
     adj = g.adj
 
-    def extend(path: list[int], forbidden: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        tip = path[-1]
-        for w in sorted(adj[tip]):
+    meter.tick()
+    path = [u]
+    stack = [(iter(sorted(adj[u])), frozenset({u}))]
+    while stack:
+        options, forbidden = stack[-1]
+        for w in options:
             if w in forbidden:
                 continue
             if w == v:
                 yield tuple(path) + (v,)
             else:
-                yield from extend(path + [w], forbidden | adj[tip] | {w})
-
-    yield from extend([u], frozenset({u}))
+                meter.tick()
+                stack.append((iter(sorted(adj[w])), forbidden | adj[path[-1]] | {w}))
+                path.append(w)
+                break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def all_paths_between(
@@ -450,29 +464,36 @@ def induced_cycles(
     adj = g.adj
     limit = max_len if max_len is not None else g.n
 
-    def extend(path: list[int], base: int) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        tip = path[-1]
-        for w in sorted(adj[tip]):
-            if w <= base or w in path:
-                continue
-            if adj[w] & set(path[:-1]) - {base}:
-                continue
-            if base in adj[w]:
-                # closing vertex; it can never extend (the base edge would chord)
-                k = len(path) + 1
-                if k >= min_len and (parity is None or k % 2 == parity):
-                    if path[1] < w:
-                        yield tuple(path) + (w,)
-            elif len(path) + 1 < limit:
-                yield from extend(path + [w], base)
-
     if min_len > limit:
         return
     for base in range(g.n):
         for second in sorted(adj[base]):
-            if second > base:
-                yield from extend([base, second], base)
+            if second < base:
+                continue
+            meter.tick()
+            path = [base, second]
+            inner: set[int] = set()  # path[1:-1]
+            stack = [iter(sorted(adj[second]))]
+            while stack:
+                for w in stack[-1]:
+                    if w <= base or w in inner or adj[w] & inner:
+                        continue
+                    if base in adj[w]:
+                        # closing vertex; it can never extend (the base edge would chord)
+                        k = len(path) + 1
+                        if k >= min_len and (parity is None or k % 2 == parity):
+                            if path[1] < w:
+                                yield tuple(path) + (w,)
+                    elif len(path) + 1 < limit:
+                        meter.tick()
+                        inner.add(path[-1])
+                        path.append(w)
+                        stack.append(iter(sorted(adj[w])))
+                        break
+                else:
+                    stack.pop()
+                    path.pop()
+                    inner.discard(path[-1])
 
 
 def squares(g: Graph, budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
@@ -531,21 +552,9 @@ class Multigraph:
 
         Deterministic: each component's smallest vertex goes left.
         """
-        color: dict[int, int] = {}
-        simple = self.underlying_simple()
-        for comp in components(simple):
-            start = min(comp)
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in simple.adj[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        left = frozenset(v for v in range(self.n) if color.get(v, 0) == 0)
+        left = two_coloring(self.underlying_simple())
+        if left is None:
+            return None
         return left, frozenset(range(self.n)) - left
 
 

@@ -167,100 +167,42 @@ def find_zero_join(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
 # -- 1-joins --------------------------------------------------------------------
 
 
-def _one_join_from_sides(g: Graph, v1: frozenset[int], v2: frozenset[int]) -> Optional[OneJoin]:
-    a1 = frozenset(v for v in v1 if g.adj[v] & v2)
-    a2 = frozenset(v for v in v2 if g.adj[v] & v1)
-    if not (a1 and a2 and v1 - a1 and v2 - a2):
-        return None
-    if not g.is_clique(a1 | a2):
-        return None
-    join = OneJoin(v1, v2, a1, a2, rich=len(v1) > 2 and len(v2) > 2)
-    return join if verify_one_join(g, join) else None
-
-
-def find_one_join(g: Graph, budget: Budget | None = None) -> Optional[OneJoin]:
+def find_one_join(g: Graph) -> Optional[OneJoin]:
     """A 1-join if one exists; rich ones are preferred.
 
-    Seeds on a non-adjacent pair (b1, b2) destined for the two far sides and
-    propagates: everything near b1 joins side 1, a side-1 vertex non-adjacent
-    to a known interface vertex of side 2 is itself far (so its neighborhood
-    joins side 1), and remaining free vertices are branched on.
+    For an interface edge a1a2 every far vertex misses a1 or a2, so the
+    whole interface is K = N[a1] & N[a2], and it must be a clique. Each
+    component of G - K lies on one side together with the K vertices that
+    see it; these glued blocks are the components of G with the edges inside
+    K removed. The blocks of a1 and a2 fix the two sides. Moving a block to
+    side 2 never hurts side 2, and side 1 keeps a far vertex and more than
+    two vertices with at most two blocks besides a1's; so giving side 1 at
+    most two further blocks and side 2 the rest misses no (rich) 1-join.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
-    n = g.n
-    fallback: Optional[OneJoin] = None
     full = g.vertex_set()
-
-    def settle(side: dict[int, int]) -> Optional[dict[int, int]]:
-        """Propagate to a fixpoint; None on contradiction."""
-        while True:
-            s1 = {v for v, s in side.items() if s == 1}
-            s2 = {v for v, s in side.items() if s == 2}
-            a1 = {v for v in s1 if g.adj[v] & s2}
-            a2 = {v for v in s2 if g.adj[v] & s1}
-            if not g.is_clique(a1 | a2):
-                return None
-            changed = False
-            for v in sorted(s1):
-                if v in a1:
+    fallback: Optional[OneJoin] = None
+    for a1, a2 in sorted(g.edges()):
+        k = (g.adj[a1] | {a1}) & (g.adj[a2] | {a2})
+        if not g.is_clique(k):
+            continue
+        cut = Graph(g.n, tuple(g.adj[v] - k if v in k else g.adj[v] for v in range(g.n)))
+        blocks = components(cut)
+        b1 = next(b for b in blocks if a1 in b)
+        b2 = next(b for b in blocks if a2 in b)
+        if b1 == b2:
+            continue
+        rest = [b for b in blocks if b != b1 and b != b2]
+        for size in range(3):
+            for extra in itertools.combinations(rest, size):
+                v1 = b1.union(*extra)
+                v2 = full - v1
+                rich = len(v1) > 2 and len(v2) > 2
+                join = OneJoin(v1, v2, v1 & k, v2 & k, rich)
+                if not verify_one_join(g, join):
                     continue
-                certain_far = v == seed1 or any(not g.has_edge(v, w) for w in a2)
-                if certain_far:
-                    for u in g.adj[v]:
-                        if side.get(u) == 2:
-                            return None
-                        if u not in side:
-                            side[u] = 1
-                            changed = True
-            for v in sorted(s2):
-                if v in a2:
-                    continue
-                certain_far = v == seed2 or any(not g.has_edge(v, w) for w in a1)
-                if certain_far:
-                    for u in g.adj[v]:
-                        if side.get(u) == 1:
-                            return None
-                        if u not in side:
-                            side[u] = 2
-                            changed = True
-            if not changed:
-                return side
-
-    def search(side: dict[int, int]) -> Optional[OneJoin]:
-        meter.tick()
-        settled = settle(dict(side))
-        if settled is None:
-            return None
-        free = sorted(full - settled.keys())
-        if not free:
-            v1 = frozenset(v for v, s in settled.items() if s == 1)
-            return _one_join_from_sides(g, v1, full - v1)
-        v = free[0]
-        best_here: Optional[OneJoin] = None
-        for choice in (1, 2):
-            trial = dict(settled)
-            trial[v] = choice
-            res = search(trial)
-            if res is not None:
-                if res.rich:
-                    return res
-                if best_here is None:
-                    best_here = res
-        return best_here
-
-    for seed1 in range(n):
-        for seed2 in range(seed1 + 1, n):
-            if g.has_edge(seed1, seed2):
-                continue
-            if g.adj[seed1] & g.adj[seed2]:
-                continue
-            res = search({seed1: 1, seed2: 2})
-            if res is not None:
-                if res.rich:
-                    return res
-                if fallback is None:
-                    fallback = res
+                if rich:
+                    return join
+                fallback = fallback or join
     return fallback
 
 

@@ -21,6 +21,7 @@ from .core import (
     _check_size,
     components_within,
     from_edge_list,
+    iter_maximal_cliques,
     line_graph,
     shortest_path,
 )
@@ -117,80 +118,30 @@ class AugmentationStructure:
 def recover_root(g: Graph, budget: Budget | None = None) -> Optional[RootRecovery]:
     """A bipartite multigraph root, or None when no bipartite root exists.
 
-    Searches edge-clique covers in which every vertex lies in at most two
-    cliques; every such cover is a root (root vertices are the cliques plus
-    a private tip for each vertex covered once), and covers are tried until
-    one yields a bipartite root. Twin classes turn into parallel bundles by
+    The maximal cliques of the line graph of a triangle-free multigraph are
+    its maximal stars, so each vertex lies in at most two of them. The root's
+    vertices are the maximal cliques plus a private tip for each vertex in
+    only one; its line graph is g by construction, and it is bipartite
+    exactly when some root is. Twin classes turn into parallel bundles by
     landing in the same pair of cliques.
     """
     budget = budget or DEFAULT_BUDGET
     _check_size(g, budget, "root recovery")
     if not g.is_connected():
         raise GraphError("root recovery expects a connected graph")
-    meter = _Meter(budget)
-    if g.n == 0:
-        return RootRecovery(Multigraph.build(0, []), (), ambiguous=False)
-
-    edges = sorted(g.edges())
-    cliques: list[set[int]] = []
-    membership: list[list[int]] = [[] for _ in range(g.n)]
-
-    def covered(u: int, v: int) -> bool:
-        return any(v in cliques[i] for i in membership[u])
-
-    def try_covers(idx: int) -> Optional[RootRecovery]:
-        meter.tick()
-        while idx < len(edges) and covered(*edges[idx]):
-            idx += 1
-        if idx == len(edges):
-            return _root_from_cover(g, cliques, membership)
-        u, v = edges[idx]
-        for w, other in ((u, v), (v, u)):
-            for ci in list(membership[w]):
-                cl = cliques[ci]
-                if other not in cl and len(membership[other]) < 2 and all(
-                    g.has_edge(other, x) for x in cl
-                ):
-                    cl.add(other)
-                    membership[other].append(ci)
-                    res = try_covers(idx)
-                    if res is not None:
-                        return res
-                    membership[other].pop()
-                    cl.remove(other)
-        if len(membership[u]) < 2 and len(membership[v]) < 2:
-            cliques.append({u, v})
-            ci = len(cliques) - 1
-            membership[u].append(ci)
-            membership[v].append(ci)
-            res = try_covers(idx)
-            if res is not None:
-                return res
-            membership[u].pop()
-            membership[v].pop()
-            cliques.pop()
-        return None
-
-    return try_covers(0)
-
-
-def _root_from_cover(
-    g: Graph, cliques: list[set[int]], membership: list[list[int]]
-) -> Optional[RootRecovery]:
-    """Build the root for a finished cover; None when it is not bipartite."""
-    pair: list[tuple[int, int]] = []
-    extra = len(cliques)
+    ends: list[list[int]] = [[] for _ in range(g.n)]
+    nodes = 0
+    for clique in iter_maximal_cliques(g, budget):
+        for v in clique:
+            if len(ends[v]) == 2:
+                return None
+            ends[v].append(nodes)
+        nodes += 1
     for v in range(g.n):
-        ids = membership[v]
-        if len(ids) == 2:
-            pair.append((ids[0], ids[1]))
-        elif len(ids) == 1:
-            pair.append((ids[0], extra))
-            extra += 1
-        else:  # isolated input vertex: a free-standing edge
-            pair.append((extra, extra + 1))
-            extra += 2
-    root = Multigraph.build(extra, pair)
+        if len(ends[v]) == 1:
+            ends[v].append(nodes)
+            nodes += 1
+    root = Multigraph.build(nodes, ends)
     if root.bipartition() is None:
         return None
     return RootRecovery(root, tuple(range(g.n)), ambiguous=_root_ambiguous(root))

@@ -20,10 +20,10 @@ from .core import (
     _Meter,
     _check_size,
     complement,
-    components,
     induced,
     induced_cycles,
     induced_paths_between,
+    two_coloring,
 )
 
 
@@ -171,21 +171,9 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
 
 def cobipartite_partition(g: Graph) -> Optional[CobipartitePartition]:
     """Two cliques covering all vertices (a 2-coloring of the complement)."""
-    co = complement(g)
-    color: dict[int, int] = {}
-    for comp in components(co):
-        start = min(comp)
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in co.adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    a = frozenset(v for v in range(g.n) if color.get(v, 0) == 0)
+    a = two_coloring(complement(g))
+    if a is None:
+        return None
     return CobipartitePartition(a, frozenset(range(g.n)) - a)
 
 

@@ -753,7 +753,7 @@ def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("one-join")
 def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    j = find_one_join(g, ctx.budget)
+    j = find_one_join(g)
     if j is None:
         raise CaseNotApplicable
     return combine_one_join(g, j, z, ctx.subsolver, ctx.budget)

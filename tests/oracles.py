@@ -251,6 +251,21 @@ def naive_has_clique_cutset(g: Graph) -> bool:
     return False
 
 
+def naive_one_join(g: Graph) -> tuple[bool, bool]:
+    """(some 1-join exists, some rich 1-join exists), over all bipartitions."""
+    full = g.vertex_set()
+    exists = rich = False
+    for sub in subsets(range(g.n), min_size=1, max_size=g.n - 1):
+        v1 = frozenset(sub)
+        v2 = full - v1
+        a1 = frozenset(v for v in v1 if g.adj[v] & v2)
+        a2 = frozenset(v for v in v2 if g.adj[v] & v1)
+        if a1 and a2 and v1 - a1 and v2 - a2 and g.is_clique(a1 | a2):
+            exists = True
+            rich = rich or (len(v1) > 2 and len(v2) > 2)
+    return exists, rich
+
+
 def naive_linear_interval_exists(g: Graph) -> bool:
     from strongstable.recognizers import check_linear_interval_order
 

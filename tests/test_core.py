@@ -21,6 +21,7 @@ from strongstable.core import (
     is_strong_stable_set,
     line_graph,
     maximal_cliques,
+    two_coloring,
 )
 from oracles import (
     complete,
@@ -294,6 +295,11 @@ class TestMultigraph:
         left, right = b.bipartition()
         assert left == {0, 1} and right == {2, 3, 4}
         assert Multigraph.build(3, [(0, 1), (1, 2), (0, 2)]).bipartition() is None
+
+    def test_two_coloring_puts_smallest_on_colour_zero(self):
+        g = from_edge_list(6, [(1, 0), (1, 2), (4, 3), (4, 5)])
+        assert two_coloring(g) == {0, 2, 3, 5}
+        assert two_coloring(from_edge_list(3, [(0, 1), (1, 2), (0, 2)])) is None
 
 
 class TestBudget:

@@ -22,7 +22,14 @@ from strongstable.decompose import (
     verify_w_join,
 )
 from strongstable.recognizers import simplicial_vertices
-from oracles import complete, cycle, naive_has_clique_cutset, path, random_growth_host
+from oracles import (
+    complete,
+    cycle,
+    naive_has_clique_cutset,
+    naive_one_join,
+    path,
+    random_growth_host,
+)
 
 
 def two_triangles_shared_vertex():
@@ -128,6 +135,16 @@ class TestOneJoin:
         # a path of length 5 admits both small and rich 1-joins
         j = find_one_join(path(6))
         assert j is not None and j.rich
+
+    def test_matches_all_bipartitions(self, graphs_by_n):
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                j = find_one_join(g)
+                assert (j is not None, j is not None and j.rich) == naive_one_join(g)
+                assert j is None or verify_one_join(g, j)
+
+    def test_long_cycle_has_none(self):
+        assert find_one_join(cycle(30)) is None
 
     def test_verify_rejects_flag_lies(self):
         g = path(4)

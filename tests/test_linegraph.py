@@ -31,7 +31,7 @@ from strongstable.linegraph import (
     suitable_matching,
 )
 from strongstable.core import is_strong_stable_set
-from oracles import cycle, naive_suitable_matching_exists
+from oracles import bipartite_graphs_up_to, cycle, naive_suitable_matching_exists
 
 M = Multigraph.build
 
@@ -66,6 +66,28 @@ class TestRecoverRoot:
         rr = recover_root(lg)
         relg, _ = line_graph(rr.root)
         assert relg == lg
+
+    def test_claw_has_no_root(self):
+        assert recover_root(from_edge_list(4, [(0, 1), (0, 2), (0, 3)])) is None
+
+    def test_any_root_is_exact(self, graphs_by_n):
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                if not g.is_connected():
+                    continue
+                rr = recover_root(g)
+                if rr is not None:
+                    assert rr.root.bipartition() is not None
+                    assert line_graph(rr.root)[0] == g
+
+    def test_every_bipartite_line_graph_has_root(self):
+        for graphs in bipartite_graphs_up_to(6).values():
+            for h in graphs:
+                if h.edge_count() == 0 or not h.is_connected():
+                    continue
+                edges = sorted(h.edges())
+                for b in (M(h.n, edges), M(h.n, edges + edges[:1])):
+                    assert recover_root(line_graph(b)[0]) is not None
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):

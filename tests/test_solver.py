@@ -122,6 +122,15 @@ class TestSolveBasics:
         assert [r.branch for r in res.trace] == ["complete", "peel"]
         assert is_strong_stable_set(path(n), res.s, budget)
 
+    def test_long_path_prescribed_ends_without_recursion(self):
+        # validation enumerates induced paths and cycles with explicit stacks
+        n = 1201
+        budget = Budget(n + 1, 10_000_000)
+        res = solve(path(n), {0, n - 1}, budget)
+        assert res.status == SolveStatus.FOUND
+        assert {0, n - 1} <= res.s
+        assert is_strong_stable_set(path(n), res.s, budget)
+
     def test_budget_status(self):
         res = solve(complete(10), budget=Budget(max_vertices=24, max_enumerations=2))
         assert res.status == SolveStatus.BUDGET and res.s is None
