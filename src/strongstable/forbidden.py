@@ -6,12 +6,21 @@ Each detector enumerates anchor structures first (cycles for holes, the
 triangle-path-triangle core for handcuffs, the K4 for eye masks), then grows
 the remaining paths and cycles under induced-ness constraints. Witnesses are
 re-verified from scratch before being returned, so a returned witness is
-always sound; completeness at the given budget comes from the exhaustive
-enumeration.
+always sound. Completeness at the given budget comes from the exhaustive
+enumeration over anchors, which three shortcuts leave intact:
+
+* eye masks: the K4s are built from triangles plus a common neighbour,
+  which lists exactly the 4-cliques;
+* odd prisms: a triangle is skipped unless every corner has a private
+  neighbour (adjacent to neither other corner), since each corner's path
+  leaves it through one;
+* handcuffs: a triangle xyt is skipped unless some even hole through xy has
+  its other vertices off t and its neighbours, since the cycle at xy is one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -81,12 +90,15 @@ def _anchored_paths(
     the pair (start, end) may be adjacent even on longer paths, which is how
     cycles through a prescribed edge are grown.
     """
+    if start == end:
+        return
     adj = g.adj
-
-    def extend(path: list[int], forbidden: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        tip = path[-1]
-        for w in sorted(adj[tip]):
+    meter.tick()
+    path = [start]
+    stack = [(iter(sorted(adj[start])), frozenset({start}))]
+    while stack:
+        options, forbidden = stack[-1]
+        for w in options:
             if w == end:
                 k = len(path)
                 if k < min_len:
@@ -94,7 +106,7 @@ def _anchored_paths(
                 if parity is not None and k % 2 != parity:
                     continue
                 if allow_end_chord:
-                    if any(g.has_edge(end, p) for p in path[1:-1]):
+                    if not adj[end].isdisjoint(path[1:-1]):
                         continue
                 elif w in forbidden:
                     continue
@@ -102,13 +114,15 @@ def _anchored_paths(
             elif (
                 w not in forbidden
                 and w not in blocked
-                and not (adj[w] & quiet)
+                and adj[w].isdisjoint(quiet)
             ):
-                yield from extend(path + [w], forbidden | adj[tip] | {w})
-
-    if start == end:
-        return
-    yield from extend([start], frozenset({start}))
+                meter.tick()
+                stack.append((iter(sorted(adj[w])), forbidden | adj[path[-1]] | {w}))
+                path.append(w)
+                break
+        else:
+            stack.pop()
+            path.pop()
 
 
 # -- individual detectors ------------------------------------------------------
@@ -142,9 +156,21 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
+def _has_private_neighbors(g: Graph, tri: tuple[int, int, int]) -> bool:
+    """Every corner has a neighbor adjacent to neither other corner."""
+    adj = g.adj
+    a, b, c = tri
+    return all(
+        any(w not in adj[p] and w not in adj[q] for w in adj[v])
+        for v, p, q in ((a, b, c), (b, a, c), (c, a, b))
+    )
+
+
 def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
-    tris = _triangles(g)
+    # path i leaves corner i through a private neighbor: its first interior
+    # vertex, or the other triangle's corner i on a length-1 path
+    tris = [t for t in _triangles(g) if _has_private_neighbors(g, t)]
     for ta in tris:
         for tb in tris:
             meter.tick()
@@ -208,7 +234,7 @@ def _grow_cycle_through_edge(
     Yields the cycle as the vertex sequence from x to y; the closing edge is
     xy itself, so an odd path here means an even cycle.
     """
-    for p in _anchored_paths(
+    return _anchored_paths(
         g,
         meter,
         x,
@@ -218,16 +244,17 @@ def _grow_cycle_through_edge(
         parity=1,
         min_len=3,
         allow_end_chord=True,
-    ):
-        yield p  # p is x..y of odd length >= 3; cycle = p + closing edge
+    )
 
 
 def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
+    adj = g.adj
     cliques4 = [
-        q
-        for q in itertools.combinations(range(g.n), 4)
-        if g.is_clique(q)
+        (a, b, c, d)
+        for a, b, c in _triangles(g)
+        for d in sorted(adj[a] & adj[b] & adj[c])
+        if d > c
     ]
     for quad in cliques4:
         for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
@@ -254,8 +281,18 @@ def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
 def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
     edges = list(g.edges())
+    # each cycle of a handcuff is an even hole through xy whose other
+    # vertices miss t and its neighbors; a side without one is dead
+    @functools.cache
+    def has_cuff(x: int, y: int, t: int) -> bool:
+        near = frozenset((t,))
+        cycles = _grow_cycle_through_edge(g, meter, x, y, near, near)
+        return next(cycles, None) is not None
+
     for x1, y1 in edges:
         for t1 in sorted(g.adj[x1] & g.adj[y1]):
+            if not has_cuff(x1, y1, t1):
+                continue
             for x2, y2 in edges:
                 if {x2, y2} & {x1, y1, t1}:
                     continue
@@ -271,6 +308,8 @@ def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
                 for t2 in sorted(g.adj[x2] & g.adj[y2]):
                     meter.tick()
                     if t2 in {x1, y1, t1} or g.has_edge(t2, x1) or g.has_edge(t2, y1):
+                        continue
+                    if not has_cuff(x2, y2, t2):
                         continue
                     core = frozenset((x1, y1, x2, y2))
                     w = _grow_handcuff(g, meter, x1, y1, t1, x2, y2, t2, core)

@@ -186,38 +186,87 @@ def linear_interval_order(g: Graph) -> Optional[LinearIntervalOrder]:
     sweep is returned exactly when ``check_linear_interval_order`` accepts
     it, which decides the answer.
     """
-    order = _lbfs(g, {v: -v for v in range(g.n)})
+    order = _lbfs(g, range(g.n))
     for _ in range(2):
-        order = _lbfs(g, {v: i for i, v in enumerate(order)})
+        order = _lbfs(g, order[::-1])
     if not check_linear_interval_order(g, order):
         return None
     return LinearIntervalOrder(tuple(order))
 
 
-def _lbfs(g: Graph, tie: dict[int, int]) -> list[int]:
-    """Lexicographic BFS; among equal labels the largest ``tie`` goes first."""
-    label: dict[int, list[int]] = {v: [] for v in range(g.n)}
+def _lbfs(g: Graph, prefer: Iterable[int]) -> list[int]:
+    """Lexicographic BFS; among equal labels the vertex earliest in ``prefer``
+    goes first.
+
+    Partition refinement: classes of equal label sit in a linked list, best
+    label first, each class in ``prefer`` order. Visiting v moves its
+    unvisited neighbors of every class into a new class just before it;
+    a moved vertex stays behind in its old class list and is skipped there.
+    """
+    prefer = list(prefer)
+    rank = {v: i for i, v in enumerate(prefer)}
+    members = [prefer]  # per class id; stale entries are skipped
+    head = [0]  # per class id: first entry not yet skipped
+    after = [-1]  # per class id: the next class, -1 at the end
+    before = [-1]
+    where = [0] * g.n  # class id of each unvisited vertex, -1 once visited
+    first = 0
     order = []
-    for step in range(g.n, 0, -1):
-        v = max(label, key=lambda u: (label[u], tie[u]))
+    while len(order) < g.n:
+        c = first
+        while True:
+            lst, h = members[c], head[c]
+            while h < len(lst) and where[lst[h]] != c:
+                h += 1
+            head[c] = h
+            if h < len(lst):
+                break
+            c = first = after[c]
+            before[c] = -1
+        v = lst[h]
+        where[v] = -1
         order.append(v)
-        del label[v]
-        for w in g.adj[v]:
-            if w in label:
-                label[w].append(step)
+        split: dict[int, int] = {}
+        for w in sorted(g.adj[v], key=rank.__getitem__):
+            old = where[w]
+            if old < 0:
+                continue
+            new = split.get(old)
+            if new is None:
+                new = split[old] = len(members)
+                members.append([])
+                head.append(0)
+                after.append(old)
+                before.append(before[old])
+                if before[old] < 0:
+                    first = new
+                else:
+                    after[before[old]] = new
+                before[old] = new
+            members[new].append(w)
+            where[w] = new
     return order
 
 
 def check_linear_interval_order(g: Graph, order: Iterable[int]) -> bool:
-    """Direct definition check of a candidate numbering."""
+    """Direct definition check of a candidate numbering: every edge's index
+    window is a clique.
+
+    Checked as the equivalent umbrella property in O(n + m): each vertex's
+    later neighbors are exactly the next positions and its earlier
+    neighbors exactly the previous ones.
+    """
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         return False
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.has_edge(order[i], order[j]):
-                if not g.is_clique(order[i : j + 1]):
-                    return False
+    pos = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        later = [pos[w] for w in g.adj[v] if pos[w] > i]
+        earlier = [pos[w] for w in g.adj[v] if pos[w] < i]
+        if later and max(later) != i + len(later):
+            return False
+        if earlier and min(earlier) != i - len(earlier):
+            return False
     return True
 
 

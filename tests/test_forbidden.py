@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from strongstable.core import Budget, BudgetExceededError, complement, from_edge_list, line_graph
@@ -159,6 +161,68 @@ class TestNaiveAgreement:
         for n in range(7):
             for g in graphs_by_n[n]:
                 assert is_innocent(g) == naive_is_innocent(g), sorted(g.edges())
+
+
+def _planted(rng: random.Random, base, n: int, flip: bool):
+    """base plus random extra vertices up to n, one base pair maybe flipped,
+    vertex ids shuffled."""
+    edges = set(base.edges())
+    if flip:
+        u, v = rng.sample(range(base.n), 2)
+        edges ^= {(min(u, v), max(u, v))}
+    for v in range(base.n, n):
+        edges |= {(u, v) for u in range(v) if rng.random() < 0.3}
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return from_edge_list(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+class TestPrunedDetectorsAgainstOracle:
+    def test_planted_and_random_graphs_8_to_12(self):
+        # the n <= 7 sweeps hold no eye mask (8 vertices) or handcuff (10)
+        rng = random.Random(2026)
+        bases = [eye_mask(4, 4), handcuff(4, 4, 1), prism((1, 1, 1)), prism((1, 1, 3))]
+        graphs = []
+        for _ in range(10):
+            for base in bases:
+                n = rng.randint(max(8, base.n), 12)
+                graphs.append(_planted(rng, base, n, flip=rng.random() < 0.4))
+            n = rng.randint(8, 12)
+            p = rng.choice((0.3, 0.5))
+            graphs.append(
+                from_edge_list(
+                    n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                )
+            )
+        found = {kind: 0 for kind in ForbiddenKind}
+        for g in graphs:
+            for kind in ForbiddenKind:
+                w = find_structure(g, kind)
+                assert (w is None) == (naive_find_kind(g, kind.value) is None), (
+                    kind,
+                    sorted(g.edges()),
+                )
+                if w is not None:
+                    assert verify_witness(g, w)
+                    found[kind] += 1
+        for kind in (ForbiddenKind.ODD_PRISM, ForbiddenKind.EYE_MASK, ForbiddenKind.HANDCUFF):
+            assert found[kind] >= 3, found
+
+
+class TestLongStructures:
+    @pytest.mark.parametrize(
+        "g, kind",
+        [
+            (prism((1, 1, 1201)), ForbiddenKind.ODD_PRISM),
+            (handcuff(4, 4, 1201), ForbiddenKind.HANDCUFF),
+            (eye_mask(1202, 4), ForbiddenKind.EYE_MASK),
+        ],
+        ids=["odd-prism", "handcuff", "eye-mask"],
+    )
+    def test_long_path_or_cycle_without_recursion(self, g, kind):
+        w = find_structure(g, kind, Budget(g.n + 1, 10_000_000))
+        assert w is not None and w.vertices == frozenset(range(g.n))
+        assert verify_witness(g, w)
 
 
 class TestBudgets:

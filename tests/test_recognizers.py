@@ -23,7 +23,13 @@ from strongstable.recognizers import (
     simplicial_vertices,
     verify_peculiar,
 )
-from oracles import complete, cycle, naive_linear_interval_exists, path
+from oracles import (
+    complete,
+    cycle,
+    naive_linear_interval_exists,
+    naive_window_order_ok,
+    path,
+)
 
 
 def clown_graph(k=4):
@@ -201,6 +207,27 @@ class TestLinearInterval:
 
     def test_long_cycle_none(self):
         assert linear_interval_order(cycle(30)) is None
+
+    def test_long_path(self):
+        found = linear_interval_order(path(3000))
+        assert found is not None and check_linear_interval_order(path(3000), found.order)
+
+    def test_check_matches_window_definition(self, graphs_by_n):
+        # every numbering of every graph up to five vertices, some of six
+        rng = random.Random(6)
+        for n in range(1, 7):
+            for g in graphs_by_n[n]:
+                perms = list(itertools.permutations(range(n)))
+                if n == 6:
+                    perms = rng.sample(perms, 40)
+                for perm in perms:
+                    assert check_linear_interval_order(g, perm) == naive_window_order_ok(
+                        g, perm
+                    ), (sorted(g.edges()), perm)
+
+    def test_check_rejects_non_permutations(self):
+        assert not check_linear_interval_order(path(3), (0, 1))
+        assert not check_linear_interval_order(path(3), (0, 1, 1))
 
 
 class TestChainOrder:
