@@ -15,6 +15,7 @@ All enumerative routines are exhaustive but budget-bounded: they raise
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -69,6 +70,22 @@ class _Meter:
             )
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The int mask with bit v set for every v in vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _iter_bits(m: int) -> Iterator[int]:
+    """The set bits of mask m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _check_size(g: "Graph", budget: Budget, what: str) -> None:
     if g.n > budget.max_vertices:
         raise BudgetExceededError(
@@ -87,6 +104,15 @@ class Graph:
 
     n: int
     adj: tuple[frozenset[int], ...]
+
+    @functools.cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Entry v is N(v) as an int mask (bit w set iff vw is an edge).
+
+        Built on first use and cached; not a field, so ``==``, ``hash`` and
+        ``repr`` ignore it.
+        """
+        return tuple(_mask_of(a) for a in self.adj)
 
     # -- elementary predicates -------------------------------------------
 
@@ -458,42 +484,68 @@ def induced_cycles(
     Canonical form: the smallest vertex first, second vertex smaller than the
     last (kills rotation and reflection duplicates). ``parity`` filters by
     length mod 2 when given.
+
+    Each cycle grows as a chordless path from its base (smallest vertex) on
+    int masks: one candidate mask per search level, ``N(tip)`` minus the
+    vertices up to the base, the inner path vertices and their neighbours,
+    taken lowest bit first. A candidate adjacent to the base is a closer; it
+    never extends (the base edge would be a chord), so at a level whose cycle
+    length fails ``min_len`` or ``parity`` the closer mask is empty.
     """
     budget = budget or DEFAULT_BUDGET
     meter = _Meter(budget)
-    adj = g.adj
+    bits = g.bits
     limit = max_len if max_len is not None else g.n
 
     if min_len > limit:
         return
+    # closes[k]: a cycle of k vertices may be yielded
+    closes = [
+        k >= min_len and (parity is None or k % 2 == parity)
+        for k in range(max(limit, 3) + 1)
+    ]
+    tick = meter.tick
     for base in range(g.n):
-        for second in sorted(adj[base]):
-            if second < base:
-                continue
-            meter.tick()
+        low = (2 << base) - 1  # the base and every vertex below it
+        nb = bits[base]
+        for second in _iter_bits(nb & ~low):
+            tick()
+            # yieldable closers: base neighbours above the second vertex
+            closers = nb & ~((2 << second) - 1)
             path = [base, second]
-            inner: set[int] = set()  # path[1:-1]
-            stack = [iter(sorted(adj[second]))]
-            while stack:
-                for w in stack[-1]:
-                    if w <= base or w in inner or adj[w] & inner:
-                        continue
-                    if base in adj[w]:
-                        # closing vertex; it can never extend (the base edge would chord)
-                        k = len(path) + 1
-                        if k >= min_len and (parity is None or k % 2 == parity):
-                            if path[1] < w:
-                                yield tuple(path) + (w,)
-                    elif len(path) + 1 < limit:
-                        meter.tick()
-                        inner.add(path[-1])
-                        path.append(w)
-                        stack.append(iter(sorted(adj[w])))
+            # forb: what no candidate at this level may be (the base and
+            # below, the inner vertices path[1:-1] and their neighbours)
+            forb = low
+            cand = bits[second] & ~low
+            m = (cand & ~nb if 3 < limit else 0) | (cand & closers if closes[3] else 0)
+            saved = []  # (m, forb) of the levels below the tip
+            while True:
+                if not m:
+                    if not saved:
                         break
-                else:
-                    stack.pop()
+                    m, forb = saved.pop()
                     path.pop()
-                    inner.discard(path[-1])
+                    continue
+                lsb = m & -m
+                m ^= lsb
+                w = lsb.bit_length() - 1
+                if lsb & nb:
+                    yield (*path, w)
+                    continue
+                tick()
+                tip = path[-1]
+                wforb = forb | bits[tip] | (1 << tip)
+                cand = bits[w] & ~wforb
+                k = len(path) + 2  # cycle length when a closer follows w
+                ext = cand & ~nb if k < limit else 0
+                clo = cand & closers if closes[k] else 0
+                if ext:
+                    saved.append((m, forb))
+                    path.append(w)
+                    m, forb = ext | clo, wforb
+                else:
+                    for c in _iter_bits(clo):
+                        yield (*path, w, c)
 
 
 def squares(g: Graph, budget: Budget | None = None) -> Iterator[tuple[int, ...]]:

@@ -32,6 +32,8 @@ from .core import (
     Graph,
     _Meter,
     _check_size,
+    _iter_bits,
+    _mask_of,
     complement,
     induced_cycles,
 )
@@ -89,40 +91,68 @@ def _anchored_paths(
     ``quiet``; the endpoints are exempt from both. With ``allow_end_chord``
     the pair (start, end) may be adjacent even on longer paths, which is how
     cycles through a prescribed edge are grown.
+
+    Runs on int masks, taking each level's candidates lowest bit first (end
+    included, at its sorted place). ``forb`` holds the path so far and the
+    neighbours of its inner vertices; the neighbours of ``start`` are folded
+    into the constant ``avoid`` instead, so that ``forb`` alone answers the
+    end-chord test.
     """
     if start == end:
         return
-    adj = g.adj
-    meter.tick()
+    bits = g.bits
+    tick = meter.tick
+    tick()
+    endbit = 1 << end
+    outside = _mask_of(blocked) | endbit
+    for q in quiet:
+        outside |= bits[q]
+    nstart = bits[start]
+    avoid = outside | nstart
+
+    # beyond the first edge, end must also miss N(start) unless it may chord
+    end_shy = 0 if allow_end_chord else nstart
+
+    def closes(k: int, shut: int) -> bool:
+        """end may follow as the path's k-th edge unless end is in shut."""
+        return (
+            k >= min_len
+            and (parity is None or k % 2 == parity)
+            and not shut & endbit
+        )
+
     path = [start]
-    stack = [(iter(sorted(adj[start])), frozenset({start}))]
-    while stack:
-        options, forbidden = stack[-1]
-        for w in options:
-            if w == end:
-                k = len(path)
-                if k < min_len:
-                    continue
-                if parity is not None and k % 2 != parity:
-                    continue
-                if allow_end_chord:
-                    if not adj[end].isdisjoint(path[1:-1]):
-                        continue
-                elif w in forbidden:
-                    continue
-                yield tuple(path) + (end,)
-            elif (
-                w not in forbidden
-                and w not in blocked
-                and adj[w].isdisjoint(quiet)
-            ):
-                meter.tick()
-                stack.append((iter(sorted(adj[w])), forbidden | adj[path[-1]] | {w}))
-                path.append(w)
-                break
-        else:
-            stack.pop()
+    forb = 1 << start
+    m = nstart & ~outside
+    if nstart & endbit and closes(1, 0):
+        m |= endbit
+    saved = []  # (m, forb) of the levels below the tip
+    while True:
+        if not m:
+            if not saved:
+                return
+            m, forb = saved.pop()
             path.pop()
+            continue
+        lsb = m & -m
+        m ^= lsb
+        if lsb == endbit:
+            yield (*path, end)
+            continue
+        tick()
+        w = lsb.bit_length() - 1
+        tip = path[-1]
+        wforb = forb | lsb if tip == start else forb | lsb | bits[tip]
+        wnbrs = bits[w]
+        ext = wnbrs & ~(wforb | avoid)
+        close = wnbrs & endbit and closes(len(path) + 1, wforb | end_shy)
+        if ext:
+            saved.append((m, forb))
+            path.append(w)
+            m = ext | endbit if close else ext
+            forb = wforb
+        elif close:
+            yield (*path, w, end)
 
 
 # -- individual detectors ------------------------------------------------------
@@ -145,44 +175,43 @@ def _find_long_antihole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
 
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """Every triangle a < b < c, in lexicographic order."""
+    bits = g.bits
     out = []
     for a in range(g.n):
-        for b in sorted(g.adj[a]):
-            if b <= a:
-                continue
-            for c in sorted(g.adj[a] & g.adj[b]):
-                if c > b:
-                    out.append((a, b, c))
+        na = bits[a] & ~((2 << a) - 1)
+        for b in _iter_bits(na):
+            for c in _iter_bits(na & bits[b] & ~((2 << b) - 1)):
+                out.append((a, b, c))
     return out
 
 
 def _has_private_neighbors(g: Graph, tri: tuple[int, int, int]) -> bool:
     """Every corner has a neighbor adjacent to neither other corner."""
-    adj = g.adj
-    a, b, c = tri
-    return all(
-        any(w not in adj[p] and w not in adj[q] for w in adj[v])
-        for v, p, q in ((a, b, c), (b, a, c), (c, a, b))
-    )
+    bits = g.bits
+    a, b, c = (bits[v] for v in tri)
+    return bool(a & ~b & ~c and b & ~a & ~c and c & ~a & ~b)
 
 
 def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
+    bits = g.bits
     # path i leaves corner i through a private neighbor: its first interior
     # vertex, or the other triangle's corner i on a length-1 path
-    tris = [t for t in _triangles(g) if _has_private_neighbors(g, t)]
-    for ta in tris:
-        for tb in tris:
+    tris = [(t, _mask_of(t)) for t in _triangles(g) if _has_private_neighbors(g, t)]
+    for ta, amask in tris:
+        for tb, bmask in tris:
             meter.tick()
-            if set(ta) & set(tb) or min(tb) < min(ta):
+            if tb[0] < ta[0] or amask & bmask:
                 continue
+            # each corner of ta as a mask of its neighbours in tb
+            cross = [bits[v] & bmask for v in ta]
             for perm in itertools.permutations(tb):
                 # cross edges between the triangles only along matched pairs
-                if any(
-                    g.has_edge(ta[i], perm[j])
-                    for i in range(3)
-                    for j in range(3)
-                    if i != j
+                if (
+                    cross[0] & ~(1 << perm[0])
+                    | cross[1] & ~(1 << perm[1])
+                    | cross[2] & ~(1 << perm[2])
                 ):
                     continue
                 base = frozenset(ta) | frozenset(tb)
@@ -249,12 +278,11 @@ def _grow_cycle_through_edge(
 
 def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
-    adj = g.adj
+    bits = g.bits
     cliques4 = [
         (a, b, c, d)
         for a, b, c in _triangles(g)
-        for d in sorted(adj[a] & adj[b] & adj[c])
-        if d > c
+        for d in _iter_bits(bits[a] & bits[b] & bits[c] & ~((2 << c) - 1))
     ]
     for quad in cliques4:
         for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
@@ -280,7 +308,8 @@ def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
 
 def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
-    edges = list(g.edges())
+    bits = g.bits
+    edges = [(x, y, (1 << x) | (1 << y)) for x, y in g.edges()]
     # each cycle of a handcuff is an even hole through xy whose other
     # vertices miss t and its neighbors; a side without one is dead
     @functools.cache
@@ -289,25 +318,21 @@ def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
         cycles = _grow_cycle_through_edge(g, meter, x, y, near, near)
         return next(cycles, None) is not None
 
-    for x1, y1 in edges:
-        for t1 in sorted(g.adj[x1] & g.adj[y1]):
+    for x1, y1, e1 in edges:
+        near_xy = e1 | bits[x1] | bits[y1]
+        for t1 in _iter_bits(bits[x1] & bits[y1]):
             if not has_cuff(x1, y1, t1):
                 continue
-            for x2, y2 in edges:
-                if {x2, y2} & {x1, y1, t1}:
+            # the far side misses x1, y1, t1 and N(x1) | N(y1); its edge
+            # x2y2 misses N(t1) too
+            t2_off = near_xy | (1 << t1)
+            e2_off = t2_off | bits[t1]
+            for x2, y2, e2 in edges:
+                if e2 & e2_off:
                     continue
-                if g.has_edge(t1, x2) or g.has_edge(t1, y2):
-                    continue
-                if (
-                    g.has_edge(x1, x2)
-                    or g.has_edge(x1, y2)
-                    or g.has_edge(y1, x2)
-                    or g.has_edge(y1, y2)
-                ):
-                    continue
-                for t2 in sorted(g.adj[x2] & g.adj[y2]):
+                for t2 in _iter_bits(bits[x2] & bits[y2]):
                     meter.tick()
-                    if t2 in {x1, y1, t1} or g.has_edge(t2, x1) or g.has_edge(t2, y1):
+                    if t2_off >> t2 & 1:
                         continue
                     if not has_cuff(x2, y2, t2):
                         continue
