@@ -490,7 +490,9 @@ def induced_cycles(
     vertices up to the base, the inner path vertices and their neighbours,
     taken lowest bit first. A candidate adjacent to the base is a closer; it
     never extends (the base edge would be a chord), so at a level whose cycle
-    length fails ``min_len`` or ``parity`` the closer mask is empty.
+    length fails ``min_len`` or ``parity`` the closer mask is empty. A base
+    with fewer than two neighbours above it is skipped: no hole has it as
+    its smallest vertex.
     """
     budget = budget or DEFAULT_BUDGET
     meter = _Meter(budget)
@@ -508,7 +510,10 @@ def induced_cycles(
     for base in range(g.n):
         low = (2 << base) - 1  # the base and every vertex below it
         nb = bits[base]
-        for second in _iter_bits(nb & ~low):
+        above = nb & ~low
+        if not above & (above - 1):
+            continue  # a hole needs two base neighbours above the base
+        for second in _iter_bits(above):
             tick()
             # yieldable closers: base neighbours above the second vertex
             closers = nb & ~((2 << second) - 1)

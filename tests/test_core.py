@@ -234,6 +234,10 @@ class TestInducedCycles:
         assert len(cycles) == len(set(cycles)) == 3
         assert all(len(c) == 4 for c in cycles)
 
+    def test_long_path_skips_every_base(self):
+        # no base has two neighbours above it, so nothing is walked
+        assert list(induced_cycles(path(3000), Budget(3001, 100_000))) == []
+
 
 class TestLineGraph:
     def test_path(self):
