@@ -429,10 +429,12 @@ def _path_edges(path: tuple[int, ...]) -> set[frozenset[int]]:
 
 
 def _induced_edges(g: Graph, verts: frozenset[int]) -> set[frozenset[int]]:
+    bits = g.bits
+    inside = _mask_of(verts)
     return {
         frozenset((u, v))
-        for u, v in itertools.combinations(sorted(verts), 2)
-        if g.has_edge(u, v)
+        for u in verts
+        for v in _iter_bits(bits[u] & inside & ~((2 << u) - 1))
     }
 
 
