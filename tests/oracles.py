@@ -60,6 +60,63 @@ def is_cycle_graph(h: Graph) -> bool:
     )
 
 
+def naive_induced_cycles(
+    g: Graph, min_len: int = 4, max_len: int | None = None, parity: int | None = None
+) -> list[tuple[int, ...]]:
+    """Every vertex subset that induces a cycle, sorted, each in canonical
+    form: the smallest vertex, then the smaller of its two cycle neighbours."""
+    max_len = g.n if max_len is None else max_len
+    out = []
+    for sub in subsets(range(g.n), max(min_len, 3), max_len):
+        if parity is not None and len(sub) % 2 != parity:
+            continue
+        s = set(sub)
+        # two neighbours inside each is necessary; is_cycle_graph decides
+        if any(len(g.adj[v] & s) != 2 for v in sub):
+            continue
+        if not is_cycle_graph(induced(g, sub)[0]):
+            continue
+        seq = [sub[0], min(g.adj[sub[0]] & s)]
+        while len(seq) < len(sub):
+            seq.append(next(w for w in g.adj[seq[-1]] & s if w != seq[-2]))
+        out.append(tuple(seq))
+    return sorted(out)
+
+
+def naive_anchored_paths(
+    g: Graph,
+    start: int,
+    end: int,
+    blocked=frozenset(),
+    quiet=frozenset(),
+    parity: int | None = None,
+    min_len: int = 1,
+    allow_end_chord: bool = False,
+) -> list[tuple[int, ...]]:
+    """Every vertex sequence start..end that is an induced path (start-end
+    chord allowed when asked) with interior off blocked and off N(quiet),
+    of length >= min_len and the given parity, sorted."""
+    if start == end:
+        return []
+    others = [v for v in range(g.n) if v not in (start, end)]
+    out = []
+    for k in range(len(others) + 1):
+        if k + 1 < min_len or (parity is not None and (k + 1) % 2 != parity):
+            continue
+        for mid in itertools.permutations(others, k):
+            if any(v in blocked or g.adj[v] & quiet for v in mid):
+                continue
+            p = (start, *mid, end)
+            last = len(p) - 1
+            if all(
+                g.has_edge(p[i], p[j]) == (j - i == 1)
+                for i, j in itertools.combinations(range(len(p)), 2)
+                if not (allow_end_chord and last > 1 and (i, j) == (0, last))
+            ):
+                out.append(p)
+    return sorted(out)
+
+
 def is_odd_hole_graph(h: Graph) -> bool:
     return h.n >= 5 and h.n % 2 == 1 and is_cycle_graph(h)
 

@@ -26,6 +26,7 @@ from strongstable.core import (
 from oracles import (
     complete,
     cycle,
+    naive_induced_cycles,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
     path,
@@ -64,6 +65,32 @@ class TestFromEdgeList:
     def test_self_loop(self):
         with pytest.raises(GraphError):
             from_edge_list(2, [(1, 1)])
+
+
+class TestBits:
+    @staticmethod
+    def assert_matches_adj(g):
+        assert len(g.bits) == g.n
+        for v in range(g.n):
+            assert {w for w in range(g.n) if g.bits[v] >> w & 1} == g.adj[v]
+            assert g.bits[v] >> g.n == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_adj(self, g, data):
+        keep = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
+        self.assert_matches_adj(g)
+        self.assert_matches_adj(complement(g))
+        self.assert_matches_adj(induced(g, keep & set(range(g.n)))[0])
+
+    def test_not_a_field(self):
+        g, h = cycle(7), cycle(7)
+        before = (hash(g), repr(g))
+        assert g.bits == h.bits
+        assert "bits" not in repr(g)
+        assert (hash(g), repr(g)) == before
+        assert g == h and hash(g) == hash(h)
+        assert g != complement(g)
 
 
 class TestComplement:
@@ -233,6 +260,27 @@ class TestInducedCycles:
         cycles = list(induced_cycles(g))
         assert len(cycles) == len(set(cycles)) == 3
         assert all(len(c) == 4 for c in cycles)
+
+    def test_matches_subset_oracle(self, graphs_by_n):
+        grid = [  # (min_len, max_len, parity)
+            (3, None, None),
+            (4, None, None),
+            (4, 4, None),
+            (5, None, 1),
+            (6, None, None),
+            (4, 6, 0),
+            (3, 5, 1),
+            (5, 6, None),
+        ]
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                for h in (g, complement(g)):
+                    for min_len, max_len, parity in grid:
+                        # yields come in lexicographic order, each once
+                        got = induced_cycles(h, Budget(8), min_len, max_len, parity)
+                        assert list(got) == naive_induced_cycles(
+                            h, min_len, max_len, parity
+                        ), (h, min_len, max_len, parity)
 
     def test_long_path_skips_every_base(self):
         # no base has two neighbours above it, so nothing is walked

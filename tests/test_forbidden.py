@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from strongstable.core import Budget, BudgetExceededError, complement, from_edge_list, line_graph
+from strongstable.core import (
+    Budget,
+    BudgetExceededError,
+    _Meter,
+    complement,
+    from_edge_list,
+    line_graph,
+)
 from strongstable.forbidden import (
     CERTIFICATE_ORDER,
     ForbiddenKind,
@@ -11,10 +18,17 @@ from strongstable.forbidden import (
     find_structure,
     innocence_certificate,
     is_innocent,
+    _anchored_paths,
     verify_witness,
 )
 from strongstable.generators import bicycle, eye_mask, handcuff, hole, prism
-from oracles import complete, cycle, naive_find_kind, naive_is_innocent
+from oracles import (
+    complete,
+    cycle,
+    naive_anchored_paths,
+    naive_find_kind,
+    naive_is_innocent,
+)
 
 
 class TestOddHole:
@@ -161,6 +175,31 @@ class TestNaiveAgreement:
         for n in range(7):
             for g in graphs_by_n[n]:
                 assert is_innocent(g) == naive_is_innocent(g), sorted(g.edges())
+
+
+class TestAnchoredPaths:
+    def test_matches_permutation_oracle(self, graphs_by_n):
+        # random constraints on every graph of at most six vertices;
+        # yields come in lexicographic order, each once
+        rng = random.Random(11)
+        for n in range(2, 7):
+            for g in graphs_by_n[n]:
+                for _ in range(20):
+                    start, end = rng.sample(range(n), 2)
+                    args = (
+                        frozenset(v for v in range(n) if rng.random() < 0.15),
+                        frozenset(v for v in range(n) if rng.random() < 0.1),
+                        rng.choice((None, 0, 1)),
+                        rng.choice((1, 2, 3)),
+                        rng.random() < 0.5,
+                    )
+                    got = _anchored_paths(g, _Meter(Budget(8)), start, end, *args)
+                    assert list(got) == naive_anchored_paths(g, start, end, *args), (
+                        sorted(g.edges()),
+                        start,
+                        end,
+                        args,
+                    )
 
 
 def _planted(rng: random.Random, base, n: int, flip: bool):
