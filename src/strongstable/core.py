@@ -78,6 +78,11 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _above(v: int) -> int:
+    """The mask of every vertex greater than v."""
+    return ~((2 << v) - 1)
+
+
 def _iter_bits(m: int) -> Iterator[int]:
     """The set bits of mask m, lowest first."""
     while m:
@@ -508,7 +513,7 @@ def induced_cycles(
     ]
     tick = meter.tick
     for base in range(g.n):
-        low = (2 << base) - 1  # the base and every vertex below it
+        low = ~_above(base)  # the base and every vertex below it
         nb = bits[base]
         above = nb & ~low
         if not above & (above - 1):
@@ -516,7 +521,7 @@ def induced_cycles(
         for second in _iter_bits(above):
             tick()
             # yieldable closers: base neighbours above the second vertex
-            closers = nb & ~((2 << second) - 1)
+            closers = nb & _above(second)
             path = [base, second]
             # forb: what no candidate at this level may be (the base and
             # below, the inner vertices path[1:-1] and their neighbours)

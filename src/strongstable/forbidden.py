@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_BUDGET,
     Graph,
     _Meter,
+    _above,
     _check_size,
     _iter_bits,
     _mask_of,
@@ -113,18 +114,14 @@ def _anchored_paths(
     # beyond the first edge, end must also miss N(start) unless it may chord
     end_shy = 0 if allow_end_chord else nstart
 
-    def closes(k: int, shut: int) -> bool:
-        """end may follow as the path's k-th edge unless end is in shut."""
-        return (
-            k >= min_len
-            and (parity is None or k % 2 == parity)
-            and not shut & endbit
-        )
+    def closes(k: int) -> bool:
+        """A path of k edges has the wanted length and parity."""
+        return k >= min_len and (parity is None or k % 2 == parity)
 
     path = [start]
     forb = 1 << start
     m = nstart & ~outside
-    if nstart & endbit and closes(1, 0):
+    if nstart & endbit and closes(1):
         m |= endbit
     saved = []  # (m, forb) of the levels below the tip
     while True:
@@ -145,7 +142,11 @@ def _anchored_paths(
         wforb = forb | lsb if tip == start else forb | lsb | bits[tip]
         wnbrs = bits[w]
         ext = wnbrs & ~(wforb | avoid)
-        close = wnbrs & endbit and closes(len(path) + 1, wforb | end_shy)
+        close = (
+            wnbrs & endbit
+            and not (wforb | end_shy) & endbit
+            and closes(len(path) + 1)
+        )
         if ext:
             saved.append((m, forb))
             path.append(w)
@@ -179,9 +180,9 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     bits = g.bits
     out = []
     for a in range(g.n):
-        na = bits[a] & ~((2 << a) - 1)
+        na = bits[a] & _above(a)
         for b in _iter_bits(na):
-            for c in _iter_bits(na & bits[b] & ~((2 << b) - 1)):
+            for c in _iter_bits(na & bits[b] & _above(b)):
                 out.append((a, b, c))
     return out
 
@@ -282,7 +283,7 @@ def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     cliques4 = [
         (a, b, c, d)
         for a, b, c in _triangles(g)
-        for d in _iter_bits(bits[a] & bits[b] & bits[c] & ~((2 << c) - 1))
+        for d in _iter_bits(bits[a] & bits[b] & bits[c] & _above(c))
     ]
     for quad in cliques4:
         for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
@@ -434,7 +435,7 @@ def _induced_edges(g: Graph, verts: frozenset[int]) -> set[frozenset[int]]:
     return {
         frozenset((u, v))
         for u in verts
-        for v in _iter_bits(bits[u] & inside & ~((2 << u) - 1))
+        for v in _iter_bits(bits[u] & inside & _above(u))
     }
 
 
