@@ -90,7 +90,6 @@ class TestBits:
         assert "bits" not in repr(g)
         assert (hash(g), repr(g)) == before
         assert g == h and hash(g) == hash(h)
-        assert g != complement(g)
 
 
 class TestComplement:
