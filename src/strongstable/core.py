@@ -155,12 +155,14 @@ class Graph:
         return self.neighborhood(s) | s
 
     def is_clique(self, s: Iterable[int]) -> bool:
-        s = list(s)
-        return all(self.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        m = _mask_of(s)
+        bits = self.bits
+        return all(m & ~bits[v] == 1 << v for v in _iter_bits(m))
 
     def is_stable(self, s: Iterable[int]) -> bool:
-        s = list(s)
-        return not any(self.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        m = _mask_of(s)
+        bits = self.bits
+        return not any(bits[v] & m for v in _iter_bits(m))
 
     def is_complete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
         """True when disjoint sets x, y have every cross pair adjacent."""
@@ -239,23 +241,22 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     """Components of the subgraph induced by s, in original vertex ids."""
-    s = frozenset(s)
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for start in sorted(s):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v] & s:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    return [frozenset(_iter_bits(c)) for c in _mask_components(g.bits, _mask_of(s))]
+
+
+def _mask_components(bits: Sequence[int], rest: int) -> Iterator[int]:
+    """Components of the mask rest under adjacency masks bits, as masks
+    ordered by smallest member: a flood fill from the lowest vertex left."""
+    while rest:
+        comp = new = rest & -rest
+        while new:
+            reach = 0
+            for v in _iter_bits(new):
+                reach |= bits[v]
+            new = reach & rest & ~comp
+            comp |= new
+        rest &= ~comp
+        yield comp
 
 
 def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[int]]:
@@ -304,17 +305,67 @@ def two_coloring(g: Graph) -> Optional[frozenset[int]]:
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    """Repeatedly remove a vertex of least remaining degree, smallest id first.
+
+    A bucket queue: bucket d is the mask of alive vertices of remaining
+    degree d, and the next vertex is the lowest bit of the lowest non-empty
+    bucket. Removing it lowers the least degree by at most one.
+    """
+    bits = g.bits
+    deg = [b.bit_count() for b in bits]
+    buckets = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
+    alive = (1 << g.n) - 1
     order = []
+    d = 0
     while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        alive ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
+        for w in _iter_bits(bits[v] & alive):
+            bw = 1 << w
+            buckets[deg[w]] ^= bw
+            deg[w] -= 1
+            buckets[deg[w]] |= bw
+        d = max(d - 1, 0)
     return order
+
+
+def _expand_cliques(
+    bits: Sequence[int], meter: _Meter, r: int, p: int, x: int
+) -> Iterator[int]:
+    """Pivoted Bron–Kerbosch on masks: yield every clique R ∪ K, for K a
+    maximal clique of G[p], that no vertex of x extends.
+
+    One tick per search node. The pivot is the vertex of p ∪ x with the most
+    neighbours in p, the smallest on ties; branches run lowest bit first.
+    """
+    meter.tick()
+    if not p:
+        if not x:
+            yield r
+        return
+    size = p.bit_count()
+    best = -1
+    for u in _iter_bits(p | x):
+        c = (p & bits[u]).bit_count()
+        if c > best:
+            best, pivot = c, u
+            if c == size:
+                break  # only a vertex of x covers all of p; none can do better
+    m = p & ~bits[pivot]
+    while m:
+        low = m & -m
+        m ^= low
+        nb = bits[low.bit_length() - 1]
+        yield from _expand_cliques(bits, meter, r | low, p & nb, x & nb)
+        p ^= low
+        x |= low
 
 
 def iter_maximal_cliques(
@@ -322,34 +373,21 @@ def iter_maximal_cliques(
 ) -> Iterator[frozenset[int]]:
     """Yield every inclusion-maximal clique exactly once (pivoted search).
 
-    Outer loop follows a degeneracy order; inner recursion uses the pivot
-    that maximizes candidate coverage. Order of yields is deterministic but
-    not sorted; see :func:`maximal_cliques` for the sorted list form.
+    Outer loop follows a degeneracy order; each vertex is expanded with its
+    later neighbours as candidates and its earlier ones excluded. Order of
+    yields is deterministic but not sorted; see :func:`maximal_cliques` for
+    the sorted list form.
     """
     budget = budget or DEFAULT_BUDGET
     _check_size(g, budget, "maximal clique enumeration")
     meter = _Meter(budget)
-    adj = g.adj
-
-    def expand(r: list[int], p: set[int], x: set[int]) -> Iterator[frozenset[int]]:
-        meter.tick()
-        if not p and not x:
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda u: (len(p & adj[u]), -u))
-        for v in sorted(p - adj[pivot]):
-            yield from expand(r + [v], p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    if g.n == 0:
-        return
-    order = _degeneracy_order(g)
-    rank = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in g.adj[v] if rank[w] > rank[v]}
-        earlier = {w for w in g.adj[v] if rank[w] < rank[v]}
-        yield from expand([v], later, earlier)
+    bits = g.bits
+    done = 0  # the vertices already expanded
+    for v in _degeneracy_order(g):
+        nb = bits[v]
+        for r in _expand_cliques(bits, meter, 1 << v, nb & ~done, nb & done):
+            yield frozenset(_iter_bits(r))
+        done |= 1 << v
 
 
 def maximal_cliques(g: Graph, budget: Budget | None = None) -> list[frozenset[int]]:
@@ -360,15 +398,27 @@ def maximal_cliques(g: Graph, budget: Budget | None = None) -> list[frozenset[in
 def is_strong_stable_set(
     g: Graph, s: Iterable[int], budget: Budget | None = None
 ) -> bool:
-    """True iff s is stable and meets every maximal clique of g."""
+    """True iff s is stable and meets every maximal clique of g.
+
+    A maximal clique of G that misses S is exactly a maximal clique of
+    G − S that no vertex of S is complete to. So the clique search runs from
+    candidates V − S with S excluded, and reports only counterexamples: the
+    answer is False at the first report and True when the search ends. When
+    S is strong, a vertex of S is usually the pivot and most subtrees close
+    at once.
+    """
     s = frozenset(s)
     if not s <= g.vertex_set():
         return False
     if not g.is_stable(s):
         return False
-    for clique in iter_maximal_cliques(g, budget):
-        if not (clique & s):
-            return False
+    budget = budget or DEFAULT_BUDGET
+    _check_size(g, budget, "strong stable set test")
+    if g.n == 0:
+        return True  # no maximal clique; the search would report the empty one
+    sm = _mask_of(s)
+    for _ in _expand_cliques(g.bits, _Meter(budget), 0, ((1 << g.n) - 1) ^ sm, sm):
+        return False
     return True
 
 

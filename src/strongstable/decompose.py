@@ -15,6 +15,8 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
+    _iter_bits,
+    _mask_components,
     components,
     components_within,
     delete_vertices,
@@ -180,13 +182,15 @@ def find_one_join(g: Graph) -> Optional[OneJoin]:
     most two further blocks and side 2 the rest misses no (rich) 1-join.
     """
     full = g.vertex_set()
+    bits = g.bits
     fallback: Optional[OneJoin] = None
     for a1, a2 in sorted(g.edges()):
-        k = (g.adj[a1] | {a1}) & (g.adj[a2] | {a2})
+        km = (bits[a1] | 1 << a1) & (bits[a2] | 1 << a2)
+        k = frozenset(_iter_bits(km))
         if not g.is_clique(k):
             continue
-        cut = Graph(g.n, tuple(g.adj[v] - k if v in k else g.adj[v] for v in range(g.n)))
-        blocks = components(cut)
+        cut = [b & ~km if km >> v & 1 else b for v, b in enumerate(bits)]
+        blocks = [frozenset(_iter_bits(c)) for c in _mask_components(cut, (1 << g.n) - 1)]
         b1 = next(b for b in blocks if a1 in b)
         b2 = next(b for b in blocks if a2 in b)
         if b1 == b2:

@@ -29,6 +29,8 @@ from .core import (
     GraphError,
     _Meter,
     _check_size,
+    _iter_bits,
+    _mask_of,
     components,
     components_within,
     from_edge_list,
@@ -348,41 +350,59 @@ def solve_linear_interval(
     if not g.is_stable(z):
         raise GraphError("prescribed set is not stable")
 
-    def rec(active: tuple[int, ...], zz: frozenset[int]) -> frozenset[int]:
+    adj = g.adj
+    # Every subsequence of the order has the umbrella property, so its
+    # components are its runs of consecutive adjacent vertices, and a
+    # connected one is a clique when its ends are adjacent. Each step below
+    # keeps a connected subsequence connected (it drops an end, keeps a
+    # suffix, or drops the second vertex while the first sees the third),
+    # so only the whole order is ever split.
+    cuts = [i for i in range(1, len(seq)) if seq[i] not in adj[seq[i - 1]]]
+    runs = [seq[i:j] for i, j in zip([0, *cuts], [*cuts, len(seq)])]
+    if len(runs) > 1:
         meter.tick()
-        if not active:
-            return frozenset()
-        if len(active) == 1:
-            return frozenset(active)
-        aset = frozenset(active)
-        # per-component split keeps the order valid on each part
-        comps = components_within(g, aset)
-        if len(comps) > 1:
-            return frozenset().union(
-                *(rec(tuple(v for v in active if v in c), zz & c) for c in comps)
-            )
-        if all(g.adj[u] >= aset - {u} for u in active):  # complete
-            return zz if zz else frozenset({active[0]})
+    # A work stack in place of recursion: ("solve", active, zz) pushes the
+    # answer for the connected subsequence active with zz prescribed onto
+    # ``done``; ("lift", v, None) and ("add", v, None) rewrite the answer on
+    # top once the work pushed after them has finished.
+    work = [("solve", r, z & frozenset(r)) for r in sorted(runs, key=min, reverse=True)]
+    done: list[frozenset[int]] = []
+    while work:
+        step, active, zz = work.pop()
+        if step == "lift":
+            done.append(_lift_simplicial(g, active, done.pop()))
+            continue
+        if step == "add":
+            done.append(done.pop() | {active})
+            continue
+        meter.tick()
+        if len(active) <= 1:
+            done.append(frozenset(active))
+            continue
         first, last = active[0], active[-1]
+        if last in adj[first]:  # complete
+            done.append(zz if zz else frozenset({first}))
+            continue
         # both ends of the order are simplicial in the active subgraph
         if first not in zz:
-            return _lift_simplicial(g, first, rec(active[1:], zz))
+            work += [("lift", first, None), ("solve", active[1:], zz)]
+            continue
         if last not in zz:
-            return _lift_simplicial(g, last, rec(active[:-1], zz))
-        second = active[1]
-        idx = max(i for i, u in enumerate(active) if u in g.adj[second] or u == second)
+            work += [("lift", last, None), ("solve", active[:-1], zz)]
+            continue
+        # the neighbours of second after it come right after it
+        second, idx = active[1], 1
+        while idx + 1 < len(active) and active[idx + 1] in adj[second]:
+            idx += 1
         v_i = active[idx]
-        if g.has_edge(first, v_i):
+        if v_i in adj[first]:
             # first and second are twins within the active set; drop second
-            s = rec(active[:1] + active[2:], zz)
-            return s
+            work.append(("solve", active[:1] + active[2:], zz))
+            continue
         if zz & set(active[1:idx]):
             raise GraphError("prescribed vertex inside the cut prefix; host out of scope")
-        tail = active[idx:]
-        s = rec(tail, (zz - {first}) | {v_i})
-        return s | {first}
-
-    res = rec(seq, z)
+        work += [("add", first, None), ("solve", active[idx:], (zz - {first}) | {v_i})]
+    res = frozenset().union(*done)
     if not is_strong_stable_set(g, res, budget):
         raise GraphError("construction failed; host out of scope")
     if not z <= res:
@@ -694,29 +714,41 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     it or of its twin is dropped, so only those neighbors are looked at
     again.
     """
-    keep = set(range(g.n))
+    bits = g.bits
+    full = keep = (1 << g.n) - 1
+    zm = _mask_of(z)
     todo = list(reversed(range(g.n)))  # popped smallest first
     lifts: list[int] = []
     while todo:
         v = todo.pop()
-        if v not in keep:
+        bv = 1 << v
+        if not keep & bv:
             continue
-        near = g.adj[v] & keep
-        twins = {u for u in near if (g.adj[u] & keep) | {u} == near | {v}}
+        near = bits[v] & keep
+        closed = near | bv
+        twins = 0
+        clique = True  # near is a clique: each u in it sees all of closed
+        for u in _iter_bits(near):
+            seen = (bits[u] & keep) | 1 << u
+            if seen == closed:
+                twins |= 1 << u
+            elif closed & ~seen:
+                clique = False
         if twins:
-            drop = min((twins | {v}) - z, default=None)
-            if drop is None:
+            free = (twins | bv) & ~zm
+            if not free:
                 continue
-        elif v not in z and g.is_clique(near):
+            drop = (free & -free).bit_length() - 1
+        elif clique and not zm & bv:
             drop = v
             lifts.append(v)
         else:
             continue
-        keep.remove(drop)
-        todo.extend(sorted(g.adj[drop] & keep, reverse=True))
-    if len(keep) == g.n:
+        keep &= ~(1 << drop)
+        todo.extend(reversed(list(_iter_bits(bits[drop] & keep))))
+    if keep == full:
         raise CaseNotApplicable
-    s = _solve_on(g, keep, z, ctx.subsolver)
+    s = _solve_on(g, _iter_bits(keep), z, ctx.subsolver)
     for v in reversed(lifts):
         s = _lift_simplicial(g, v, s)
     return s

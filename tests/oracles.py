@@ -20,11 +20,19 @@ def subsets(items, min_size=0, max_size=None):
         yield from itertools.combinations(items, r)
 
 
+def naive_is_clique(g: Graph, s) -> bool:
+    return all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+
+
+def naive_is_stable(g: Graph, s) -> bool:
+    return not any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+
+
 def naive_maximal_cliques(g: Graph) -> list[frozenset[int]]:
     out = []
     for sub in subsets(range(g.n), min_size=1):
         s = frozenset(sub)
-        if not g.is_clique(s):
+        if not naive_is_clique(g, s):
             continue
         if any(all(v in g.adj[u] for u in s) for v in g.vertex_set() - s):
             continue
@@ -34,9 +42,25 @@ def naive_maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
 def naive_is_strong_stable_set(g: Graph, s) -> bool:
     s = frozenset(s)
-    if not g.is_stable(s):
+    if not naive_is_stable(g, s):
         return False
     return all(s & k for k in naive_maximal_cliques(g))
+
+
+def naive_degeneracy_order(g: Graph) -> list[int]:
+    """Repeatedly remove the alive vertex of least remaining degree,
+    smallest id on ties, by a scan over all alive vertices."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        order.append(v)
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order
 
 
 def naive_has_strong_stable_set(g: Graph, z=frozenset()) -> bool:

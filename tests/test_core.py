@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from strongstable.core import (
     Multigraph,
     all_paths_between,
     anticomponents,
+    _degeneracy_order,
     complement,
     components,
+    components_within,
     from_edge_list,
     graph_isomorphic,
     induced,
@@ -19,6 +23,7 @@ from strongstable.core import (
     induced_paths_between,
     is_induced_path,
     is_strong_stable_set,
+    iter_maximal_cliques,
     line_graph,
     maximal_cliques,
     two_coloring,
@@ -26,11 +31,20 @@ from strongstable.core import (
 from oracles import (
     complete,
     cycle,
+    naive_degeneracy_order,
     naive_induced_cycles,
+    naive_is_clique,
+    naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
     path,
+    subsets,
 )
+
+
+def random_graph(rng, n, p):
+    pairs = itertools.combinations(range(n), 2)
+    return from_edge_list(n, [e for e in pairs if rng.random() < p])
 
 
 @st.composite
@@ -141,6 +155,24 @@ class TestComponents:
     def test_anticomponents_c4(self):
         assert sorted(map(sorted, anticomponents(cycle(4)))) == [[0, 2], [1, 3]]
 
+    def test_within_matches_bfs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 20), rng.random() * 0.4)
+            s = {v for v in range(g.n) if rng.random() < 0.7}
+            expected, seen = [], set()
+            for start in sorted(s):
+                if start in seen:
+                    continue
+                comp, queue = {start}, [start]
+                for v in queue:
+                    for w in g.adj[v] & s - comp:
+                        comp.add(w)
+                        queue.append(w)
+                seen |= comp
+                expected.append(frozenset(comp))
+            assert components_within(g, s) == expected
+
 
 class TestMaximalCliques:
     def test_c5_edges(self):
@@ -172,6 +204,38 @@ class TestMaximalCliques:
             map(sorted, naive_maximal_cliques(g))
         )
 
+    def test_every_small_graph(self, graphs_by_n):
+        # each clique once, and the outer loop follows the degeneracy order:
+        # a yield's earliest vertex in that order never moves back
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                got = list(iter_maximal_cliques(g))
+                assert sorted(map(sorted, got)) == sorted(
+                    map(sorted, naive_maximal_cliques(g))
+                )
+                rank = {v: i for i, v in enumerate(naive_degeneracy_order(g))}
+                firsts = [min(rank[v] for v in k) for k in got]
+                assert firsts == sorted(firsts)
+
+    def test_degeneracy_order_matches_naive(self, graphs_by_n):
+        rng = random.Random(11)
+        graphs = [g for n in range(8) for g in graphs_by_n[n]]
+        graphs += [
+            random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(200)
+        ]
+        for g in graphs:
+            assert _degeneracy_order(g) == naive_degeneracy_order(g)
+
+    def test_long_path_fast(self):
+        # choosing each next vertex by a scan over all alive vertices took
+        # minutes here
+        n = 20000
+        g = path(n)
+        t0 = time.perf_counter()
+        cliques = maximal_cliques(g, Budget(n + 1, 10**6))
+        assert time.perf_counter() - t0 < 5
+        assert cliques == [frozenset({i, i + 1}) for i in range(n - 1)]
+
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())
     def test_cover_vertices_and_edges(self, g):
@@ -196,6 +260,16 @@ class TestStrongStableSet:
 
     def test_single_vertex_of_k3(self):
         assert is_strong_stable_set(complete(3), {0})
+
+    def test_every_subset_of_every_small_graph(self, graphs_by_n):
+        for n in range(7):
+            for g in graphs_by_n[n]:
+                for sub in subsets(range(n)):
+                    assert g.is_stable(sub) == naive_is_stable(g, sub)
+                    assert g.is_clique(sub) == naive_is_clique(g, sub)
+                    assert is_strong_stable_set(g, sub) == naive_is_strong_stable_set(
+                        g, sub
+                    )
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_n=6), st.data())
@@ -362,3 +436,7 @@ class TestBudget:
         g = complete(10)
         with pytest.raises(BudgetExceededError):
             maximal_cliques(g, Budget(max_enumerations=3))
+
+    def test_strong_set_search_closes_at_a_covering_pivot(self):
+        # vertex 0 sees every candidate, so the root is the only search node
+        assert is_strong_stable_set(complete(10), {0}, Budget(24, 1)) is True

@@ -131,8 +131,19 @@ class TestSolveBasics:
         assert {0, n - 1} <= res.s
         assert is_strong_stable_set(path(n), res.s, budget)
 
+    def test_long_path_linear_interval_without_recursion(self):
+        # no peel applies (the ends are prescribed), so the linear-interval
+        # branch walks the whole path
+        n = 2401
+        budget = Budget(n + 1, 10_000_000)
+        res = solve(path(n), {0, n - 1}, budget)
+        assert res.status == SolveStatus.FOUND
+        assert [r.branch for r in res.trace] == ["linear-interval"]
+        assert res.s == frozenset(range(0, n, 2))
+
     def test_budget_status(self):
-        res = solve(complete(10), budget=Budget(max_vertices=24, max_enumerations=2))
+        # an odd hole is answered only by the brute-force fallback
+        res = solve(cycle(7), budget=Budget(max_vertices=24, max_enumerations=2))
         assert res.status == SolveStatus.BUDGET and res.s is None
 
 

@@ -224,10 +224,8 @@ class TestCli:
         assert code == 2
 
     def test_solve_budget_status_exit(self, capsys, tmp_path):
-        from oracles import complete
-
-        p = tmp_path / "k10.txt"
-        p.write_text(format_edgelist(complete(10)))
+        p = tmp_path / "c7.txt"
+        p.write_text(format_edgelist(cycle(7)))
         code, out, _ = self._run(
             ["solve", str(p), "--budget-enum", "2", "--json"], capsys
         )
