@@ -339,7 +339,7 @@ def solve_linear_interval(
     Follows the ordering: ends outside z are peeled off one at a time; with
     both ends prescribed, the prefix up to the last neighbor of the second
     vertex is cut away, the prescribed end is transplanted onto the cut
-    point, and the first vertex rejoins the recursive solution.
+    point, and the first vertex rejoins the solution of the remaining suffix.
     """
     budget = budget or DEFAULT_BUDGET
     meter = _Meter(budget)
@@ -356,53 +356,53 @@ def solve_linear_interval(
     # connected one is a clique when its ends are adjacent. Each step below
     # keeps a connected subsequence connected (it drops an end, keeps a
     # suffix, or drops the second vertex while the first sees the third),
-    # so only the whole order is ever split.
+    # so only the whole order is ever split, and each run is one chain of
+    # steps.
     cuts = [i for i in range(1, len(seq)) if seq[i] not in adj[seq[i - 1]]]
     runs = [seq[i:j] for i, j in zip([0, *cuts], [*cuts, len(seq)])]
     if len(runs) > 1:
         meter.tick()
-    # A work stack in place of recursion: ("solve", active, zz) pushes the
-    # answer for the connected subsequence active with zz prescribed onto
-    # ``done``; ("lift", v, None) and ("add", v, None) rewrite the answer on
-    # top once the work pushed after them has finished.
-    work = [("solve", r, z & frozenset(r)) for r in sorted(runs, key=min, reverse=True)]
-    done: list[frozenset[int]] = []
-    while work:
-        step, active, zz = work.pop()
-        if step == "lift":
-            done.append(_lift_simplicial(g, active, done.pop()))
-            continue
-        if step == "add":
-            done.append(done.pop() | {active})
-            continue
-        meter.tick()
-        if len(active) <= 1:
-            done.append(frozenset(active))
-            continue
-        first, last = active[0], active[-1]
-        if last in adj[first]:  # complete
-            done.append(zz if zz else frozenset({first}))
-            continue
-        # both ends of the order are simplicial in the active subgraph
-        if first not in zz:
-            work += [("lift", first, None), ("solve", active[1:], zz)]
-            continue
-        if last not in zz:
-            work += [("lift", last, None), ("solve", active[:-1], zz)]
-            continue
-        # the neighbours of second after it come right after it
-        second, idx = active[1], 1
-        while idx + 1 < len(active) and active[idx + 1] in adj[second]:
-            idx += 1
-        v_i = active[idx]
-        if v_i in adj[first]:
-            # first and second are twins within the active set; drop second
-            work.append(("solve", active[:1] + active[2:], zz))
-            continue
-        if zz & set(active[1:idx]):
-            raise GraphError("prescribed vertex inside the cut prefix; host out of scope")
-        work += [("add", first, None), ("solve", active[idx:], (zz - {first}) | {v_i})]
-    res = frozenset().union(*done)
+        runs.sort(key=min)
+    res: frozenset[int] = frozenset()
+    for active in runs:
+        zz = z & frozenset(active)
+        # (v, forced) in chain order, replayed in reverse once the rest is
+        # solved: a forced v is added, any other is lifted
+        lifts: list[tuple[int, bool]] = []
+        while True:
+            meter.tick()
+            if len(active) <= 1:
+                s = frozenset(active)
+                break
+            first, last = active[0], active[-1]
+            if last in adj[first]:  # complete
+                s = zz if zz else frozenset({first})
+                break
+            # both ends of the order are simplicial in the active subgraph
+            if first not in zz:
+                lifts.append((first, False))
+                active = active[1:]
+                continue
+            if last not in zz:
+                lifts.append((last, False))
+                active = active[:-1]
+                continue
+            # the neighbours of second after it come right after it
+            second, idx = active[1], 1
+            while idx + 1 < len(active) and active[idx + 1] in adj[second]:
+                idx += 1
+            v_i = active[idx]
+            if v_i in adj[first]:
+                # first and second are twins within the active set; drop second
+                active = active[:1] + active[2:]
+                continue
+            if zz & set(active[1:idx]):
+                raise GraphError("prescribed vertex inside the cut prefix; host out of scope")
+            lifts.append((first, True))
+            active, zz = active[idx:], (zz - {first}) | {v_i}
+        for v, forced in reversed(lifts):
+            s = s | {v} if forced else _lift_simplicial(g, v, s)
+        res |= s
     if not is_strong_stable_set(g, res, budget):
         raise GraphError("construction failed; host out of scope")
     if not z <= res:

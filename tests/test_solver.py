@@ -242,6 +242,11 @@ class TestSolveLinearInterval:
         with pytest.raises(GraphError):
             solve_linear_interval(cycle(4), set(), (0, 1, 2, 3))
 
+    def test_empty_and_disconnected_orders(self):
+        assert solve_linear_interval(from_edge_list(0, []), set(), ()) == frozenset()
+        g = from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert solve_linear_interval(g, {0, 5}, (3, 4, 5, 0, 1, 2)) == {0, 2, 3, 5}
+
     def test_interval_graph_with_twins_and_ends(self):
         # P5 thickened by a twin of the middle vertex; both ends prescribed
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
