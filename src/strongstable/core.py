@@ -350,14 +350,11 @@ def _expand_cliques(
         if not x:
             yield r
         return
-    size = p.bit_count()
     best = -1
     for u in _iter_bits(p | x):
         c = (p & bits[u]).bit_count()
         if c > best:
             best, pivot = c, u
-            if c == size:
-                break  # only a vertex of x covers all of p; none can do better
     m = p & ~bits[pivot]
     while m:
         low = m & -m
