@@ -279,26 +279,31 @@ def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[i
     return out
 
 
-def two_coloring(g: Graph) -> Optional[frozenset[int]]:
-    """Colour 0 of a proper 2-colouring, or None if g is not bipartite.
+def two_coloring(bits: Sequence[int]) -> Optional[frozenset[int]]:
+    """Colour 0 of a proper 2-colouring of the graph whose adjacency masks are
+    bits, or None if it is not bipartite.
 
-    Deterministic: each component's smallest vertex gets colour 0.
+    A flood fill by BFS layers, which alternate colour; an edge inside a layer
+    closes an odd cycle. Each component's smallest vertex gets colour 0.
     """
-    color: dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return frozenset(v for v in range(g.n) if color[v] == 0)
+    rest = (1 << len(bits)) - 1
+    zero = 0
+    while rest:
+        layer = seen = rest & -rest
+        colour = 0
+        while layer:
+            reach = 0
+            for v in _iter_bits(layer):
+                reach |= bits[v]
+            if reach & layer:
+                return None
+            if not colour:
+                zero |= layer
+            layer = reach & ~seen
+            seen |= layer
+            colour ^= 1
+        rest &= ~seen
+    return frozenset(_iter_bits(zero))
 
 
 # -- maximal cliques -------------------------------------------------------
@@ -422,62 +427,137 @@ def is_strong_stable_set(
 # -- path enumeration ------------------------------------------------------
 
 
+def _anchored_paths(
+    g: Graph,
+    meter: _Meter,
+    start: int,
+    end: int,
+    blocked: frozenset[int] = frozenset(),
+    quiet: frozenset[int] = frozenset(),
+    parity: int | None = None,
+    min_len: int = 1,
+    allow_end_chord: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Induced paths from start to end under embedding constraints, in
+    lexicographic order: the package's one induced-path enumerator.
+
+    Interior vertices must avoid ``blocked`` and may have no neighbors in
+    ``quiet``; the endpoints are exempt from both. With ``allow_end_chord``
+    the pair (start, end) may be adjacent even on longer paths, which is how
+    cycles through a prescribed edge are grown. ``min_len`` and ``parity``
+    (in edges) filter the yields, not the search.
+
+    Runs on int masks, taking each level's candidates lowest bit first (end
+    included, at its sorted place), with one tick per interior candidate.
+    ``forb`` holds the path so far and the neighbours of its inner vertices;
+    the neighbours of ``start`` are folded into the constant ``avoid``
+    instead, so that ``forb`` alone answers the end-chord test.
+    """
+    if start == end:
+        return
+    bits = g.bits
+    tick = meter.tick
+    tick()
+    endbit = 1 << end
+    outside = _mask_of(blocked) | endbit
+    for q in quiet:
+        outside |= bits[q]
+    nstart = bits[start]
+    avoid = outside | nstart
+
+    # beyond the first edge, end must also miss N(start) unless it may chord
+    end_shy = 0 if allow_end_chord else nstart
+
+    def closes(k: int) -> bool:
+        """A path of k edges has the wanted length and parity."""
+        return k >= min_len and (parity is None or k % 2 == parity)
+
+    path = [start]
+    forb = 1 << start
+    m = nstart & ~outside
+    if nstart & endbit and closes(1):
+        m |= endbit
+    saved = []  # (m, forb) of the levels below the tip
+    while True:
+        if not m:
+            if not saved:
+                return
+            m, forb = saved.pop()
+            path.pop()
+            continue
+        lsb = m & -m
+        m ^= lsb
+        if lsb == endbit:
+            yield (*path, end)
+            continue
+        tick()
+        w = lsb.bit_length() - 1
+        tip = path[-1]
+        wforb = forb | lsb if tip == start else forb | lsb | bits[tip]
+        wnbrs = bits[w]
+        ext = wnbrs & ~(wforb | avoid)
+        close = (
+            wnbrs & endbit
+            and not (wforb | end_shy) & endbit
+            and closes(len(path) + 1)
+        )
+        if ext:
+            saved.append((m, forb))
+            path.append(w)
+            m = ext | endbit if close else ext
+            forb = wforb
+        elif close:
+            yield (*path, w, end)
+
+
 def induced_paths_between(
     g: Graph, u: int, v: int, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every induced (chordless) path from u to v, each exactly once.
-
-    Depth-first with forbidden-neighbor pruning: once a vertex stops being
-    the tip, its whole neighborhood is off limits, so no chord can ever
-    appear (endpoint chords included). An explicit stack of neighbor
-    iterators keeps long paths off the call stack.
-    """
+    """Yield every induced (chordless) path from u to v, each exactly once,
+    in lexicographic order."""
     if u == v:
         raise GraphError("endpoints must differ")
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    yield from _anchored_paths(g, _Meter(budget or DEFAULT_BUDGET), u, v)
+
+
+def _simple_paths(
+    g: Graph,
+    meter: _Meter,
+    start: int,
+    end: int,
+    banned: frozenset[int] = frozenset(),
+    parity: int | None = None,
+    min_len: int = 1,
+) -> Iterator[tuple[int, ...]]:
+    """Simple paths (chords allowed) from start to end, interiors off banned,
+    in lexicographic order: the package's one simple-path enumerator.
+    ``min_len`` and ``parity`` (in edges) filter the yields; one tick per
+    path prefix."""
     adj = g.adj
 
-    meter.tick()
-    path = [u]
-    stack = [(iter(sorted(adj[u])), frozenset({u}))]
-    while stack:
-        options, forbidden = stack[-1]
-        for w in options:
-            if w in forbidden:
-                continue
-            if w == v:
-                yield tuple(path) + (v,)
-            else:
-                meter.tick()
-                stack.append((iter(sorted(adj[w])), forbidden | adj[path[-1]] | {w}))
-                path.append(w)
-                break
-        else:
-            stack.pop()
-            path.pop()
+    def extend(path: list[int], used: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        meter.tick()
+        for w in sorted(adj[path[-1]]):
+            if w == end:
+                k = len(path)
+                if k >= min_len and (parity is None or k % 2 == parity):
+                    yield (*path, end)
+            elif w not in used and w not in banned:
+                yield from extend(path + [w], used | {w})
+
+    if start == end:
+        return
+    yield from extend([start], frozenset({start}))
 
 
 def all_paths_between(
     g: Graph, u: int, v: int, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every simple path from u to v (chords allowed)."""
+    """Yield every simple path from u to v (chords allowed), in lexicographic
+    order."""
     if u == v:
         raise GraphError("endpoints must differ")
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
-    adj = g.adj
-
-    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        tip = path[-1]
-        for w in sorted(adj[tip]):
-            if w == v:
-                yield tuple(path) + (v,)
-            elif w not in used:
-                yield from extend(path + [w], used | {w})
-
-    yield from extend([u], {u})
+    yield from _simple_paths(g, _Meter(budget or DEFAULT_BUDGET), u, v)
 
 
 def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
@@ -661,7 +741,7 @@ class Multigraph:
 
         Deterministic: each component's smallest vertex goes left.
         """
-        left = two_coloring(self.underlying_simple())
+        left = two_coloring(self.underlying_simple().bits)
         if left is None:
             return None
         return left, frozenset(range(self.n)) - left

@@ -4,10 +4,10 @@ and eye masks.
 
 Each detector enumerates anchor structures first (cycles for holes, the
 triangle-path-triangle core for handcuffs, the K4 for eye masks), then grows
-the remaining paths and cycles under induced-ness constraints. Witnesses are
-re-verified from scratch before being returned, so a returned witness is
-always sound. Completeness at the given budget comes from the exhaustive
-enumeration over anchors, which three shortcuts leave intact:
+the remaining paths and cycles with the induced-path enumerator of ``core``.
+Witnesses are re-verified from scratch before being returned, so a returned
+witness is always sound. Completeness at the given budget comes from the
+exhaustive enumeration over anchors, which three shortcuts leave intact:
 
 * eye masks: the K4s are built from triangles plus a common neighbour,
   which lists exactly the 4-cliques;
@@ -32,6 +32,7 @@ from .core import (
     Graph,
     _Meter,
     _above,
+    _anchored_paths,
     _check_size,
     _iter_bits,
     _mask_of,
@@ -70,90 +71,6 @@ class Innocent:
     """Certificate that none of the five structures occurs (at this budget)."""
 
     budget: Budget
-
-
-# -- constrained path growth --------------------------------------------------
-
-
-def _anchored_paths(
-    g: Graph,
-    meter: _Meter,
-    start: int,
-    end: int,
-    blocked: frozenset[int],
-    quiet: frozenset[int],
-    parity: int | None = None,
-    min_len: int = 1,
-    allow_end_chord: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Induced paths from start to end under embedding constraints.
-
-    Interior vertices must avoid ``blocked`` and may have no neighbors in
-    ``quiet``; the endpoints are exempt from both. With ``allow_end_chord``
-    the pair (start, end) may be adjacent even on longer paths, which is how
-    cycles through a prescribed edge are grown.
-
-    Runs on int masks, taking each level's candidates lowest bit first (end
-    included, at its sorted place). ``forb`` holds the path so far and the
-    neighbours of its inner vertices; the neighbours of ``start`` are folded
-    into the constant ``avoid`` instead, so that ``forb`` alone answers the
-    end-chord test.
-    """
-    if start == end:
-        return
-    bits = g.bits
-    tick = meter.tick
-    tick()
-    endbit = 1 << end
-    outside = _mask_of(blocked) | endbit
-    for q in quiet:
-        outside |= bits[q]
-    nstart = bits[start]
-    avoid = outside | nstart
-
-    # beyond the first edge, end must also miss N(start) unless it may chord
-    end_shy = 0 if allow_end_chord else nstart
-
-    def closes(k: int) -> bool:
-        """A path of k edges has the wanted length and parity."""
-        return k >= min_len and (parity is None or k % 2 == parity)
-
-    path = [start]
-    forb = 1 << start
-    m = nstart & ~outside
-    if nstart & endbit and closes(1):
-        m |= endbit
-    saved = []  # (m, forb) of the levels below the tip
-    while True:
-        if not m:
-            if not saved:
-                return
-            m, forb = saved.pop()
-            path.pop()
-            continue
-        lsb = m & -m
-        m ^= lsb
-        if lsb == endbit:
-            yield (*path, end)
-            continue
-        tick()
-        w = lsb.bit_length() - 1
-        tip = path[-1]
-        wforb = forb | lsb if tip == start else forb | lsb | bits[tip]
-        wnbrs = bits[w]
-        ext = wnbrs & ~(wforb | avoid)
-        close = (
-            wnbrs & endbit
-            and not (wforb | end_shy) & endbit
-            and closes(len(path) + 1)
-        )
-        if ext:
-            saved.append((m, forb))
-            path.append(w)
-            m = ext | endbit if close else ext
-            forb = wforb
-        elif close:
-            yield (*path, w, end)
 
 
 # -- individual detectors ------------------------------------------------------

@@ -19,12 +19,14 @@ from .core import (
     Multigraph,
     _Meter,
     _check_size,
+    _simple_paths,
     components_within,
     from_edge_list,
     iter_maximal_cliques,
     line_graph,
     shortest_path,
 )
+from .decompose import w_join_partition
 
 
 @dataclass(frozen=True)
@@ -223,32 +225,6 @@ def multigraph_isomorphic(b1: Multigraph, b2: Multigraph) -> bool:
 # -- theta / bicycle subgraph search -------------------------------------------------
 
 
-def _subgraph_paths(
-    g: Graph,
-    meter: _Meter,
-    start: int,
-    end: int,
-    banned: frozenset[int],
-    parity: int | None,
-    min_len: int,
-) -> Iterator[tuple[int, ...]]:
-    """Simple paths (chords allowed) from start to end, interiors off banned."""
-
-    def extend(path: list[int], used: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        for w in sorted(g.adj[path[-1]]):
-            if w == end:
-                k = len(path)
-                if k >= min_len and (parity is None or k % 2 == parity):
-                    yield tuple(path) + (end,)
-            elif w not in used and w not in banned:
-                yield from extend(path + [w], used | {w})
-
-    if start == end:
-        return
-    yield from extend([start], frozenset({start}))
-
-
 def _subgraph_cycles(
     g: Graph,
     meter: _Meter,
@@ -396,7 +372,7 @@ def find_theta(b: Multigraph, budget: Budget | None = None) -> Optional[ThetaWit
         def grow(i: int, acc: list[tuple[int, ...]], used: frozenset[int]):
             if i == 3:
                 return ThetaWitness((a, z), tuple(acc))
-            for p in _subgraph_paths(u, meter, a, z, banned=used, parity=0, min_len=2):
+            for p in _simple_paths(u, meter, a, z, banned=used, parity=0, min_len=2):
                 res = grow(i + 1, acc + [p], used | frozenset(p[1:-1]))
                 if res is not None:
                     return res
@@ -454,7 +430,7 @@ def _even_connector(
         return None
     for x1 in sorted(c1):
         for x2 in sorted(c2):
-            for p in _subgraph_paths(
+            for p in _simple_paths(
                 g, meter, x1, x2, banned=(c1 | c2) - {x1, x2}, parity=0, min_len=2
             ):
                 return p
@@ -702,21 +678,12 @@ def _valid_augment(g: Graph, xs: frozenset[int], ys: frozenset[int]) -> bool:
     contraction neighborhoods are cliques."""
     if g.is_complete_between(xs, ys) and len(xs) == 1 and len(ys) == 1:
         return False
-    c: set[int] = set()
-    d: set[int] = set()
-    for v in g.vertex_set() - xs - ys:
-        to_x = xs <= g.adj[v]
-        anti_x = not (xs & g.adj[v])
-        to_y = ys <= g.adj[v]
-        anti_y = not (ys & g.adj[v])
-        if not ((to_x or anti_x) and (to_y or anti_y)):
-            return False
-        if to_x and to_y:
-            return False  # the contracted edge would not be flat
-        if to_x:
-            c.add(v)
-        elif to_y:
-            d.add(v)
+    parts = w_join_partition(g, xs, ys)
+    if parts is None or parts[2]:
+        # a mixed vertex breaks homogeneity; one complete to both sides
+        # would make the contracted edge not flat
+        return False
+    c, d, _, _ = parts
     if not (g.is_clique(c) and g.is_clique(d)):
         return False
     # smooth: both sides attach to each other everywhere

@@ -18,11 +18,10 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
+    _anchored_paths,
     _check_size,
     complement,
-    induced,
     induced_cycles,
-    induced_paths_between,
     two_coloring,
 )
 
@@ -171,7 +170,8 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
 
 def cobipartite_partition(g: Graph) -> Optional[CobipartitePartition]:
     """Two cliques covering all vertices (a 2-coloring of the complement)."""
-    a = two_coloring(complement(g))
+    full = (1 << g.n) - 1
+    a = two_coloring([full ^ b ^ (1 << v) for v, b in enumerate(g.bits)])
     if a is None:
         return None
     return CobipartitePartition(a, frozenset(range(g.n)) - a)
@@ -317,10 +317,7 @@ def _odd_pair_witness(
     """An odd path between u and v, or None when {u, v} is an even pair."""
     if g.has_edge(u, v):
         return (u, v)
-    for p in induced_paths_between(g, u, v, budget):
-        if (len(p) - 1) % 2 == 1:
-            return p
-    return None
+    return next(_anchored_paths(g, _Meter(budget), u, v, parity=1), None)
 
 
 def is_consistent_set(
@@ -347,26 +344,21 @@ def is_safe_vertex(
     A path P to hat h qualifies when no vertex of P other than h lies in or
     has a neighbor in the clown's hole. The zero-length path counts as even,
     so a hat is never safe. Non-simplicial vertices fail with witness None.
+    The paths are enumerated on g itself, their interiors kept off the hole
+    and its neighbours.
     """
     budget = budget or DEFAULT_BUDGET
     if not is_simplicial_vertex(g, v):
         return False, None
     for clown in find_clowns(g, budget):
         h = clown.hat
-        hole = frozenset(clown.cycle)
         if v == h:
             return False, (clown, (v,))
-        if v in hole:
-            # cannot happen for a simplicial v; defensive
-            continue
-        allowed = (g.vertex_set() - hole - g.neighborhood(hole)) | {h}
-        if v not in allowed:
-            continue
-        sub, mapping = induced(g, allowed)
-        pos = {old: new for new, old in enumerate(mapping)}
-        for p in induced_paths_between(sub, pos[v], pos[h], budget):
-            if (len(p) - 1) % 2 == 0:
-                return False, (clown, tuple(mapping[x] for x in p))
+        hole = frozenset(clown.cycle)
+        if v in hole or g.adj[v] & hole:
+            continue  # no path from v qualifies
+        for p in _anchored_paths(g, _Meter(budget), v, h, hole, hole, parity=0):
+            return False, (clown, p)
     return True, None
 
 

@@ -97,7 +97,12 @@ class CaseNotApplicable(Exception):
 
 
 class _SubInstanceInfeasible(Exception):
-    """Internal: a recursive brute force found no solution for a sub-instance."""
+    """Internal: a recursive brute force found no solution for instance (g, z)."""
+
+    def __init__(self, g: Graph, z: frozenset[int]):
+        super().__init__(f"no strong stable set on {g.n} vertices")
+        self.g = g
+        self.z = z
 
 
 # -- the oracle -------------------------------------------------------------------
@@ -639,9 +644,10 @@ def solve(
         s = _solve(ctx, g, z)
         status = SolveStatus.FALLBACK_FOUND if ctx.fallback else SolveStatus.FOUND
         return SolveResult(status, s, tuple(ctx.trace))
-    except _SubInstanceInfeasible:
+    except _SubInstanceInfeasible as e:
         try:
-            s = brute_force(g, z, budget)
+            # (g, z) itself was brute-forced and came back empty
+            s = None if (e.g, e.z) == (g, z) else brute_force(g, z, budget)
         except BudgetExceededError:
             ctx.record("budget")
             return SolveResult(SolveStatus.BUDGET, None, tuple(ctx.trace))
@@ -680,7 +686,7 @@ def _solve(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     s = brute_force(g, z, ctx.budget)
     ctx.fallback = True
     if s is None:
-        raise _SubInstanceInfeasible(f"no strong stable set on {g.n} vertices")
+        raise _SubInstanceInfeasible(g, z)
     ctx.record("brute-force", n=g.n, size=len(s))
     return s
 

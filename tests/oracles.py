@@ -141,6 +141,80 @@ def naive_anchored_paths(
     return sorted(out)
 
 
+def naive_simple_paths(g: Graph, start: int, end: int) -> list[tuple[int, ...]]:
+    """Every vertex sequence start..end with consecutive entries adjacent
+    and no repeats (chords allowed), sorted."""
+    others = [v for v in range(g.n) if v not in (start, end)]
+    return sorted(
+        p
+        for k in range(len(others) + 1)
+        for mid in itertools.permutations(others, k)
+        for p in [(start, *mid, end)]
+        if all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+    )
+
+
+def naive_clowns(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (hat, even hole) where the hat sees exactly two hole vertices,
+    consecutive on the hole."""
+    out = []
+    for hole in naive_induced_cycles(g, min_len=4, parity=0):
+        k = len(hole)
+        for hat in range(g.n):
+            if hat in hole:
+                continue
+            idx = [i for i, x in enumerate(hole) if x in g.adj[hat]]
+            if len(idx) == 2 and idx[1] - idx[0] in (1, k - 1):
+                out.append((hat, hole))
+    return out
+
+
+def naive_is_safe_vertex(g: Graph, v: int) -> bool:
+    """Simplicial, and every path from v to a clown's hat whose vertices other
+    than the hat miss the hole and its neighbours is odd (the zero-length path
+    from the hat itself counts as even)."""
+    if not naive_is_clique(g, g.adj[v]):
+        return False
+    for hat, hole in naive_clowns(g):
+        if v == hat:
+            return False
+        hole = frozenset(hole)
+        if v in hole or g.adj[v] & hole:
+            continue
+        if naive_anchored_paths(g, v, hat, hole, hole, parity=0):
+            return False
+    return True
+
+
+def naive_is_consistent_set(g: Graph, z) -> bool:
+    """Every pair of z is an even pair: no odd induced path joins it (an
+    edge is an odd path)."""
+    return not any(
+        naive_anchored_paths(g, u, v, parity=1)
+        for u, v in itertools.combinations(sorted(z), 2)
+    )
+
+
+def naive_two_coloring(g: Graph) -> frozenset[int] | None:
+    """Colour 0 of a proper 2-colouring by a dict search from each
+    component's smallest vertex, or None if g is not bipartite."""
+    color: dict[int, int] = {}
+    for start in range(g.n):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return frozenset(v for v in range(g.n) if color[v] == 0)
+
+
 def is_odd_hole_graph(h: Graph) -> bool:
     return h.n >= 5 and h.n % 2 == 1 and is_cycle_graph(h)
 

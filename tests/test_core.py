@@ -31,12 +31,15 @@ from strongstable.core import (
 from oracles import (
     complete,
     cycle,
+    naive_anchored_paths,
     naive_degeneracy_order,
     naive_induced_cycles,
     naive_is_clique,
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
+    naive_simple_paths,
+    naive_two_coloring,
     path,
     subsets,
 )
@@ -314,6 +317,18 @@ class TestInducedPaths:
         with pytest.raises(BudgetExceededError):
             list(all_paths_between(g, 0, 11, Budget(max_enumerations=50)))
 
+    def test_every_pair_against_oracles(self, graphs_by_n):
+        # every path is yielded, once, in lexicographic order
+        for n in range(2, 7):
+            for g in graphs_by_n[n]:
+                for u, v in itertools.permutations(range(n), 2):
+                    assert list(induced_paths_between(g, u, v)) == naive_anchored_paths(
+                        g, u, v
+                    ), (sorted(g.edges()), u, v)
+                    assert list(all_paths_between(g, u, v)) == naive_simple_paths(
+                        g, u, v
+                    ), (sorted(g.edges()), u, v)
+
 
 class TestInducedCycles:
     def test_c6(self):
@@ -423,8 +438,14 @@ class TestMultigraph:
 
     def test_two_coloring_puts_smallest_on_colour_zero(self):
         g = from_edge_list(6, [(1, 0), (1, 2), (4, 3), (4, 5)])
-        assert two_coloring(g) == {0, 2, 3, 5}
-        assert two_coloring(from_edge_list(3, [(0, 1), (1, 2), (0, 2)])) is None
+        assert two_coloring(g.bits) == {0, 2, 3, 5}
+        assert two_coloring(from_edge_list(3, [(0, 1), (1, 2), (0, 2)]).bits) is None
+
+    def test_two_coloring_against_oracle(self, graphs_by_n):
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                for h in (g, complement(g)):
+                    assert two_coloring(h.bits) == naive_two_coloring(h), sorted(h.edges())
 
 
 class TestBudget:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongstable import recognizers
 from strongstable.core import GraphError, Multigraph, from_edge_list, line_graph
 from strongstable.recognizers import (
     Clown,
@@ -26,6 +27,10 @@ from strongstable.recognizers import (
 from oracles import (
     complete,
     cycle,
+    naive_anchored_paths,
+    naive_clowns,
+    naive_is_consistent_set,
+    naive_is_safe_vertex,
     naive_linear_interval_exists,
     naive_window_order_ok,
     path,
@@ -165,6 +170,15 @@ class TestCobipartite:
         p = cobipartite_partition(complete(5))
         assert p is not None and complete(5).is_clique(p.a) and complete(5).is_clique(p.b)
 
+    def test_builds_no_complement_graph(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("complement graph built")
+
+        monkeypatch.setattr(recognizers, "complement", refuse)
+        assert cobipartite_partition(path(2401)) is None
+        p = cobipartite_partition(cycle(4))
+        assert {p.a, p.b} == {frozenset({0, 1}), frozenset({2, 3})}
+
 
 class TestLinearInterval:
     def test_p4(self):
@@ -290,6 +304,20 @@ class TestConsistentSets:
         g = from_edge_list(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert is_consistent_set(g, {0, 2})[0]
 
+    def test_every_nonadjacent_pair_against_oracle(self, graphs_by_n):
+        for n in range(2, 7):
+            for g in graphs_by_n[n]:
+                for u, v in itertools.combinations(range(n), 2):
+                    if g.has_edge(u, v):
+                        continue
+                    ok, witness = is_consistent_set(g, {u, v})
+                    assert ok == naive_is_consistent_set(g, {u, v}), (sorted(g.edges()), u, v)
+                    if not ok:
+                        assert {witness[0], witness[-1]} == {u, v}
+                        assert witness in naive_anchored_paths(
+                            g, witness[0], witness[-1], parity=1
+                        )
+
 
 class TestSafeVertices:
     def test_pendant_on_hat(self):
@@ -310,6 +338,25 @@ class TestSafeVertices:
     def test_vacuous_when_clown_free(self):
         for v in simplicial_vertices(path(5)):
             assert is_safe_vertex(path(5), v)[0]
+
+    def test_every_vertex_against_oracle(self, graphs_by_n):
+        # seven vertices are the fewest with an even qualifying path (a
+        # four-hole, its hat, and two path vertices)
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                clowns = {(hat, frozenset(hole)) for hat, hole in naive_clowns(g)}
+                for v in range(n):
+                    ok, witness = is_safe_vertex(g, v)
+                    assert ok == naive_is_safe_vertex(g, v), (sorted(g.edges()), v)
+                    if witness is None:
+                        continue
+                    # the hat itself, or an even qualifying path to a real clown's hat
+                    clown, p = witness
+                    hole = frozenset(clown.cycle)
+                    assert (clown.hat, hole) in clowns
+                    assert p == (v,) == (clown.hat,) or p in naive_anchored_paths(
+                        g, v, clown.hat, hole, hole, parity=0
+                    )
 
     def test_safe_implies_simplicial_and_not_hat(self, graphs_by_n):
         for g in graphs_by_n[6]:

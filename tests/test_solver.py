@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from strongstable import solver
 from strongstable.core import (
     Budget,
     GraphError,
@@ -144,6 +145,21 @@ class TestSolveBasics:
     def test_budget_status(self):
         # an odd hole is answered only by the brute-force fallback
         res = solve(cycle(7), budget=Budget(max_vertices=24, max_enumerations=2))
+        assert res.status == SolveStatus.BUDGET and res.s is None
+
+    def test_infeasible_root_searched_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return brute_force(*args)
+
+        monkeypatch.setattr(solver, "brute_force", counted)
+        res = solve(cycle(5))
+        assert res.status == SolveStatus.NONE_EXISTS
+        assert [r.branch for r in res.trace] == ["brute-force"]
+        assert len(calls) == 1
+        res = solve(cycle(5), budget=Budget(max_vertices=24, max_enumerations=10))
         assert res.status == SolveStatus.BUDGET and res.s is None
 
 
