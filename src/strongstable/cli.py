@@ -12,6 +12,7 @@ budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .core import (
     Graph,
     GraphError,
     Multigraph,
-    is_strong_stable_set,
     line_graph,
 )
 from .decompose import (
@@ -55,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def _build_parser() -> _Parser:
     p = _Parser(prog="strongstable", description=__doc__)
     p.add_argument("--version", action="version", version=f"strongstable {__version__}")
@@ -179,9 +180,6 @@ def _cmd_solve(args) -> int:
     budget = _budget(args)
     z = frozenset(int(t) for t in args.require.split(",") if t.strip() != "")
     res = solve(g, z, budget, trusted=args.trusted)
-    if res.s is not None:
-        if not (z <= res.s and is_strong_stable_set(g, res.s, budget)):
-            raise RuntimeError("internal error: result failed re-verification")
     payload = {
         "command": "solve",
         "n": g.n,

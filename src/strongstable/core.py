@@ -532,22 +532,30 @@ def _simple_paths(
     """Simple paths (chords allowed) from start to end, interiors off banned,
     in lexicographic order: the package's one simple-path enumerator.
     ``min_len`` and ``parity`` (in edges) filter the yields; one tick per
-    path prefix."""
+    path prefix. Runs on an explicit stack of the prefix's neighbour
+    iterators, so long paths do not recurse."""
+    if start == end:
+        return
     adj = g.adj
-
-    def extend(path: list[int], used: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        meter.tick()
-        for w in sorted(adj[path[-1]]):
+    meter.tick()
+    path = [start]
+    used = {start}
+    stack = [iter(sorted(adj[start]))]
+    while stack:
+        for w in stack[-1]:
             if w == end:
                 k = len(path)
                 if k >= min_len and (parity is None or k % 2 == parity):
                     yield (*path, end)
             elif w not in used and w not in banned:
-                yield from extend(path + [w], used | {w})
-
-    if start == end:
-        return
-    yield from extend([start], frozenset({start}))
+                meter.tick()
+                path.append(w)
+                used.add(w)
+                stack.append(iter(sorted(adj[w])))
+                break
+        else:
+            stack.pop()
+            used.discard(path.pop())
 
 
 def all_paths_between(

@@ -20,7 +20,8 @@ from .core import (
     _Meter,
     _anchored_paths,
     _check_size,
-    complement,
+    _iter_bits,
+    complement,  # noqa: F401  (bound here so tests can check it goes unused)
     induced_cycles,
     two_coloring,
 )
@@ -126,7 +127,14 @@ def is_simplicial_edge(g: Graph, u: int, v: int) -> bool:
 def is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
     if u == v or g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not a non-edge")
-    return is_simplicial_edge(complement(g), u, v)
+    return _cosimplicial(g.bits, u, v)
+
+
+def _cosimplicial(bits: tuple[int, ...], u: int, v: int) -> bool:
+    """Non-edge uv is a simplicial edge of the complement: no edge joins two
+    distinct vertices of V - N[u] - v and V - N[v] - u."""
+    rest = ((1 << len(bits)) - 1) ^ (1 << u) ^ (1 << v)
+    return not any(bits[x] & rest & ~bits[v] for x in _iter_bits(rest & ~bits[u]))
 
 
 def find_cosimplicial_nonedge(
@@ -140,22 +148,17 @@ def find_cosimplicial_nonedge(
     need = tuple(sorted(frozenset(must_contain or ())))
     if len(need) > 2:
         raise GraphError("must_contain has more than two vertices")
-    co = complement(g)
+    bits = g.bits
+    co = [((1 << g.n) - 1) ^ b ^ (1 << w) for w, b in enumerate(bits)]  # complement masks
     if len(need) == 2:
         u, v = need
-        if co.has_edge(u, v) and is_simplicial_edge(co, u, v):
-            return (u, v)
-        return None
-    candidates: Iterator[tuple[int, int]]
+        return (u, v) if co[u] >> v & 1 and _cosimplicial(bits, u, v) else None
     if len(need) == 1:
         (w,) = need
-        candidates = ((min(w, x), max(w, x)) for x in sorted(co.adj[w]))
+        pairs = ((min(w, x), max(w, x)) for x in _iter_bits(co[w]))
     else:
-        candidates = ((u, v) for u in range(g.n) for v in sorted(co.adj[u]) if u < v)
-    for u, v in candidates:
-        if is_simplicial_edge(co, u, v):
-            return (u, v)
-    return None
+        pairs = ((u, v) for u in range(g.n) for v in _iter_bits(co[u] >> u << u))
+    return next(((u, v) for u, v in pairs if _cosimplicial(bits, u, v)), None)
 
 
 def find_twins(g: Graph) -> Optional[tuple[int, int]]:

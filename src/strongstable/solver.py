@@ -6,13 +6,16 @@ structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
 cobipartite, linear interval, W-join, 1-join, line graph of a bipartite
 multigraph, smooth augmentation, peculiar), each recursing on strictly
-smaller instances, with brute force as the flagged last resort. Every candidate produced by a structural branch is re-verified
-before being accepted, so results are sound on arbitrary inputs; the
-structure theory makes the cascade hit a structural branch on claw-free
-innocent inputs of the shapes it recognizes.
+smaller instances, with brute force as the flagged last resort. Each branch
+builds its answer from its sub-answers, so the cascade takes the first
+branch that applies; the structure theory makes it hit a structural branch
+on claw-free innocent inputs of the shapes it recognizes.
 
-"None exists" is only ever reported after a completed brute-force
-confirmation on the whole instance.
+``solve`` checks the root answer once with ``is_strong_stable_set``; when
+that fails it records ``verify-failed`` and brute-forces the whole instance,
+the same fallback as for a sub-instance with no solution. Results are
+therefore sound on arbitrary inputs, and "none exists" is only ever reported
+after a completed brute-force confirmation on the whole instance.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .core import (
     squares,
 )
 from .decompose import (
-    HypothesisViolationError,
     OneJoin,
     WJoin,
     find_one_join,
@@ -259,12 +261,8 @@ def extend_at_simplicial(
         s = frozenset(solution)
         if v0 not in s:
             raise GraphError("the given solution must contain the simplicial vertex")
-        if variant == 1:
-            extra = {v(t) for t in range(2, m, 2)}
-        elif variant == 2:
-            extra = {v(t) for t in range(2, m + 1, 2)}
-        else:
-            extra = {v(t) for t in range(2, m + 1, 2)}
+        extra = {v(t) for t in range(2, m + 1, 2)}  # v2, v4, ...; v_m only for even m
+        if variant == 3:
             extra |= {clown[i] for i in range(2, k + 1, 2)}  # c2, c4, ..., ck
         extended = s | extra
     return ExtensionResult(g2, added, clown, extended)
@@ -641,24 +639,22 @@ def solve(
         validate_prescribed(g, z, budget)
     ctx = _Ctx(budget)
     try:
-        s = _solve(ctx, g, z)
-        status = SolveStatus.FALLBACK_FOUND if ctx.fallback else SolveStatus.FOUND
-        return SolveResult(status, s, tuple(ctx.trace))
-    except _SubInstanceInfeasible as e:
         try:
-            # (g, z) itself was brute-forced and came back empty
+            s = _solve(ctx, g, z)
+            if z <= s and is_strong_stable_set(g, s, budget):
+                status = SolveStatus.FALLBACK_FOUND if ctx.fallback else SolveStatus.FOUND
+                return SolveResult(status, s, tuple(ctx.trace))
+            ctx.record("verify-failed", failed_branch=ctx.trace[-1].branch, n=g.n)
+            s = brute_force(g, z, budget)
+        except _SubInstanceInfeasible as e:
+            # unless (g, z) itself was the instance brute-forced
             s = None if (e.g, e.z) == (g, z) else brute_force(g, z, budget)
-        except BudgetExceededError:
-            ctx.record("budget")
-            return SolveResult(SolveStatus.BUDGET, None, tuple(ctx.trace))
-        if s is None:
-            ctx.record("brute-force", result="none-exists", n=g.n)
-            return SolveResult(SolveStatus.NONE_EXISTS, None, tuple(ctx.trace))
-        ctx.record("brute-force", result="found", n=g.n)
-        return SolveResult(SolveStatus.FALLBACK_FOUND, s, tuple(ctx.trace))
     except BudgetExceededError:
         ctx.record("budget")
         return SolveResult(SolveStatus.BUDGET, None, tuple(ctx.trace))
+    ctx.record("brute-force", result="none-exists" if s is None else "found", n=g.n)
+    status = SolveStatus.NONE_EXISTS if s is None else SolveStatus.FALLBACK_FOUND
+    return SolveResult(status, s, tuple(ctx.trace))
 
 
 _BRANCHES: list[tuple[str, Callable]] = []
@@ -677,12 +673,10 @@ def _solve(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     for name, fn in _BRANCHES:
         try:
             s = fn(ctx, g, z)
-        except (CaseNotApplicable, GraphError, HypothesisViolationError):
+        except (CaseNotApplicable, GraphError):
             continue
-        if z <= s and is_strong_stable_set(g, s, ctx.budget):
-            ctx.record(name, n=g.n, size=len(s))
-            return s
-        ctx.record("verify-failed", failed_branch=name, n=g.n)
+        ctx.record(name, n=g.n, size=len(s))
+        return s
     s = brute_force(g, z, ctx.budget)
     ctx.fallback = True
     if s is None:
@@ -762,17 +756,16 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("cobipartite")
 def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    if cobipartite_partition(g) is None:
-        raise CaseNotApplicable
-    return solve_cobipartite(g, z, ctx.budget)
+    return solve_cobipartite(g, z, ctx.budget)  # GraphError unless cobipartite
 
 
 @_branch("linear-interval")
 def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    if not z:
-        # the first vertex of such an order is simplicial, and peel leaves
-        # only prescribed ones
-        raise CaseNotApplicable("nothing prescribed")
+    if len(z) < 2:
+        # g is connected and not complete here, so the first and last vertex
+        # of such an order are two simplicial vertices; peel dropped nothing,
+        # so every simplicial vertex is prescribed
+        raise CaseNotApplicable("fewer than two prescribed")
     order = linear_interval_order(g)
     if order is None:
         raise CaseNotApplicable
@@ -799,10 +792,7 @@ def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("line-graph")
 def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    try:
-        rr = recover_root(g, ctx.budget)
-    except GraphError:
-        raise CaseNotApplicable
+    rr = recover_root(g, ctx.budget)
     if rr is None:
         raise CaseNotApplicable
     forced = frozenset(rr.edge_map[v] for v in z)
@@ -815,10 +805,7 @@ def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
 
 @_branch("augmentation")
 def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    try:
-        st = detect_smooth_augmentation(g, ctx.budget)
-    except GraphError:
-        raise CaseNotApplicable
+    st = detect_smooth_augmentation(g, ctx.budget)
     if st is None or not st.augments:
         raise CaseNotApplicable
     for (ex, ey), xt, yt, cross in st.augments:

@@ -195,6 +195,32 @@ def naive_is_consistent_set(g: Graph, z) -> bool:
     )
 
 
+def naive_is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
+    """The definition on the complement graph: uv is an edge of it, and every
+    other complement-neighbour of u sees every other one of v there (a
+    shared one trivially)."""
+    co = complement(g)
+    return co.has_edge(u, v) and all(
+        x == y or co.has_edge(x, y)
+        for x in co.adj[u] - {v}
+        for y in co.adj[v] - {u}
+    )
+
+
+def naive_find_cosimplicial_nonedge(g: Graph, must_contain=()) -> tuple[int, int] | None:
+    """Lex-first cosimplicial non-edge containing must_contain, by scanning
+    every pair."""
+    need = frozenset(must_contain)
+    return next(
+        (
+            (u, v)
+            for u, v in itertools.combinations(range(g.n), 2)
+            if need <= {u, v} and naive_is_cosimplicial_nonedge(g, u, v)
+        ),
+        None,
+    )
+
+
 def naive_two_coloring(g: Graph) -> frozenset[int] | None:
     """Colour 0 of a proper 2-colouring by a dict search from each
     component's smallest vertex, or None if g is not bipartite."""

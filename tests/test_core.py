@@ -317,6 +317,12 @@ class TestInducedPaths:
         with pytest.raises(BudgetExceededError):
             list(all_paths_between(g, 0, 11, Budget(max_enumerations=50)))
 
+    def test_long_path_one_simple_path(self):
+        # one stack level per path vertex, not one recursion level
+        n = 3000
+        paths = list(all_paths_between(path(n), 0, n - 1, Budget(n + 1, 10**6)))
+        assert paths == [tuple(range(n))]
+
     def test_every_pair_against_oracles(self, graphs_by_n):
         # every path is yielded, once, in lexicographic order
         for n in range(2, 7):

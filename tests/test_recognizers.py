@@ -16,6 +16,7 @@ from strongstable.recognizers import (
     find_cosimplicial_nonedge,
     find_twins,
     is_consistent_set,
+    is_cosimplicial_nonedge,
     is_safe_vertex,
     is_simplicial_clique,
     is_simplicial_edge,
@@ -29,6 +30,8 @@ from oracles import (
     cycle,
     naive_anchored_paths,
     naive_clowns,
+    naive_find_cosimplicial_nonedge,
+    naive_is_cosimplicial_nonedge,
     naive_is_consistent_set,
     naive_is_safe_vertex,
     naive_linear_interval_exists,
@@ -117,6 +120,32 @@ class TestSimplicial:
         rest, mapping = delete_vertices(g, {0})
         pos = {old: new for new, old in enumerate(mapping)}
         assert is_simplicial_clique(rest, {pos[1], pos[2]})
+
+
+class TestCosimplicialOracle:
+    def test_every_nonedge_up_to_7(self, graphs_by_n):
+        """Masks against the complement-graph definition, every non-edge and
+        every must_contain of at most two vertices."""
+        for graphs in graphs_by_n.values():
+            for g in graphs:
+                assert find_cosimplicial_nonedge(g) == naive_find_cosimplicial_nonedge(g)
+                for w in range(g.n):
+                    assert find_cosimplicial_nonedge(g, {w}) == (
+                        naive_find_cosimplicial_nonedge(g, {w})
+                    )
+                for u, v in itertools.combinations(range(g.n), 2):
+                    expect = naive_find_cosimplicial_nonedge(g, {u, v})
+                    assert find_cosimplicial_nonedge(g, {u, v}) == expect
+                    if not g.has_edge(u, v):
+                        assert is_cosimplicial_nonedge(g, u, v) == (
+                            naive_is_cosimplicial_nonedge(g, u, v)
+                        )
+
+    def test_rejects_edges_and_equal_ends(self):
+        with pytest.raises(GraphError):
+            is_cosimplicial_nonedge(cycle(4), 0, 1)
+        with pytest.raises(GraphError):
+            is_cosimplicial_nonedge(cycle(4), 2, 2)
 
 
 class TestSimplicialStableProperty:

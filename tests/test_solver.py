@@ -11,6 +11,7 @@ from strongstable.core import (
 )
 from strongstable.decompose import OneJoin, WJoin, find_one_join, grow_square_connected_pair
 from strongstable.forbidden import Innocent, innocence_certificate
+from strongstable.generators import peculiar
 from strongstable.recognizers import find_claw, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
@@ -161,6 +162,41 @@ class TestSolveBasics:
         assert len(calls) == 1
         res = solve(cycle(5), budget=Budget(max_vertices=24, max_enumerations=10))
         assert res.status == SolveStatus.BUDGET and res.s is None
+
+    def test_wrong_branch_answer_caught_at_the_root(self, monkeypatch):
+        # the cascade trusts its branches; the one check on the root answer
+        # catches a wrong one and brute force answers instead
+        def wrong(ctx, g, z):
+            return frozenset({0})
+
+        branches = [
+            (name, wrong if name == "cobipartite" else fn) for name, fn in solver._BRANCHES
+        ]
+        monkeypatch.setattr(solver, "_BRANCHES", branches)
+        res = solve(cycle(4))
+        assert res.status == SolveStatus.FALLBACK_FOUND
+        assert res.s == brute_force(cycle(4))
+        assert [r.branch for r in res.trace][-2:] == ["verify-failed", "brute-force"]
+
+    def test_one_strong_set_check_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return is_strong_stable_set(*args)
+
+        monkeypatch.setattr(solver, "is_strong_stable_set", counted)
+        res = solve(path(20))
+        assert res.status == SolveStatus.FOUND
+        assert [r.branch for r in res.trace] == ["complete", "peel"]
+        assert len(calls) == 1
+
+    def test_peculiar_through_solve(self):
+        g, _ = peculiar((1,) * 9)
+        res = solve(g)
+        assert res.status == SolveStatus.FOUND
+        assert [r.branch for r in res.trace] == ["peculiar"]
+        assert is_strong_stable_set(g, res.s)
 
 
 def test_prescribed_exhaustive_against_brute_force(graphs_by_n):
