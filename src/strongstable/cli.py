@@ -20,6 +20,7 @@ from . import __version__
 from .core import (
     Budget,
     BudgetExceededError,
+    DEFAULT_BUDGET,
     Graph,
     GraphError,
     Multigraph,
@@ -69,8 +70,11 @@ def _build_parser() -> _Parser:
             )
         sp.add_argument("--json", action="store_true", help="emit a JSON certificate")
         sp.add_argument("--output", default="-", help="output path (default stdout)")
-        sp.add_argument("--budget-vertices", type=int, default=24)
-        sp.add_argument("--budget-enum", type=int, default=1_000_000)
+        vcap, ecap = DEFAULT_BUDGET.max_vertices, DEFAULT_BUDGET.max_enumerations
+        sp.add_argument("--budget-vertices", type=int, default=vcap,
+                        help=f"vertex cap, for brute force only (default {vcap})")
+        sp.add_argument("--budget-enum", type=int, default=ecap,
+                        help=f"enumeration cap per search (default {ecap})")
 
     sp = sub.add_parser("check", help="claw-freeness and innocence certificates")
     common(sp)

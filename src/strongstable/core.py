@@ -37,9 +37,10 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Caps for exhaustive routines.
 
-    ``max_vertices`` bounds instance size, ``max_enumerations`` bounds the
-    number of enumerated objects (search-tree nodes, paths, cliques,
-    candidate embeddings).
+    ``max_vertices`` bounds only the exponential searches (brute force and
+    the isomorphism test); ``max_enumerations`` bounds the number of
+    enumerated objects (search-tree nodes, paths, cliques, candidate
+    embeddings) in every routine.
     """
 
     max_vertices: int = 24
@@ -381,7 +382,6 @@ def iter_maximal_cliques(
     the sorted list form.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "maximal clique enumeration")
     meter = _Meter(budget)
     bits = g.bits
     done = 0  # the vertices already expanded
@@ -415,7 +415,6 @@ def is_strong_stable_set(
     if not g.is_stable(s):
         return False
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "strong stable set test")
     if g.n == 0:
         return True  # no maximal clique; the search would report the empty one
     sm = _mask_of(s)

@@ -33,7 +33,6 @@ from .core import (
     _Meter,
     _above,
     _anchored_paths,
-    _check_size,
     _iter_bits,
     _mask_of,
     complement,
@@ -313,7 +312,6 @@ def find_structure(
 ) -> Optional[ForbiddenWitness]:
     """First witness of the requested kind, or None when none is induced in g."""
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, f"{kind.value} search")
     return _DETECTORS[ForbiddenKind(kind)](g, budget)
 
 

@@ -18,7 +18,6 @@ from .core import (
     GraphError,
     Multigraph,
     _Meter,
-    _check_size,
     _simple_paths,
     components_within,
     from_edge_list,
@@ -128,7 +127,6 @@ def recover_root(g: Graph, budget: Budget | None = None) -> Optional[RootRecover
     landing in the same pair of cliques.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "root recovery")
     if not g.is_connected():
         raise GraphError("root recovery expects a connected graph")
     ends: list[list[int]] = [[] for _ in range(g.n)]
@@ -733,7 +731,6 @@ def detect_smooth_augmentation(
     root recovery. Failure means "not recognized", never a refutation.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "smooth augmentation detection")
     if not g.is_connected():
         raise GraphError("smooth augmentation detection expects a connected graph")
     meter = _Meter(budget)

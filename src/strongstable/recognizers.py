@@ -19,9 +19,7 @@ from .core import (
     GraphError,
     _Meter,
     _anchored_paths,
-    _check_size,
     _iter_bits,
-    complement,  # noqa: F401  (bound here so tests can check it goes unused)
     induced_cycles,
     two_coloring,
 )
@@ -440,7 +438,6 @@ def peculiar_structure(
     of a1, b1, k1.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "peculiar structure search")
     if g.n < 6 or not g.is_connected():
         return None
     if min(g.degree(v) for v in range(g.n)) < 4:

@@ -71,8 +71,6 @@ from .recognizers import (
     verify_peculiar,
 )
 
-BRUTE_FORCE_BUDGET = Budget(max_vertices=16, max_enumerations=1_000_000)
-
 
 class SolveStatus(str, Enum):
     FOUND = "found"
@@ -118,7 +116,7 @@ def brute_force(
     Stable supersets of z are enumerated in sorted-tuple order and tested
     against the maximal cliques; absence is therefore verified.
     """
-    budget = budget or BRUTE_FORCE_BUDGET
+    budget = budget or DEFAULT_BUDGET
     _check_size(g, budget, "brute force")
     meter = _Meter(budget)
     z = frozenset(z)

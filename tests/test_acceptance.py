@@ -47,7 +47,7 @@ from strongstable.solver import (
     solve_peculiar,
     strip_anchor_gadgets,
 )
-from oracles import bipartite_graphs_up_to, naive_is_innocent, random_growth_host
+from oracles import bipartite_graphs_up_to, cycle, naive_is_innocent, path, random_growth_host
 
 
 def _report(num: int, name: str, detail: str = "") -> None:
@@ -294,3 +294,23 @@ def test_criterion_10_fallback_telemetry():
     print(f"fallback rate: {fallback_rate:.3f}")
     assert sum(histogram.values()) == 1000
     _report(10, "fallback telemetry produced; all results verify", f"fallback rate {fallback_rate:.3f}")
+
+
+def test_default_budget_solves_innocent_graphs_above_the_vertex_cap():
+    # the vertex cap bounds brute force only, so with Budget() the cascade
+    # answers innocent graphs of 30-300 vertices by structure; generation
+    # runs the detectors and gets a raised budget of its own
+    graphs = [cycle(n) for n in range(30, 301, 30)] + [path(n) for n in range(30, 301, 27)]
+    innocent = []
+    rng = random.Random(4321)
+    seed = 30_000
+    while len(innocent) < 30:
+        size, rate = rng.randint(60, 140), rng.choice((0.0, 0.2, 0.4))
+        g = random_claw_free_innocent(seed, size, rate, Budget(1000, 50_000_000))
+        seed += 1
+        if 30 <= g.n <= 70:
+            innocent.append(g)
+    for g in graphs + innocent:
+        res = solve(g, budget=Budget())
+        assert res.status == SolveStatus.FOUND, (g.n, res.trace)
+        assert is_strong_stable_set(g, res.s, Budget())

@@ -197,8 +197,13 @@ class TestMaximalCliques:
         ]
 
     def test_budget_vertices(self):
+        # the vertex cap bounds only exponential searches; the meter bounds this one
+        assert maximal_cliques(complete(5), Budget(max_vertices=4)) == [frozenset(range(5))]
         with pytest.raises(BudgetExceededError):
-            maximal_cliques(complete(5), Budget(max_vertices=4))
+            maximal_cliques(complete(5), Budget(max_vertices=4, max_enumerations=5))
+
+    def test_above_the_vertex_cap(self):
+        assert maximal_cliques(complete(30)) == [frozenset(range(30))]
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())

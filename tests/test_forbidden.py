@@ -266,8 +266,12 @@ class TestLongStructures:
 
 class TestBudgets:
     def test_size_gate(self):
+        # the vertex cap bounds only exponential searches; the meter bounds a detector
+        assert find_structure(cycle(30), ForbiddenKind.ODD_HOLE, Budget(max_vertices=24)) is None
         with pytest.raises(BudgetExceededError):
-            find_structure(cycle(30), ForbiddenKind.ODD_HOLE, Budget(max_vertices=24))
+            find_structure(
+                cycle(30), ForbiddenKind.ODD_HOLE, Budget(max_vertices=24, max_enumerations=30)
+            )
 
     def test_enumeration_gate(self):
         g = complete(12)

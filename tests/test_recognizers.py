@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongstable import recognizers
+from strongstable import core, recognizers
 from strongstable.core import GraphError, Multigraph, from_edge_list, line_graph
 from strongstable.recognizers import (
     Clown,
@@ -203,7 +203,8 @@ class TestCobipartite:
         def refuse(g):
             raise AssertionError("complement graph built")
 
-        monkeypatch.setattr(recognizers, "complement", refuse)
+        monkeypatch.setattr(core, "complement", refuse)
+        monkeypatch.setattr(recognizers, "complement", refuse, raising=False)
         assert cobipartite_partition(path(2401)) is None
         p = cobipartite_partition(cycle(4))
         assert {p.a, p.b} == {frozenset({0, 1}), frozenset({2, 3})}

@@ -5,6 +5,7 @@ import pytest
 from strongstable import solver
 from strongstable.core import (
     Budget,
+    BudgetExceededError,
     GraphError,
     from_edge_list,
     is_strong_stable_set,
@@ -58,6 +59,25 @@ class TestBruteForce:
     def test_lexicographic_tie_break(self):
         # K2: both {0} and {1} work; lexicographically smallest wins
         assert brute_force(from_edge_list(2, [(0, 1)])) == {0}
+
+
+class TestDefaultBudget:
+    # the vertex cap bounds brute force only, so the polynomial layers take
+    # graphs above it and brute force refuses them
+    def test_even_hole_above_the_cap_solves(self):
+        res = solve(cycle(30))
+        assert res.status == SolveStatus.FOUND
+        assert is_strong_stable_set(cycle(30), res.s)
+
+    def test_direct_brute_force_uses_the_default_cap(self):
+        assert brute_force(path(20)) == frozenset(range(0, 20, 2))
+        with pytest.raises(BudgetExceededError):
+            brute_force(complete(25))
+
+    def test_odd_hole_above_the_cap_is_budget(self):
+        # none-exists needs a completed brute force
+        res = solve(cycle(61))
+        assert res.status == SolveStatus.BUDGET and res.s is None
 
 
 class TestSolveBasics:

@@ -220,8 +220,10 @@ class TestCli:
     def test_budget_exit_code(self, capsys, tmp_path):
         p = tmp_path / "big.txt"
         p.write_text(format_edgelist(cycle(30)))
-        code, _, err = self._run(["check", str(p)], capsys)
-        assert code == 2
+        code, out, _ = self._run(["check", str(p), "--json"], capsys)
+        assert code == 0 and json.loads(out)["status"] == "innocent"  # no vertex cap here
+        code, _, err = self._run(["check", str(p), "--budget-enum", "30"], capsys)
+        assert code == 2 and "enumeration budget exceeded" in err
 
     def test_solve_budget_status_exit(self, capsys, tmp_path):
         p = tmp_path / "c7.txt"
