@@ -62,32 +62,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"strongstable {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
-        if with_input:
+    def common(sp, searches=True):
+        if searches:  # every command but generate reads a graph and searches it
             sp.add_argument("input", nargs="?", default="-", help="path or - for stdin")
             sp.add_argument(
                 "--format", choices=("auto", "graph6", "edgelist"), default="auto"
             )
+            sp.add_argument("--budget-enum", type=int, default=DEFAULT_BUDGET.max_enumerations,
+                            help="enumeration cap per search (default %(default)s)")
         sp.add_argument("--json", action="store_true", help="emit a JSON certificate")
         sp.add_argument("--output", default="-", help="output path (default stdout)")
-        vcap, ecap = DEFAULT_BUDGET.max_vertices, DEFAULT_BUDGET.max_enumerations
-        sp.add_argument("--budget-vertices", type=int, default=vcap,
-                        help=f"vertex cap, for brute force only (default {vcap})")
-        sp.add_argument("--budget-enum", type=int, default=ecap,
-                        help=f"enumeration cap per search (default {ecap})")
 
     sp = sub.add_parser("check", help="claw-freeness and innocence certificates")
     common(sp)
+    # taken and ignored for older callers: nothing check runs reads a vertex cap
+    sp.add_argument("--budget-vertices", type=int, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("solve", help="strong stable set computation")
     common(sp)
+    sp.add_argument("--budget-vertices", type=int, default=DEFAULT_BUDGET.max_vertices,
+                    help="vertex cap of the brute-force fallback (default %(default)s)")
     sp.add_argument("--require", default="", help="comma-separated prescribed vertices")
     sp.add_argument(
         "--trusted", action="store_true", help="skip validating the prescribed set"
     )
 
     sp = sub.add_parser("generate", help="family generators")
-    common(sp, with_input=False)
+    common(sp, searches=False)
     sp.add_argument("--kind", required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
@@ -122,7 +123,9 @@ def _read_input(args) -> Graph:
 
 
 def _budget(args) -> Budget:
-    return Budget(max_vertices=args.budget_vertices, max_enumerations=args.budget_enum)
+    # only solve reaches brute force, the one search that reads the vertex cap
+    vcap = args.budget_vertices if args.command == "solve" else DEFAULT_BUDGET.max_vertices
+    return Budget(vcap, args.budget_enum)
 
 
 def _emit(args, text: str) -> None:
@@ -132,14 +135,11 @@ def _emit(args, text: str) -> None:
         Path(args.output).write_text(text)
 
 
-def _tool_block(budget: Budget) -> dict:
-    return {
-        "tool": {"name": "strongstable", "version": __version__},
-        "budget": {
-            "max_vertices": budget.max_vertices,
-            "max_enumerations": budget.max_enumerations,
-        },
-    }
+def _tool_block(args, budget: Budget) -> dict:
+    caps = {"max_enumerations": budget.max_enumerations}
+    if args.command == "solve":
+        caps["max_vertices"] = budget.max_vertices
+    return {"tool": {"name": "strongstable", "version": __version__}, "budget": caps}
 
 
 def _witness_block(w) -> dict:
@@ -161,7 +161,7 @@ def _cmd_check(args) -> int:
         "n": g.n,
         "claw_free": claw is None,
         "status": "innocent" if innocent else "not-innocent",
-        **_tool_block(budget),
+        **_tool_block(args, budget),
     }
     if claw is not None:
         payload["claw"] = {"center": claw.center, "leaves": list(claw.leaves)}
@@ -193,7 +193,7 @@ def _cmd_solve(args) -> int:
         "trace": [
             {"branch": rec.branch, "detail": rec.detail} for rec in res.trace
         ],
-        **_tool_block(budget),
+        **_tool_block(args, budget),
     }
     if args.json:
         _emit(args, certificate_json(payload))
@@ -253,7 +253,7 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _read_input(args)
     budget = _budget(args)
-    report: dict = {"command": "decompose", "n": g.n, **_tool_block(budget)}
+    report: dict = {"command": "decompose", "n": g.n, **_tool_block(args, budget)}
     zj = find_zero_join(g)
     report["zero_join"] = [sorted(zj[0]), sorted(zj[1])] if zj else None
     tw = find_twins(g)
@@ -312,7 +312,7 @@ def _cmd_roundtrip(args) -> int:
         rr = recover_root(g, budget)
     except GraphError as exc:
         raise CliUsageError(str(exc))
-    payload = {"command": "roundtrip", "n": g.n, **_tool_block(budget)}
+    payload = {"command": "roundtrip", "n": g.n, **_tool_block(args, budget)}
     if rr is None:
         payload["root"] = None
     else:

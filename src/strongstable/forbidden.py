@@ -91,16 +91,15 @@ def _find_long_antihole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     return None
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """Every triangle a < b < c, in lexicographic order."""
+def _triangles(g: Graph, meter: _Meter) -> Iterator[tuple[int, int, int]]:
+    """Every triangle a < b < c, in lexicographic order, one tick each."""
     bits = g.bits
-    out = []
     for a in range(g.n):
         na = bits[a] & _above(a)
         for b in _iter_bits(na):
             for c in _iter_bits(na & bits[b] & _above(b)):
-                out.append((a, b, c))
-    return out
+                meter.tick()
+                yield a, b, c
 
 
 def _has_private_neighbors(g: Graph, tri: tuple[int, int, int]) -> bool:
@@ -115,7 +114,7 @@ def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     bits = g.bits
     # path i leaves corner i through a private neighbor: its first interior
     # vertex, or the other triangle's corner i on a length-1 path
-    tris = [(t, _mask_of(t)) for t in _triangles(g) if _has_private_neighbors(g, t)]
+    tris = [(t, _mask_of(t)) for t in _triangles(g, meter) if _has_private_neighbors(g, t)]
     for ta, amask in tris:
         for tb, bmask in tris:
             meter.tick()
@@ -196,11 +195,11 @@ def _grow_cycle_through_edge(
 def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
     bits = g.bits
-    cliques4 = [
+    cliques4 = (
         (a, b, c, d)
-        for a, b, c in _triangles(g)
+        for a, b, c in _triangles(g, meter)
         for d in _iter_bits(bits[a] & bits[b] & bits[c] & _above(c))
-    ]
+    )
     for quad in cliques4:
         for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
             meter.tick()

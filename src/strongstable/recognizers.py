@@ -18,8 +18,10 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
+    _above,
     _anchored_paths,
     _iter_bits,
+    _mask_of,
     induced_cycles,
     two_coloring,
 )
@@ -88,14 +90,14 @@ class PeculiarParts:
 
 def find_claw(g: Graph) -> Optional[ClawWitness]:
     """First claw in lowest-id order, or None when g is claw-free."""
+    bits = g.bits
     for center in range(g.n):
-        nbrs = sorted(g.adj[center])
-        if len(nbrs) < 3:
-            continue
-        for trio in itertools.combinations(nbrs, 3):
-            x, y, z = trio
-            if not (g.has_edge(x, y) or g.has_edge(x, z) or g.has_edge(y, z)):
-                return ClawWitness(center, trio)
+        for x in _iter_bits(bits[center]):
+            far_x = bits[center] & ~bits[x] & _above(x)
+            for y in _iter_bits(far_x):
+                far = far_x & ~bits[y] & _above(y)
+                if far:
+                    return ClawWitness(center, (x, y, (far & -far).bit_length() - 1))
     return None
 
 
@@ -395,37 +397,42 @@ def _part_relation(p: int, q: int) -> str:
     return "edge"
 
 
+_RELATION = [[_part_relation(p, q) for q in range(9)] for p in range(9)]
+
+
 def verify_peculiar(g: Graph, parts: PeculiarParts) -> bool:
     """Literal definition check, including the 'no other edge' clause."""
     groups = parts.groups()
-    allv: set[int] = set()
-    for grp in groups:
-        if allv & grp:
-            return False
-        allv |= grp
-    if allv != set(range(g.n)):
-        return False
-    for i in range(3):
-        if not groups[i] or not groups[3 + i]:
-            return False
-    for p in range(9):
-        for q in range(p, 9):
-            rel = _part_relation(p, q)
-            pairs = (
-                itertools.combinations(sorted(groups[p]), 2)
-                if p == q
-                else itertools.product(sorted(groups[p]), sorted(groups[q]))
-            )
-            for u, v in pairs:
-                has = g.has_edge(u, v)
-                if rel == "edge" and not has:
-                    return False
-                if rel == "non" and has:
-                    return False
-    for ai, bj in ((0, 4), (1, 5), (2, 3)):
-        if g.is_complete_between(groups[ai], groups[bj]):
-            return False
-    return True
+    if sum(map(len, groups)) != g.n or set().union(*groups) != set(range(g.n)):
+        return False  # not a partition of V(g)
+    bits, masks = g.bits, [_mask_of(grp) for grp in groups]
+    for p, q in itertools.product(range(9), repeat=2):
+        rel = _RELATION[p][q]
+        for v in groups[p]:
+            others = masks[q] & ~(1 << v)
+            if rel == "edge" and others & ~bits[v] or rel == "non" and others & bits[v]:
+                return False
+    # a1..b3 are non-empty, and a free pair a_i, b_{i+1} is anything but complete
+    return all(groups[:6]) and all(
+        any(masks[q] & ~bits[u] for u in groups[p]) for p, q in _FREE_PAIRS
+    )
+
+
+def _has_stable_four(g: Graph) -> bool:
+    """Whether g has four pairwise non-adjacent vertices. A peculiar graph has
+    none: a stable set meeting two K parts lies in K1 | K2 | K3, one meeting
+    only K_i has one more, in the clique A_i | B_i, and one in A | B is at
+    most a free pair."""
+    bits = g.bits
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        far_u = full & ~bits[u] & ~(1 << u)
+        for v in _iter_bits(far_u & ~((2 << u) - 1)):
+            far = far_u & ~bits[v] & ~(1 << v)
+            for w in _iter_bits(far):
+                if far & ~bits[w] & ~(1 << w):
+                    return True
+    return False
 
 
 def peculiar_structure(
@@ -433,48 +440,46 @@ def peculiar_structure(
 ) -> Optional[PeculiarParts]:
     """Search for a peculiar 9-part assignment by label backtracking.
 
-    Quick necessary conditions (connected, n >= 6, min degree >= 4) gate the
-    exponential search; rotation symmetry is cut by pinning vertex 0 to one
-    of a1, b1, k1.
+    Quick necessary conditions (connected, n >= 6, min degree >= 4, no
+    stable set of four vertices) gate the exponential search; rotation
+    symmetry is cut by pinning vertex 0 to one of a1, b1, k1.
     """
     budget = budget or DEFAULT_BUDGET
     if g.n < 6 or not g.is_connected():
         return None
-    if min(g.degree(v) for v in range(g.n)) < 4:
+    if min(g.degree(v) for v in range(g.n)) < 4 or _has_stable_four(g):
         return None
     meter = _Meter(budget)
-    n = g.n
-    labels = [-1] * n
-
-    def compatible(v: int, lab: int) -> bool:
-        for u in range(v):
-            rel = _part_relation(labels[u], lab)
-            if rel == "free":
+    n, bits = g.n, g.bits
+    # part[p]: the vertices labelled p so far; see[p] / miss[p]: the labelled
+    # vertices a vertex labelled p must be adjacent / non-adjacent to
+    part = see = miss = (0,) * 9
+    frames = []  # per labelled vertex: its untried labels and the masks before it
+    tries: Iterator[int] = iter((0, 3, 6))
+    meter.tick()
+    while True:
+        v = len(frames)
+        for lab in tries:
+            if see[lab] & ~bits[v] or miss[lab] & bits[v]:
                 continue
-            has = g.has_edge(u, v)
-            if rel == "edge" and not has:
-                return False
-            if rel == "non" and has:
-                return False
-        return True
-
-    def final_check() -> Optional[PeculiarParts]:
-        groups = [frozenset(v for v in range(n) if labels[v] == p) for p in range(9)]
-        parts = PeculiarParts(*groups)
-        return parts if verify_peculiar(g, parts) else None
-
-    def assign(v: int) -> Optional[PeculiarParts]:
+            frames.append((tries, part, see, miss))
+            bit, rel = 1 << v, _RELATION[lab]
+            part = part[:lab] + (part[lab] | bit,) + part[lab + 1:]
+            see = tuple(m | bit if r == "edge" else m for m, r in zip(see, rel))
+            miss = tuple(m | bit if r == "non" else m for m, r in zip(miss, rel))
+            break
+        else:
+            if not frames:
+                return None
+            tries, part, see, miss = frames.pop()
+            continue
         meter.tick()
-        if v == n:
-            return final_check()
-        options = (0, 3, 6) if v == 0 else range(9)
-        for lab in options:
-            if compatible(v, lab):
-                labels[v] = lab
-                res = assign(v + 1)
-                if res is not None:
-                    return res
-                labels[v] = -1
-        return None
-
-    return assign(0)
+        if v + 1 < n:
+            tries = iter(range(9))
+            continue
+        # every pair has its relation; left: a_i, b_i non-empty, free pairs not complete
+        if all(part[:6]) and all(
+            any(part[q] & ~bits[u] for u in _iter_bits(part[p])) for p, q in _FREE_PAIRS
+        ):
+            return PeculiarParts(*(frozenset(_iter_bits(m)) for m in part))
+        tries, part, see, miss = frames.pop()

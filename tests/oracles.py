@@ -241,6 +241,67 @@ def naive_two_coloring(g: Graph) -> frozenset[int] | None:
     return frozenset(v for v in range(g.n) if color[v] == 0)
 
 
+def naive_find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
+    """First centre and leaves of a claw in lowest-id order, by scanning
+    every triple of neighbours."""
+    for c in range(g.n):
+        for trio in itertools.combinations(sorted(g.adj[c]), 3):
+            if naive_is_stable(g, trio):
+                return c, trio
+    return None
+
+
+def naive_has_stable_set(g: Graph, k: int) -> bool:
+    return any(naive_is_stable(g, s) for s in itertools.combinations(range(g.n), k))
+
+
+def _naive_peculiar_rule(p, q):
+    """Whether members of parts p and q, each (letter, index) with letters
+    a, b, k, must be adjacent (True), non-adjacent (False), or either (None)."""
+    (s, i), (t, j) = sorted((p, q))
+    if (s, i) == (t, j):
+        return True  # every part is a clique
+    if t == "k":
+        return s != "k" and i != j  # K_i misses a_i, b_i and the other K parts
+    if (s, t) == ("a", "b") and j == (i + 1) % 3:
+        return None  # a_i and b_{i+1}: anything but complete
+    return True
+
+
+def naive_is_peculiar(g: Graph) -> bool:
+    """Whether some split of V(g) into a1..a3, b1..b3 (non-empty) and k1..k3
+    meets the definition, by trying every part for every vertex in turn."""
+    parts = [(s, i) for s in "abk" for i in range(3)]
+    label: list = []
+
+    def extend(v: int) -> bool:
+        empty = sum(1 for s in "ab" for i in range(3) if (s, i) not in label)
+        if g.n - v < empty:
+            return False  # too few vertices left for the empty a and b parts
+        if v == g.n:
+            members = {p: [u for u in range(g.n) if label[u] == p] for p in parts}
+            return all(members[(s, i)] for s in "ab" for i in range(3)) and all(
+                any(
+                    not g.has_edge(x, y)
+                    for x in members[("a", i)]
+                    for y in members[("b", (i + 1) % 3)]
+                )
+                for i in range(3)
+            )
+        for p in parts:
+            if all(
+                _naive_peculiar_rule(label[u], p) in (None, g.has_edge(u, v))
+                for u in range(v)
+            ):
+                label.append(p)
+                if extend(v + 1):
+                    return True
+                label.pop()
+        return False
+
+    return extend(0)
+
+
 def is_odd_hole_graph(h: Graph) -> bool:
     return h.n >= 5 and h.n % 2 == 1 and is_cycle_graph(h)
 

@@ -273,6 +273,16 @@ class TestBudgets:
                 cycle(30), ForbiddenKind.ODD_HOLE, Budget(max_vertices=24, max_enumerations=30)
             )
 
+    def test_dense_input_trips_the_meter(self):
+        # K200 has 1.3M triangles: the odd-prism search ticks on each one, and
+        # the eye-mask search ticks before it has listed every 4-clique
+        with pytest.raises(BudgetExceededError):
+            innocence_certificate(complete(200), Budget())
+        with pytest.raises(BudgetExceededError):
+            find_structure(complete(60), ForbiddenKind.ODD_PRISM, Budget(max_enumerations=1000))
+        with pytest.raises(BudgetExceededError):
+            find_structure(complete(200), ForbiddenKind.EYE_MASK, Budget(max_enumerations=1000))
+
     def test_enumeration_gate(self):
         g = complete(12)
         with pytest.raises(BudgetExceededError):

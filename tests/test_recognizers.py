@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongstable import core, recognizers
-from strongstable.core import GraphError, Multigraph, from_edge_list, line_graph
+from strongstable.core import (
+    Budget,
+    BudgetExceededError,
+    GraphError,
+    Multigraph,
+    from_edge_list,
+    line_graph,
+)
 from strongstable.recognizers import (
     Clown,
     chain_order,
@@ -30,9 +37,12 @@ from oracles import (
     cycle,
     naive_anchored_paths,
     naive_clowns,
+    naive_find_claw,
     naive_find_cosimplicial_nonedge,
+    naive_has_stable_set,
     naive_is_cosimplicial_nonedge,
     naive_is_consistent_set,
+    naive_is_peculiar,
     naive_is_safe_vertex,
     naive_linear_interval_exists,
     naive_window_order_ok,
@@ -72,6 +82,18 @@ class TestFindClaw:
         assert w is not None
         assert from_edge_list(4, []).is_stable(set())  # noop sanity
         assert all(not k23.has_edge(a, b) for a, b in itertools.combinations(w.leaves, 2))
+
+    def test_against_oracle(self, graphs_by_n):
+        rng = random.Random(11)
+        graphs = [g for n in range(8) for g in graphs_by_n[n]]
+        for _ in range(300):
+            n, p = rng.randint(0, 30), rng.random()
+            graphs.append(from_edge_list(n, [
+                (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p
+            ]))
+        for g in graphs:
+            w = find_claw(g)
+            assert (None if w is None else (w.center, w.leaves)) == naive_find_claw(g)
 
     @settings(max_examples=30, deadline=None)
     @given(random_bipartite_multigraphs())
@@ -420,6 +442,54 @@ class TestPeculiar:
         parts = peculiar_structure(g)
         broken = from_edge_list(6, [e for e in g.edges() if e != (0, 1)])
         assert not verify_peculiar(broken, parts)
+
+    def test_against_oracle(self, graphs_by_n):
+        from strongstable.generators import peculiar
+
+        rng = random.Random(4)
+        graphs = [g for n in range(7) for g in graphs_by_n[n]]
+        for seed in range(10):
+            # relabelled, then one edge dropped, then one non-edge added
+            sizes = (1,) * 6 + tuple(rng.randint(0, 1) for _ in range(3))
+            g, _ = peculiar(sizes, seed)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in g.edges()]
+            non = [(perm[u], perm[v]) for u, v in itertools.combinations(range(g.n), 2)
+                   if not g.has_edge(u, v)]
+            graphs.append(from_edge_list(g.n, edges))
+            graphs.append(from_edge_list(g.n, edges[1:]))
+            graphs.append(from_edge_list(g.n, edges + [rng.choice(non)]))
+        found = 0
+        for g in graphs:
+            parts = peculiar_structure(g)
+            assert (parts is not None) == naive_is_peculiar(g)
+            if parts is not None:
+                found += 1
+                assert verify_peculiar(g, parts)
+        assert found >= 10
+
+    def test_search_prunes_both_ways(self):
+        # 66 search nodes when a label is refused for a missing edge and for an
+        # edge it must not have; 306 when only missing edges prune
+        from strongstable.generators import peculiar
+
+        g, _ = peculiar((1,) * 9)
+        assert peculiar_structure(g, Budget(max_enumerations=100)) is not None
+
+    def test_deep_search_is_not_recursive(self):
+        # K1100 passes every gate, and one descent labels all 1,100 vertices
+        with pytest.raises(BudgetExceededError):
+            peculiar_structure(complete(1100), Budget(max_enumerations=2000))
+
+    def test_stable_four_gate(self, graphs_by_n):
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                assert recognizers._has_stable_four(g) == naive_has_stable_set(g, 4)
+        # L(K8): connected, 12-regular, four disjoint edges of K8; no search
+        k8 = Multigraph.build(8, list(itertools.combinations(range(8), 2)))
+        lg, _ = line_graph(k8)
+        assert peculiar_structure(lg, Budget(max_enumerations=1)) is None
 
     def test_empty_k_parts_accepted(self):
         from strongstable.generators import peculiar

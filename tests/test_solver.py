@@ -64,11 +64,6 @@ class TestBruteForce:
 class TestDefaultBudget:
     # the vertex cap bounds brute force only, so the polynomial layers take
     # graphs above it and brute force refuses them
-    def test_even_hole_above_the_cap_solves(self):
-        res = solve(cycle(30))
-        assert res.status == SolveStatus.FOUND
-        assert is_strong_stable_set(cycle(30), res.s)
-
     def test_direct_brute_force_uses_the_default_cap(self):
         assert brute_force(path(20)) == frozenset(range(0, 20, 2))
         with pytest.raises(BudgetExceededError):

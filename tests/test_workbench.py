@@ -225,6 +225,20 @@ class TestCli:
         code, _, err = self._run(["check", str(p), "--budget-enum", "30"], capsys)
         assert code == 2 and "enumeration budget exceeded" in err
 
+    def test_vertex_cap_only_on_solve(self, capsys, tmp_path):
+        p = tmp_path / "c6.txt"
+        p.write_text(format_edgelist(cycle(6)))
+        for cmd in ("decompose", "roundtrip"):
+            code, _, err = self._run([cmd, str(p), "--budget-vertices", "5"], capsys)
+            assert code == 1 and "--budget-vertices" in err
+        code, _, _ = self._run(["generate", "--kind", "hole", "--n", "5", "--budget-enum", "9"], capsys)
+        assert code == 1
+        # check takes the flag and ignores it, and echoes only the cap it reads
+        code, out, _ = self._run(["check", str(p), "--budget-vertices", "5", "--json"], capsys)
+        assert code == 0 and json.loads(out)["budget"] == {"max_enumerations": 1_000_000}
+        code, out, _ = self._run(["solve", str(p), "--budget-vertices", "5", "--json"], capsys)
+        assert json.loads(out)["budget"] == {"max_vertices": 5, "max_enumerations": 1_000_000}
+
     def test_solve_budget_status_exit(self, capsys, tmp_path):
         p = tmp_path / "c7.txt"
         p.write_text(format_edgelist(cycle(7)))
