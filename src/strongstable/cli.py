@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
             )
             sp.add_argument("--budget-enum", type=int, default=DEFAULT_BUDGET.max_enumerations,
                             help="enumeration cap per search (default %(default)s)")
-        sp.add_argument("--json", action="store_true", help="emit a JSON certificate")
+            sp.add_argument("--json", action="store_true", help="emit a JSON certificate")
         sp.add_argument("--output", default="-", help="output path (default stdout)")
 
     sp = sub.add_parser("check", help="claw-freeness and innocence certificates")

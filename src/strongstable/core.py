@@ -249,15 +249,22 @@ def _mask_components(bits: Sequence[int], rest: int) -> Iterator[int]:
     """Components of the mask rest under adjacency masks bits, as masks
     ordered by smallest member: a flood fill from the lowest vertex left."""
     while rest:
-        comp = new = rest & -rest
-        while new:
-            reach = 0
-            for v in _iter_bits(new):
-                reach |= bits[v]
-            new = reach & rest & ~comp
-            comp |= new
+        comp = _flood(bits, rest & -rest, rest)
         rest &= ~comp
         yield comp
+
+
+def _flood(bits: Sequence[int], seed: int, room: int) -> int:
+    """The vertices reachable from the mask seed by paths inside the mask
+    room, seed included (seed should lie in room)."""
+    reach = new = seed
+    while new:
+        step = 0
+        for v in _iter_bits(new):
+            step |= bits[v]
+        new = step & room & ~reach
+        reach |= new
+    return reach
 
 
 def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[int]]:

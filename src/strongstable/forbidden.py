@@ -7,15 +7,33 @@ triangle-path-triangle core for handcuffs, the K4 for eye masks), then grows
 the remaining paths and cycles with the induced-path enumerator of ``core``.
 Witnesses are re-verified from scratch before being returned, so a returned
 witness is always sound. Completeness at the given budget comes from the
-exhaustive enumeration over anchors, which three shortcuts leave intact:
+exhaustive enumeration over anchors. The shortcuts below skip only anchors
+that cannot close, each by a necessary condition on int masks tested before
+any path is grown; the surviving anchors are walked in the same order, so
+the first witness is the one the full search finds:
 
+* long antiholes: the search runs on the complement of the 3-core only,
+  since each vertex of a k-antihole has k - 3 >= 3 neighbours in it; the
+  core keeps the vertex order, so the cycles come in the same order;
 * eye masks: the K4s are built from triangles plus a common neighbour,
   which lists exactly the 4-cliques;
+* eye masks: a split x1y1 | x2y2 of a K4 is skipped unless N(x1) - N[y1]
+  and N(y1) - N[x1] are joined by a path off N(x2) and N(y2), and likewise
+  the other way round, since each cycle's interior is such a path;
 * odd prisms: a triangle is skipped unless every corner has a private
   neighbour (adjacent to neither other corner), since each corner's path
   leaves it through one;
+* odd prisms: a pair of triangles and a matching of their corners is
+  skipped unless each corner reaches its partner in G minus the closed
+  neighbourhoods of its own triangle's other two corners, since path i
+  lies there from both ends;
 * handcuffs: a triangle xyt is skipped unless some even hole through xy has
-  its other vertices off t and its neighbours, since the cycle at xy is one.
+  its other vertices off t and its neighbours, since the cycle at xy is one;
+  that search is skipped unless N(x) - N[y] and N(y) - N[x] are joined by a
+  path off N[t], since the hole's interior is one;
+* handcuffs: a far edge x2y2 is skipped unless N(t1) - N[x1] - N[y1]
+  reaches it in G - N[x1] - N[y1] - N[t1], since the link from t1 to t2
+  and the edge x2y2 lie there, apart from the link's first vertex.
 """
 
 from __future__ import annotations
@@ -33,9 +51,11 @@ from .core import (
     _Meter,
     _above,
     _anchored_paths,
+    _flood,
     _iter_bits,
     _mask_of,
     complement,
+    induced,
     induced_cycles,
 )
 
@@ -84,11 +104,29 @@ def _find_odd_hole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
 
 
 def _find_long_antihole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
-    for cycle in induced_cycles(complement(g), budget, min_len=6):
+    # each vertex of a k-antihole has k - 3 >= 3 neighbours in it, so every
+    # long antihole lies in the 3-core; the id map keeps the order, so the
+    # cycles come in the same order as on the whole complement
+    sub, ids = induced(g, _iter_bits(_three_core(g.bits)))
+    for cycle in induced_cycles(complement(sub), budget, min_len=6):
+        cycle = tuple(ids[v] for v in cycle)
         return ForbiddenWitness(
             ForbiddenKind.LONG_ANTIHOLE, frozenset(cycle), {"cycle": cycle}
         )
     return None
+
+
+def _three_core(bits: tuple[int, ...]) -> int:
+    """Mask of the 3-core: what is left after deleting, again and again, a
+    vertex with fewer than three neighbours left."""
+    alive = (1 << len(bits)) - 1
+    todo = list(range(len(bits)))
+    while todo:
+        v = todo.pop()
+        if alive >> v & 1 and (bits[v] & alive).bit_count() < 3:
+            alive ^= 1 << v
+            todo.extend(_iter_bits(bits[v] & alive))
+    return alive
 
 
 def _triangles(g: Graph, meter: _Meter) -> Iterator[tuple[int, int, int]]:
@@ -109,25 +147,57 @@ def _has_private_neighbors(g: Graph, tri: tuple[int, int, int]) -> bool:
     return bool(a & ~b & ~c and b & ~a & ~c and c & ~a & ~b)
 
 
+def _corner_reach(bits: tuple[int, ...], t: tuple[int, int, int]) -> tuple[int, ...]:
+    """Entry i: what corner i of triangle t reaches in G - N[other corners].
+
+    Path i of an odd prism on t leaves corner i and then stays there, up to
+    and including the other triangle's corner i: its interior misses the
+    other corners' neighbours, and that far corner sees only ta[i] of t.
+    """
+    out = []
+    for v in t:
+        room = 0
+        for u in t:
+            if u != v:
+                room |= bits[u] | 1 << u
+        room = ~room
+        out.append(_flood(bits, bits[v] & room, room))
+    return tuple(out)
+
+
 def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
     bits = g.bits
     # path i leaves corner i through a private neighbor: its first interior
     # vertex, or the other triangle's corner i on a length-1 path
-    tris = [(t, _mask_of(t)) for t in _triangles(g, meter) if _has_private_neighbors(g, t)]
-    for ta, amask in tris:
-        for tb, bmask in tris:
+    tris = []
+    for t in _triangles(g, meter):
+        if _has_private_neighbors(g, t):
+            reach = _corner_reach(bits, t)
+            tris.append((t, _mask_of(t), reach, reach[0] | reach[1] | reach[2]))
+    for ta, amask, areach, afar in tris:
+        for tb, bmask, breach, bfar in tris:
             meter.tick()
             if tb[0] < ta[0] or amask & bmask:
                 continue
+            # every corner ends a path that starts in the other triangle
+            if bmask & ~afar or amask & ~bfar:
+                continue
             # each corner of ta as a mask of its neighbours in tb
             cross = [bits[v] & bmask for v in ta]
-            for perm in itertools.permutations(tb):
+            for p in itertools.permutations(range(3)):
+                perm = (tb[p[0]], tb[p[1]], tb[p[2]])
                 # cross edges between the triangles only along matched pairs
                 if (
                     cross[0] & ~(1 << perm[0])
                     | cross[1] & ~(1 << perm[1])
                     | cross[2] & ~(1 << perm[2])
+                ):
+                    continue
+                # path i runs inside the reach of both its ends
+                if not all(
+                    areach[i] >> perm[i] & 1 and breach[p[i]] >> ta[i] & 1
+                    for i in range(3)
                 ):
                     continue
                 base = frozenset(ta) | frozenset(tb)
@@ -192,6 +262,17 @@ def _grow_cycle_through_edge(
     )
 
 
+def _links(bits: tuple[int, ...], x: int, y: int, room: int) -> bool:
+    """Some path inside room joins N(x) - N[y] to N(y) - N[x].
+
+    An even hole through the edge xy with its other vertices in room has
+    one: its interior, from x's neighbour to y's.
+    """
+    bx, by = bits[x], bits[y]
+    room &= ~(1 << x | 1 << y)
+    return bool(_flood(bits, bx & ~by & room, room) & by & ~bx)
+
+
 def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     meter = _Meter(budget)
     bits = g.bits
@@ -204,6 +285,13 @@ def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
         for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
             meter.tick()
             x1, y1, x2, y2 = (quad[i] for i in split)
+            # each cycle's interior misses the other cycle's edge and its
+            # neighbours
+            if not (
+                _links(bits, x1, y1, ~(bits[x2] | bits[y2]))
+                and _links(bits, x2, y2, ~(bits[x1] | bits[y1]))
+            ):
+                continue
             core = frozenset((x1, y1, x2, y2))
             for c1path in _grow_cycle_through_edge(
                 g, meter, x1, y1, blocked=core, quiet=frozenset((x2, y2))
@@ -230,6 +318,8 @@ def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     # vertices miss t and its neighbors; a side without one is dead
     @functools.cache
     def has_cuff(x: int, y: int, t: int) -> bool:
+        if not _links(bits, x, y, ~(bits[t] | 1 << t)):
+            return False
         near = frozenset((t,))
         cycles = _grow_cycle_through_edge(g, meter, x, y, near, near)
         return next(cycles, None) is not None
@@ -240,11 +330,13 @@ def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
             if not has_cuff(x1, y1, t1):
                 continue
             # the far side misses x1, y1, t1 and N(x1) | N(y1); its edge
-            # x2y2 misses N(t1) too
+            # x2y2 misses N(t1) too, and the link joins t2 to t1 with only
+            # its first vertex in N(t1), so x2y2 lies in far
             t2_off = near_xy | (1 << t1)
             e2_off = t2_off | bits[t1]
+            far = _flood(bits, bits[t1] & ~t2_off, ~e2_off)
             for x2, y2, e2 in edges:
-                if e2 & e2_off:
+                if e2 & e2_off or e2 & ~far:
                     continue
                 for t2 in _iter_bits(bits[x2] & bits[y2]):
                     meter.tick()

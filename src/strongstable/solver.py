@@ -20,6 +20,7 @@ after a completed brute-force confirmation on the whole instance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -666,9 +667,14 @@ def _branch(name: str):
     return deco
 
 
-def _solve(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
+def _solve(
+    ctx: _Ctx, g: Graph, z: frozenset[int], skip: str | None = None
+) -> frozenset[int]:
+    """The first branch that applies, other than ``skip``, else brute force."""
     ctx.meter.tick()
     for name, fn in _BRANCHES:
+        if name == skip:
+            continue
         try:
             s = fn(ctx, g, z)
         except (CaseNotApplicable, GraphError):
@@ -710,7 +716,8 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     A dropped twin needs no lift: every maximal clique through it holds its
     twin too. A vertex becomes a twin or simplicial only when a neighbor of
     it or of its twin is dropped, so only those neighbors are looked at
-    again.
+    again. The remainder then has nothing left to peel, so it is solved
+    without this branch.
     """
     bits = g.bits
     full = keep = (1 << g.n) - 1
@@ -746,7 +753,7 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
         todo.extend(reversed(list(_iter_bits(bits[drop] & keep))))
     if keep == full:
         raise CaseNotApplicable
-    s = _solve_on(g, _iter_bits(keep), z, ctx.subsolver)
+    s = _solve_on(g, _iter_bits(keep), z, functools.partial(_solve, ctx, skip="peel"))
     for v in reversed(lifts):
         s = _lift_simplicial(g, v, s)
     return s

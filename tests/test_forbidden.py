@@ -8,8 +8,10 @@ from strongstable.core import (
     _Meter,
     complement,
     from_edge_list,
+    induced_cycles,
     line_graph,
 )
+from strongstable import forbidden
 from strongstable.forbidden import (
     CERTIFICATE_ORDER,
     ForbiddenKind,
@@ -21,7 +23,7 @@ from strongstable.forbidden import (
     _anchored_paths,
     verify_witness,
 )
-from strongstable.generators import bicycle, eye_mask, handcuff, hole, prism
+from strongstable.generators import antihole, bicycle, eye_mask, handcuff, hole, prism
 from oracles import (
     complete,
     cycle,
@@ -202,18 +204,42 @@ class TestAnchoredPaths:
                     )
 
 
-def _planted(rng: random.Random, base, n: int, flip: bool):
+def _planted(rng: random.Random, base, n: int, flip: bool, sparse: bool = False):
     """base plus random extra vertices up to n, one base pair maybe flipped,
-    vertex ids shuffled."""
+    vertex ids shuffled; with sparse, each extra vertex sees one or two
+    earlier vertices."""
     edges = set(base.edges())
     if flip:
         u, v = rng.sample(range(base.n), 2)
         edges ^= {(min(u, v), max(u, v))}
     for v in range(base.n, n):
-        edges |= {(u, v) for u in range(v) if rng.random() < 0.3}
+        if sparse:
+            edges |= {(u, v) for u in rng.sample(range(v), rng.randint(1, 2))}
+        else:
+            edges |= {(u, v) for u in range(v) if rng.random() < 0.3}
+    return _shuffled(rng, n, edges)
+
+
+def _shuffled(rng: random.Random, n: int, edges):
     ids = list(range(n))
     rng.shuffle(ids)
     return from_edge_list(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def _near_corner(rng: random.Random, base, corners: frozenset[int]):
+    """base with one or two off-corner vertices tied to a corner they miss,
+    each by an edge or through a new vertex, vertex ids shuffled."""
+    edges = set(base.edges())
+    n = base.n
+    for _ in range(rng.randint(1, 2)):
+        p = rng.choice([v for v in range(base.n) if v not in corners])
+        c = rng.choice(sorted(corners - base.adj[p]))
+        if rng.random() < 0.3:
+            edges.add((min(p, c), max(p, c)))
+        else:
+            edges |= {(p, n), (c, n)}
+            n += 1
+    return _shuffled(rng, n, edges)
 
 
 class TestPrunedDetectorsAgainstOracle:
@@ -246,6 +272,65 @@ class TestPrunedDetectorsAgainstOracle:
                     found[kind] += 1
         for kind in (ForbiddenKind.ODD_PRISM, ForbiddenKind.EYE_MASK, ForbiddenKind.HANDCUFF):
             assert found[kind] >= 3, found
+
+    def test_antiholes_in_sparse_hosts(self):
+        # every added vertex sees at most two earlier ones, so the 3-core lies
+        # inside the planted antihole; the 6-antihole is 3-regular
+        rng = random.Random(61)
+        found = 0
+        for k in range(6, 10):
+            for _ in range(8):
+                n = rng.randint(k + 1, min(k + 4, 13))
+                g = _planted(rng, antihole(k), n, flip=rng.random() < 0.3, sparse=True)
+                w = find_structure(g, ForbiddenKind.LONG_ANTIHOLE)
+                first = next(induced_cycles(complement(g), min_len=6), None)
+                naive = naive_find_kind(g, ForbiddenKind.LONG_ANTIHOLE.value)
+                assert (w is None) == (first is None) == (naive is None), sorted(g.edges())
+                if w is not None:
+                    assert w.anatomy["cycle"] == first and verify_witness(g, w)
+                    found += k == 6
+        assert found >= 3
+
+    def test_paths_next_to_a_third_corner(self):
+        # a chord or a detour from a path or cycle to a corner it must miss
+        rng = random.Random(62)
+        cases = [
+            (prism((1, 1, 3)), range(6), ForbiddenKind.ODD_PRISM),
+            (prism((1, 3, 3)), range(6), ForbiddenKind.ODD_PRISM),
+            (handcuff(4, 4, 1), (0, 1, 4, 5, 8, 9), ForbiddenKind.HANDCUFF),
+            (handcuff(4, 4, 3), (0, 1, 4, 5, 8, 11), ForbiddenKind.HANDCUFF),
+        ]
+        found = {kind: 0 for _, _, kind in cases}
+        for _ in range(8):
+            for base, corners, kind in cases:
+                g = _near_corner(rng, base, frozenset(corners))
+                w = find_structure(g, kind)
+                assert (w is None) == (naive_find_kind(g, kind.value) is None), (
+                    kind,
+                    sorted(g.edges()),
+                )
+                if w is not None:
+                    assert verify_witness(g, w)
+                    found[kind] += 1
+        assert all(3 <= v < 16 for v in found.values()), found
+
+    def test_reach_masks_skip_every_prism_pair(self, monkeypatch):
+        # triangles 0-1-2 and 3-4-5 joined only by the path 0-6-7-3, with a
+        # pendant at every other corner: no cross edge, so every matching
+        # passes the cross-edge test, but corners 1 and 2 reach only their
+        # pendants
+        g = from_edge_list(
+            12,
+            [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 6), (6, 7), (7, 3)]
+            + [(1, 8), (2, 9), (4, 10), (5, 11)],
+        )
+        calls = []
+        grow = forbidden._grow_prism_paths
+        monkeypatch.setattr(
+            forbidden, "_grow_prism_paths", lambda *a: calls.append(a) or grow(*a)
+        )
+        assert find_structure(g, ForbiddenKind.ODD_PRISM) is None
+        assert calls == []
 
 
 class TestLongStructures:

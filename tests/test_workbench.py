@@ -239,6 +239,11 @@ class TestCli:
         code, out, _ = self._run(["solve", str(p), "--budget-vertices", "5", "--json"], capsys)
         assert json.loads(out)["budget"] == {"max_vertices": 5, "max_enumerations": 1_000_000}
 
+    def test_generate_has_no_json(self, capsys):
+        # generate prints a graph, never a certificate
+        code, _, err = self._run(["generate", "--kind", "hole", "--n", "5", "--json"], capsys)
+        assert code == 1 and "--json" in err
+
     def test_solve_budget_status_exit(self, capsys, tmp_path):
         p = tmp_path / "c7.txt"
         p.write_text(format_edgelist(cycle(7)))
