@@ -24,6 +24,7 @@ from .core import (
     Graph,
     GraphError,
     Multigraph,
+    _meter,
     line_graph,
 )
 from .decompose import (
@@ -69,7 +70,7 @@ def _build_parser() -> _Parser:
                 "--format", choices=("auto", "graph6", "edgelist"), default="auto"
             )
             sp.add_argument("--budget-enum", type=int, default=DEFAULT_BUDGET.max_enumerations,
-                            help="enumeration cap per search (default %(default)s)")
+                            help="enumeration cap of the whole command (default %(default)s)")
             sp.add_argument("--json", action="store_true", help="emit a JSON certificate")
         sp.add_argument("--output", default="-", help="output path (default stdout)")
 
@@ -253,13 +254,14 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _read_input(args)
     budget = _budget(args)
+    meter = _meter(budget)  # one cap for the three searches below
     report: dict = {"command": "decompose", "n": g.n, **_tool_block(args, budget)}
     zj = find_zero_join(g)
     report["zero_join"] = [sorted(zj[0]), sorted(zj[1])] if zj else None
     tw = find_twins(g)
     report["twins"] = list(tw) if tw else None
     report["simplicial_vertices"] = sorted(simplicial_vertices(g))
-    cut = find_clique_cutset(g, budget)
+    cut = find_clique_cutset(g, meter)
     report["clique_cutset"] = (
         {
             "clique": sorted(cut.k),
@@ -271,7 +273,7 @@ def _cmd_decompose(args) -> int:
         else None
     )
     try:
-        lifted = internal_clique_cutset_from_deletion(g, budget)
+        lifted = internal_clique_cutset_from_deletion(g, meter)
     except GraphError:
         lifted = None
     report["lifted_internal_cutset"] = (
@@ -295,7 +297,7 @@ def _cmd_decompose(args) -> int:
         if oj
         else None
     )
-    wj = next(iter_w_joins(g, budget), None)
+    wj = next(iter_w_joins(g, meter), None)
     report["w_join"] = {"a": sorted(wj.a), "b": sorted(wj.b)} if wj else None
     if args.json:
         _emit(args, certificate_json(report))

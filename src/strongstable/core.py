@@ -55,11 +55,14 @@ DEFAULT_BUDGET = Budget()
 
 
 class _Meter:
-    """Mutable enumeration counter local to one operation call."""
+    """The enumeration counter of one public call and the budget it counts
+    against. Built only by :func:`_meter`; every layer the call reaches ticks
+    this one meter, so ``max_enumerations`` caps the whole call."""
 
-    __slots__ = ("limit", "used")
+    __slots__ = ("budget", "limit", "used")
 
     def __init__(self, budget: Budget):
+        self.budget = budget
         self.limit = budget.max_enumerations
         self.used = 0
 
@@ -69,6 +72,12 @@ class _Meter:
             raise BudgetExceededError(
                 f"enumeration budget exceeded ({self.limit})", used=self.used
             )
+
+
+def _meter(budget: Budget | _Meter | None) -> _Meter:
+    """The meter a layer passed down in the ``budget`` slot, else a fresh one
+    for ``budget`` (by default :data:`DEFAULT_BUDGET`)."""
+    return budget if isinstance(budget, _Meter) else _Meter(budget or DEFAULT_BUDGET)
 
 
 def _mask_of(vertices: Iterable[int]) -> int:
@@ -379,7 +388,7 @@ def _expand_cliques(
 
 
 def iter_maximal_cliques(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield every inclusion-maximal clique exactly once (pivoted search).
 
@@ -388,8 +397,7 @@ def iter_maximal_cliques(
     yields is deterministic but not sorted; see :func:`maximal_cliques` for
     the sorted list form.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     bits = g.bits
     done = 0  # the vertices already expanded
     for v in _degeneracy_order(g):
@@ -405,7 +413,7 @@ def maximal_cliques(g: Graph, budget: Budget | None = None) -> list[frozenset[in
 
 
 def is_strong_stable_set(
-    g: Graph, s: Iterable[int], budget: Budget | None = None
+    g: Graph, s: Iterable[int], budget: Budget | _Meter | None = None
 ) -> bool:
     """True iff s is stable and meets every maximal clique of g.
 
@@ -421,11 +429,10 @@ def is_strong_stable_set(
         return False
     if not g.is_stable(s):
         return False
-    budget = budget or DEFAULT_BUDGET
     if g.n == 0:
         return True  # no maximal clique; the search would report the empty one
     sm = _mask_of(s)
-    for _ in _expand_cliques(g.bits, _Meter(budget), 0, ((1 << g.n) - 1) ^ sm, sm):
+    for _ in _expand_cliques(g.bits, _meter(budget), 0, ((1 << g.n) - 1) ^ sm, sm):
         return False
     return True
 
@@ -523,7 +530,7 @@ def induced_paths_between(
     in lexicographic order."""
     if u == v:
         raise GraphError("endpoints must differ")
-    yield from _anchored_paths(g, _Meter(budget or DEFAULT_BUDGET), u, v)
+    yield from _anchored_paths(g, _meter(budget), u, v)
 
 
 def _simple_paths(
@@ -571,7 +578,7 @@ def all_paths_between(
     order."""
     if u == v:
         raise GraphError("endpoints must differ")
-    yield from _simple_paths(g, _Meter(budget or DEFAULT_BUDGET), u, v)
+    yield from _simple_paths(g, _meter(budget), u, v)
 
 
 def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
@@ -620,7 +627,7 @@ def shortest_path(
 
 def induced_cycles(
     g: Graph,
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
     min_len: int = 4,
     max_len: int | None = None,
     parity: int | None = None,
@@ -640,8 +647,7 @@ def induced_cycles(
     with fewer than two neighbours above it is skipped: no hole has it as
     its smallest vertex.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     bits = g.bits
     limit = max_len if max_len is not None else g.n
 
@@ -699,7 +705,7 @@ def induced_cycles(
                         yield (*path, w, c)
 
 
-def squares(g: Graph, budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
+def squares(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[tuple[int, ...]]:
     """Induced 4-cycles in canonical order."""
     return induced_cycles(g, budget, min_len=4, max_len=4)
 
@@ -785,9 +791,8 @@ def graph_isomorphic(g: Graph, h: Graph, budget: Budget | None = None) -> bool:
         return False
     if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
         return False
-    budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "isomorphism test")
-    meter = _Meter(budget)
+    meter = _meter(budget)
+    _check_size(g, meter.budget, "isomorphism test")
 
     def sig(graph: Graph, v: int) -> tuple:
         return (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adj[v])))

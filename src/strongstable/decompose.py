@@ -11,12 +11,12 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Budget,
-    DEFAULT_BUDGET,
     Graph,
     GraphError,
     _Meter,
     _iter_bits,
     _mask_components,
+    _meter,
     components,
     components_within,
     delete_vertices,
@@ -70,10 +70,11 @@ class HypothesisViolationError(RuntimeError):
 # -- minimal separators and clique cutsets -------------------------------------
 
 
-def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset[int]]:
+def minimal_separators(
+    g: Graph, budget: Budget | _Meter | None = None
+) -> list[frozenset[int]]:
     """All minimal vertex separators, by close-separator generation + expansion."""
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     full = g.vertex_set()
     seen: set[frozenset[int]] = set()
     queue: list[frozenset[int]] = []
@@ -119,7 +120,7 @@ def _split_components(comps: list[frozenset[int]]) -> tuple[frozenset[int], froz
 
 
 def find_clique_cutset(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Optional[CliqueCutset]:
     """Some clique cutset if one exists, preferring internal ones.
 
@@ -377,7 +378,7 @@ def grow_square_connected_pair(
     return join
 
 
-def iter_w_joins(g: Graph, budget: Budget | None = None) -> Iterator[WJoin]:
+def iter_w_joins(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[WJoin]:
     """Proper coherent W-joins grown from every square, split into sides
     both ways; seeds that violate the growth hypothesis are skipped."""
     for cyc in squares(g, budget):
@@ -385,7 +386,7 @@ def iter_w_joins(g: Graph, budget: Budget | None = None) -> Iterator[WJoin]:
         for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
             try:
                 wj = grow_square_connected_pair(g, cyc, a_side, b_side)
-            except (HypothesisViolationError, GraphError):
+            except HypothesisViolationError:
                 continue
             yield wj
 
@@ -394,7 +395,7 @@ def iter_w_joins(g: Graph, budget: Budget | None = None) -> Iterator[WJoin]:
 
 
 def internal_clique_cutset_from_deletion(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Optional[CliqueCutset]:
     """Delete all simplicial vertices; lift any clique cutset of the rest.
 

@@ -38,6 +38,7 @@ the first witness is the one the full search finds:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -46,7 +47,6 @@ from typing import Iterator, Optional
 
 from .core import (
     Budget,
-    DEFAULT_BUDGET,
     Graph,
     _Meter,
     _above,
@@ -54,6 +54,7 @@ from .core import (
     _flood,
     _iter_bits,
     _mask_of,
+    _meter,
     complement,
     induced,
     induced_cycles,
@@ -95,20 +96,20 @@ class Innocent:
 # -- individual detectors ------------------------------------------------------
 
 
-def _find_odd_hole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
-    for cycle in induced_cycles(g, budget, min_len=5, parity=1):
+def _find_odd_hole(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
+    for cycle in induced_cycles(g, meter, min_len=5, parity=1):
         return ForbiddenWitness(
             ForbiddenKind.ODD_HOLE, frozenset(cycle), {"cycle": cycle}
         )
     return None
 
 
-def _find_long_antihole(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
+def _find_long_antihole(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
     # each vertex of a k-antihole has k - 3 >= 3 neighbours in it, so every
     # long antihole lies in the 3-core; the id map keeps the order, so the
     # cycles come in the same order as on the whole complement
     sub, ids = induced(g, _iter_bits(_three_core(g.bits)))
-    for cycle in induced_cycles(complement(sub), budget, min_len=6):
+    for cycle in induced_cycles(complement(sub), meter, min_len=6):
         cycle = tuple(ids[v] for v in cycle)
         return ForbiddenWitness(
             ForbiddenKind.LONG_ANTIHOLE, frozenset(cycle), {"cycle": cycle}
@@ -165,8 +166,7 @@ def _corner_reach(bits: tuple[int, ...], t: tuple[int, int, int]) -> tuple[int, 
     return tuple(out)
 
 
-def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
-    meter = _Meter(budget)
+def _find_odd_prism(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
     bits = g.bits
     # path i leaves corner i through a private neighbor: its first interior
     # vertex, or the other triangle's corner i on a length-1 path
@@ -175,10 +175,12 @@ def _find_odd_prism(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
         if _has_private_neighbors(g, t):
             reach = _corner_reach(bits, t)
             tris.append((t, _mask_of(t), reach, reach[0] | reach[1] | reach[2]))
+    # tris is sorted by first corner; a tb with ta's first corner meets ta
+    firsts = [t[0] for t, *_ in tris]
     for ta, amask, areach, afar in tris:
-        for tb, bmask, breach, bfar in tris:
+        for tb, bmask, breach, bfar in tris[bisect.bisect_right(firsts, ta[0]):]:
             meter.tick()
-            if tb[0] < ta[0] or amask & bmask:
+            if amask & bmask:
                 continue
             # every corner ends a path that starts in the other triangle
             if bmask & ~afar or amask & ~bfar:
@@ -273,8 +275,7 @@ def _links(bits: tuple[int, ...], x: int, y: int, room: int) -> bool:
     return bool(_flood(bits, bx & ~by & room, room) & by & ~bx)
 
 
-def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
-    meter = _Meter(budget)
+def _find_eye_mask(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
     bits = g.bits
     cliques4 = (
         (a, b, c, d)
@@ -310,8 +311,7 @@ def _find_eye_mask(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
     return None
 
 
-def _find_handcuff(g: Graph, budget: Budget) -> Optional[ForbiddenWitness]:
-    meter = _Meter(budget)
+def _find_handcuff(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
     bits = g.bits
     edges = [(x, y, (1 << x) | (1 << y)) for x, y in g.edges()]
     # each cycle of a handcuff is an even hole through xy whose other
@@ -399,23 +399,23 @@ _DETECTORS = {
 
 
 def find_structure(
-    g: Graph, kind: ForbiddenKind, budget: Budget | None = None
+    g: Graph, kind: ForbiddenKind, budget: Budget | _Meter | None = None
 ) -> Optional[ForbiddenWitness]:
     """First witness of the requested kind, or None when none is induced in g."""
-    budget = budget or DEFAULT_BUDGET
-    return _DETECTORS[ForbiddenKind(kind)](g, budget)
+    return _DETECTORS[ForbiddenKind(kind)](g, _meter(budget))
 
 
 def innocence_certificate(
     g: Graph, budget: Budget | None = None
 ) -> Innocent | ForbiddenWitness:
-    """Innocent, or the first witness in the fixed kind order."""
-    budget = budget or DEFAULT_BUDGET
+    """Innocent, or the first witness in the fixed kind order; the five
+    searches share one enumeration budget."""
+    meter = _meter(budget)
     for kind in CERTIFICATE_ORDER:
-        w = find_structure(g, kind, budget)
+        w = find_structure(g, kind, meter)
         if w is not None:
             return w
-    return Innocent(budget)
+    return Innocent(meter.budget)
 
 
 def is_innocent(g: Graph, budget: Budget | None = None) -> bool:

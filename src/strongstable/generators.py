@@ -12,9 +12,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Budget, DEFAULT_BUDGET, Graph, GraphError, Multigraph, from_edge_list, line_graph
+from .core import Budget, Graph, GraphError, Multigraph, from_edge_list, line_graph
 from .forbidden import Innocent, innocence_certificate
-from .linegraph import find_bicycle, find_theta
+from .linegraph import is_harmless
 from .recognizers import find_claw
 from .solver import extend_at_simplicial
 
@@ -226,12 +226,9 @@ def repair_to_harmless(
     b: Multigraph, rng: random.Random, budget: Budget | None = None, max_rounds: int = 200
 ) -> Multigraph:
     """Delete witness edges (never bridges when avoidable) until harmless."""
-    budget = budget or DEFAULT_BUDGET
     for _ in range(max_rounds):
-        w = find_theta(b, budget)
-        if w is None:
-            w = find_bicycle(b, budget)
-        if w is None:
+        harmless, w = is_harmless(b, budget)
+        if harmless:
             return b
         victims = w.edges()
         rng.shuffle(victims)
@@ -298,7 +295,6 @@ def random_claw_free_innocent(
     then (at the given rate) smooth cobipartite augments on disjoint flat
     edges; a final detector pass rejects any failure.
     """
-    budget = budget or DEFAULT_BUDGET
     if size < 1:
         raise GraphError("size must be positive")
     rng = random.Random(seed)

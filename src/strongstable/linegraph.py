@@ -13,11 +13,11 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Budget,
-    DEFAULT_BUDGET,
     Graph,
     GraphError,
     Multigraph,
     _Meter,
+    _meter,
     _simple_paths,
     components_within,
     from_edge_list,
@@ -116,7 +116,9 @@ class AugmentationStructure:
 # -- root recovery ----------------------------------------------------------------
 
 
-def recover_root(g: Graph, budget: Budget | None = None) -> Optional[RootRecovery]:
+def recover_root(
+    g: Graph, budget: Budget | _Meter | None = None
+) -> Optional[RootRecovery]:
     """A bipartite multigraph root, or None when no bipartite root exists.
 
     The maximal cliques of the line graph of a triangle-free multigraph are
@@ -126,7 +128,6 @@ def recover_root(g: Graph, budget: Budget | None = None) -> Optional[RootRecover
     exactly when some root is. Twin classes turn into parallel bundles by
     landing in the same pair of cliques.
     """
-    budget = budget or DEFAULT_BUDGET
     if not g.is_connected():
         raise GraphError("root recovery expects a connected graph")
     ends: list[list[int]] = [[] for _ in range(g.n)]
@@ -342,7 +343,9 @@ def _three_disjoint_paths(
     return tuple(out)
 
 
-def find_theta(b: Multigraph, budget: Budget | None = None) -> Optional[ThetaWitness]:
+def find_theta(
+    b: Multigraph, budget: Budget | _Meter | None = None
+) -> Optional[ThetaWitness]:
     """Two vertices joined by three even, internally disjoint paths of length
     at least two; a subgraph search, so chords and parallel edges are moot.
 
@@ -350,8 +353,7 @@ def find_theta(b: Multigraph, budget: Budget | None = None) -> Optional[ThetaWit
     unit-capacity flow decides three-disjoint-paths exactly; otherwise a
     parity-tracked exhaustive search runs under the budget.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     u = b.underlying_simple()
     branch = [v for v in range(u.n) if u.degree(v) >= 3]
     sides = b.bipartition()
@@ -382,14 +384,15 @@ def find_theta(b: Multigraph, budget: Budget | None = None) -> Optional[ThetaWit
     return None
 
 
-def find_bicycle(b: Multigraph, budget: Budget | None = None) -> Optional[BicycleWitness]:
+def find_bicycle(
+    b: Multigraph, budget: Budget | _Meter | None = None
+) -> Optional[BicycleWitness]:
     """Two vertex-disjoint even cycles joined by an even path.
 
     Length-zero connections (the cycles share exactly one vertex) are
     returned with ``shared_vertex=True`` and a single-vertex path.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     u = b.underlying_simple()
     sides = b.bipartition()
     left = sides[0] if sides is not None else None
@@ -439,10 +442,11 @@ def is_harmless(
     b: Multigraph, budget: Budget | None = None
 ) -> tuple[bool, Optional[ThetaWitness | BicycleWitness]]:
     """Neither a theta nor a bicycle occurs as a subgraph."""
-    w = find_theta(b, budget)
+    meter = _meter(budget)
+    w = find_theta(b, meter)
     if w is not None:
         return False, w
-    w2 = find_bicycle(b, budget)
+    w2 = find_bicycle(b, meter)
     if w2 is not None:
         return False, w2
     return True, None
@@ -452,7 +456,7 @@ def is_harmless(
 
 
 def suitable_matching(
-    b: Multigraph, forced: Iterable[int] = (), budget: Budget | None = None
+    b: Multigraph, forced: Iterable[int] = (), budget: Budget | _Meter | None = None
 ) -> Optional[SuitableMatching]:
     """A matching containing ``forced`` covering every degree->=2 vertex, or
     None exactly when no such matching exists (bipartite hosts).
@@ -463,8 +467,7 @@ def suitable_matching(
     vertices (forced endpoints and already-processed requirements) never
     lose coverage, so the greedy pass is exact.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     if b.bipartition() is None:
         raise GraphError("suitable_matching requires a bipartite host")
     forced = frozenset(forced)
@@ -481,10 +484,6 @@ def suitable_matching(
     required = sorted({v for v in range(b.n) if b.degree(v) >= 2} | set(match))
     committed: set[int] = set(match)
     incident = [b.incident(v) for v in range(b.n)]
-
-    def other(e: int, v: int) -> int:
-        x, y = b.edges[e]
-        return y if x == v else x
 
     def apply_path(parent: dict[int, tuple[int, int]], end: int, t: int) -> None:
         hops: list[tuple[int, int, int]] = []  # (parent, child, edge), end first
@@ -515,7 +514,7 @@ def suitable_matching(
                 for e in incident[v]:
                     if e in forced or match.get(v) == e:
                         continue
-                    w = other(e, v)
+                    w = other_end(b, e, v)
                     if w in seen:
                         continue
                     seen.add(w)
@@ -526,7 +525,7 @@ def suitable_matching(
                     f = match[w]
                     if f in forced:
                         continue
-                    x = other(f, w)
+                    x = other_end(b, f, w)
                     if x in seen:
                         continue
                     if x not in committed:
@@ -721,7 +720,7 @@ def _contract_pair(
 
 
 def detect_smooth_augmentation(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Optional[AugmentationStructure]:
     """Express g as a smooth augmentation of the line graph of a bipartite
     multigraph, when the candidate search can see how.
@@ -730,19 +729,15 @@ def detect_smooth_augmentation(
     each is contracted to a flat marker edge and the remainder is handed to
     root recovery. Failure means "not recognized", never a refutation.
     """
-    budget = budget or DEFAULT_BUDGET
     if not g.is_connected():
         raise GraphError("smooth augmentation detection expects a connected graph")
-    meter = _Meter(budget)
+    meter = _meter(budget)
     augments: list[tuple[frozenset[int], frozenset[int]]] = []
 
     def attempt(cur: Graph, origin: list) -> Optional[AugmentationStructure]:
         meter.tick()
         frozen = frozenset(i for i, o in enumerate(origin) if isinstance(o, tuple))
-        try:
-            rr = recover_root(cur, budget)
-        except GraphError:
-            rr = None
+        rr = recover_root(cur, meter) if cur.is_connected() else None
         if rr is not None:
             return _assemble(g, rr, origin, augments)
         for xs, ys in _augment_candidates(cur, frozen, meter):

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Budget,
-    DEFAULT_BUDGET,
     Graph,
     GraphError,
     _Meter,
@@ -22,6 +21,7 @@ from .core import (
     _anchored_paths,
     _iter_bits,
     _mask_of,
+    _meter,
     induced_cycles,
     two_coloring,
 )
@@ -292,9 +292,8 @@ def chain_order(
     return tuple(sorted(a, key=lambda u: (len(nb[u]), u)))
 
 
-def find_clowns(g: Graph, budget: Budget | None = None) -> Iterator[Clown]:
+def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clown]:
     """All clowns: even holes plus a hat seeing exactly two consecutive vertices."""
-    budget = budget or DEFAULT_BUDGET
     for hole in induced_cycles(g, budget, min_len=4, parity=0):
         k = len(hole)
         members = frozenset(hole)
@@ -315,23 +314,23 @@ def find_clowns(g: Graph, budget: Budget | None = None) -> Iterator[Clown]:
 
 
 def _odd_pair_witness(
-    g: Graph, u: int, v: int, budget: Budget
+    g: Graph, u: int, v: int, meter: _Meter
 ) -> Optional[tuple[int, ...]]:
     """An odd path between u and v, or None when {u, v} is an even pair."""
     if g.has_edge(u, v):
         return (u, v)
-    return next(_anchored_paths(g, _Meter(budget), u, v, parity=1), None)
+    return next(_anchored_paths(g, meter, u, v, parity=1), None)
 
 
 def is_consistent_set(
     g: Graph,
     z: Iterable[int],
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether every pair of z is an even pair; on failure, a violating path."""
-    budget = budget or DEFAULT_BUDGET
+    meter = _meter(budget)
     for u, v in itertools.combinations(sorted(frozenset(z)), 2):
-        witness = _odd_pair_witness(g, u, v, budget)
+        witness = _odd_pair_witness(g, u, v, meter)
         if witness is not None:
             return False, witness
     return True, None
@@ -340,7 +339,7 @@ def is_consistent_set(
 def is_safe_vertex(
     g: Graph,
     v: int,
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
 ) -> tuple[bool, Optional[tuple[Clown, tuple[int, ...]]]]:
     """Simplicial, and every qualifying path to a clown hat is odd.
 
@@ -350,17 +349,17 @@ def is_safe_vertex(
     The paths are enumerated on g itself, their interiors kept off the hole
     and its neighbours.
     """
-    budget = budget or DEFAULT_BUDGET
     if not is_simplicial_vertex(g, v):
         return False, None
-    for clown in find_clowns(g, budget):
+    meter = _meter(budget)
+    for clown in find_clowns(g, meter):
         h = clown.hat
         if v == h:
             return False, (clown, (v,))
         hole = frozenset(clown.cycle)
         if v in hole or g.adj[v] & hole:
             continue  # no path from v qualifies
-        for p in _anchored_paths(g, _Meter(budget), v, h, hole, hole, parity=0):
+        for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
             return False, (clown, p)
     return True, None
 
@@ -436,7 +435,7 @@ def _has_stable_four(g: Graph) -> bool:
 
 
 def peculiar_structure(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Optional[PeculiarParts]:
     """Search for a peculiar 9-part assignment by label backtracking.
 
@@ -444,12 +443,11 @@ def peculiar_structure(
     stable set of four vertices) gate the exponential search; rotation
     symmetry is cut by pinning vertex 0 to one of a1, b1, k1.
     """
-    budget = budget or DEFAULT_BUDGET
     if g.n < 6 or not g.is_connected():
         return None
     if min(g.degree(v) for v in range(g.n)) < 4 or _has_stable_four(g):
         return None
-    meter = _Meter(budget)
+    meter = _meter(budget)
     n, bits = g.n, g.bits
     # part[p]: the vertices labelled p so far; see[p] / miss[p]: the labelled
     # vertices a vertex labelled p must be adjacent / non-adjacent to

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Optional
 
 from .core import (
     Budget,
-    DEFAULT_BUDGET,
     BudgetExceededError,
     Graph,
     GraphError,
@@ -35,6 +34,7 @@ from .core import (
     _check_size,
     _iter_bits,
     _mask_of,
+    _meter,
     components,
     components_within,
     from_edge_list,
@@ -93,8 +93,9 @@ class SolveResult:
     trace: tuple[BranchRecord, ...]
 
 
-class CaseNotApplicable(Exception):
-    """Internal: the current branch does not apply to this instance."""
+class CaseNotApplicable(GraphError):
+    """The instance is out of a branch's scope: the cascade's one signal to
+    try the next branch (any other error from a branch propagates)."""
 
 
 class _SubInstanceInfeasible(Exception):
@@ -110,22 +111,21 @@ class _SubInstanceInfeasible(Exception):
 
 
 def brute_force(
-    g: Graph, z: Iterable[int] = (), budget: Budget | None = None
+    g: Graph, z: Iterable[int] = (), budget: Budget | _Meter | None = None
 ) -> Optional[frozenset[int]]:
     """Lexicographically smallest strong stable set containing z, or None.
 
     Stable supersets of z are enumerated in sorted-tuple order and tested
     against the maximal cliques; absence is therefore verified.
     """
-    budget = budget or DEFAULT_BUDGET
-    _check_size(g, budget, "brute force")
-    meter = _Meter(budget)
+    meter = _meter(budget)
+    _check_size(g, meter.budget, "brute force")
     z = frozenset(z)
     if not z <= g.vertex_set():
         raise GraphError("prescribed vertices out of range")
     if not g.is_stable(z):
         return None
-    cliques = list(iter_maximal_cliques(g, budget))
+    cliques = list(iter_maximal_cliques(g, meter))
 
     def is_strong(s: frozenset[int]) -> bool:
         return all(s & k for k in cliques)
@@ -283,7 +283,7 @@ def solve_cobipartite(
     z = frozenset(z)
     part = cobipartite_partition(g)
     if part is None:
-        raise GraphError("graph is not cobipartite")
+        raise CaseNotApplicable("graph is not cobipartite")
     if g.is_complete():
         if len(z) > 1:
             raise GraphError("prescribed set is not stable")
@@ -293,7 +293,7 @@ def solve_cobipartite(
     if not z:
         pair = find_cosimplicial_nonedge(g)
         if pair is None:
-            raise GraphError("no cosimplicial non-edge; host out of scope")
+            raise CaseNotApplicable("no cosimplicial non-edge; host out of scope")
         return frozenset(pair)
     if len(z) == 2:
         u, v = sorted(z)
@@ -301,7 +301,7 @@ def solve_cobipartite(
             raise GraphError("prescribed set is not stable")
         pair = find_cosimplicial_nonedge(g, (u, v))
         if pair is None:
-            raise GraphError("prescribed pair is not a cosimplicial non-edge")
+            raise CaseNotApplicable("prescribed pair is not a cosimplicial non-edge")
         return z
     (a,) = z
     if g.degree(a) == g.n - 1:
@@ -310,11 +310,11 @@ def solve_cobipartite(
     b2 = bside - g.adj[a]
     order = chain_order(g, b2, aside)
     if order is None:
-        raise GraphError("crossing squares on the far side; host out of scope")
+        raise CaseNotApplicable("crossing squares on the far side; host out of scope")
     b = order[-1]
     pair = find_cosimplicial_nonedge(g, (a, b))
     if pair is None:
-        raise GraphError("chain maximum is not cosimplicial; host out of scope")
+        raise CaseNotApplicable("chain maximum is not cosimplicial; host out of scope")
     return frozenset({a, b})
 
 
@@ -326,7 +326,7 @@ def solve_peculiar(g: Graph, parts: PeculiarParts) -> frozenset[int]:
     sub, mapping = induced(g, parts.a1 | parts.b2)
     pair = find_cosimplicial_nonedge(sub)
     if pair is None:
-        raise GraphError("no cosimplicial non-edge across the pair; host out of scope")
+        raise CaseNotApplicable("no cosimplicial non-edge across the pair; host out of scope")
     return frozenset({mapping[pair[0]], mapping[pair[1]]})
 
 
@@ -334,7 +334,7 @@ def solve_linear_interval(
     g: Graph,
     z: Iterable[int],
     order: LinearIntervalOrder | Iterable[int],
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
 ) -> frozenset[int]:
     """Strong stable set containing z for a linear interval graph.
 
@@ -343,8 +343,7 @@ def solve_linear_interval(
     vertex is cut away, the prescribed end is transplanted onto the cut
     point, and the first vertex rejoins the solution of the remaining suffix.
     """
-    budget = budget or DEFAULT_BUDGET
-    meter = _Meter(budget)
+    meter = _meter(budget)
     seq = tuple(order.order if isinstance(order, LinearIntervalOrder) else order)
     if not check_linear_interval_order(g, seq):
         raise GraphError("not a valid linear interval order")
@@ -399,16 +398,16 @@ def solve_linear_interval(
                 active = active[:1] + active[2:]
                 continue
             if zz & set(active[1:idx]):
-                raise GraphError("prescribed vertex inside the cut prefix; host out of scope")
+                raise CaseNotApplicable("prescribed vertex inside the cut prefix; host out of scope")
             lifts.append((first, True))
             active, zz = active[idx:], (zz - {first}) | {v_i}
         for v, forced in reversed(lifts):
             s = s | {v} if forced else _lift_simplicial(g, v, s)
         res |= s
-    if not is_strong_stable_set(g, res, budget):
-        raise GraphError("construction failed; host out of scope")
+    if not is_strong_stable_set(g, res, meter):
+        raise CaseNotApplicable("construction failed; host out of scope")
     if not z <= res:
-        raise GraphError("construction lost a prescribed vertex; host out of scope")
+        raise CaseNotApplicable("construction lost a prescribed vertex; host out of scope")
     return res
 
 
@@ -510,7 +509,7 @@ def combine_one_join(
     j: OneJoin,
     z: Iterable[int],
     subsolver: SubSolver,
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
 ) -> frozenset[int]:
     """Strong stable set through a 1-join.
 
@@ -521,13 +520,13 @@ def combine_one_join(
     Small joins: the two-vertex side contributes its far vertex directly and
     the big side is solved with an interface vertex prescribed.
     """
-    budget = budget or DEFAULT_BUDGET
+    meter = _meter(budget)
     z = frozenset(z)
     if z & (j.a1 | j.a2):
         raise CaseNotApplicable("prescribed vertex on the interface")
     if j.rich:
-        p1 = _side_parity(g, j.v1, j.a1, j.v1 - j.a1, min(j.a2), budget)
-        p2 = _side_parity(g, j.v2, j.a2, j.v2 - j.a2, min(j.a1), budget)
+        p1 = _side_parity(g, j.v1, j.a1, j.v1 - j.a1, min(j.a2), meter)
+        p2 = _side_parity(g, j.v2, j.a2, j.v2 - j.a2, min(j.a1), meter)
         if p1 is None or p2 is None or p1 == p2:
             raise CaseNotApplicable("parity analysis inapplicable")
         s1 = _solve_with_apex(g, j.v1, j.a1, z & j.v1, subsolver, p1 == 1)
@@ -550,7 +549,7 @@ def combine_one_join(
             except CaseNotApplicable:
                 continue
             cand = s | {b1}
-            if z <= cand and is_strong_stable_set(g, cand, budget):
+            if z <= cand and is_strong_stable_set(g, cand, meter):
                 return cand
     raise CaseNotApplicable("small-join construction did not verify")
 
@@ -561,7 +560,7 @@ def _side_parity(
     interface: frozenset[int],
     far: frozenset[int],
     anchor: int,
-    budget: Budget,
+    meter: _Meter,
 ) -> Optional[int]:
     """Parity of a shortest qualifying path from the opposite anchor into
     this side, ending at an even hole or a simplicial far vertex."""
@@ -573,7 +572,7 @@ def _side_parity(
             return None
         return (len(path) - 1) % 2
     sub, mapping = induced(g, verts)
-    for cyc in induced_cycles(sub, budget, min_len=4, parity=0):
+    for cyc in induced_cycles(sub, meter, min_len=4, parity=0):
         hole = frozenset(mapping[v] for v in cyc)
         if g.adj[anchor] & hole:
             return 1  # zero-length qualifying path, plus the step onto the hole
@@ -590,9 +589,8 @@ def _side_parity(
 
 
 class _Ctx:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.meter = _Meter(budget)
+    def __init__(self, meter: _Meter):
+        self.meter = meter
         self.trace: list[BranchRecord] = []
         self.fallback = False
 
@@ -604,19 +602,19 @@ class _Ctx:
 
 
 def validate_prescribed(
-    g: Graph, z: frozenset[int], budget: Budget | None = None
+    g: Graph, z: frozenset[int], budget: Budget | _Meter | None = None
 ) -> None:
     """Raise unless z is a consistent set of safe vertices."""
-    budget = budget or DEFAULT_BUDGET
+    meter = _meter(budget)
     if not z <= g.vertex_set():
         raise GraphError("prescribed vertices out of range")
     if not g.is_stable(z):
         raise GraphError("prescribed set is not stable")
     for v in sorted(z):
-        ok, witness = is_safe_vertex(g, v, budget)
+        ok, witness = is_safe_vertex(g, v, meter)
         if not ok:
             raise GraphError(f"prescribed vertex {v} is not safe ({witness})")
-    ok, witness = is_consistent_set(g, z, budget)
+    ok, witness = is_consistent_set(g, z, meter)
     if not ok:
         raise GraphError(f"prescribed set is not consistent (odd path {witness})")
 
@@ -630,24 +628,27 @@ def solve(
     """Structure-guided strong-stable-set search; see the module docstring.
 
     Unless ``trusted``, z is first validated as a consistent set of safe
-    vertices (with a budget separate from the solve itself).
+    vertices. Validation, the cascade, the root check and any brute force
+    all draw on one enumeration meter.
     """
-    budget = budget or DEFAULT_BUDGET
+    meter = _meter(budget)
     z = frozenset(z)
+    if not z <= g.vertex_set():
+        raise GraphError("prescribed vertices out of range")
     if not trusted and z:
-        validate_prescribed(g, z, budget)
-    ctx = _Ctx(budget)
+        validate_prescribed(g, z, meter)
+    ctx = _Ctx(meter)
     try:
         try:
             s = _solve(ctx, g, z)
-            if z <= s and is_strong_stable_set(g, s, budget):
+            if z <= s and is_strong_stable_set(g, s, meter):
                 status = SolveStatus.FALLBACK_FOUND if ctx.fallback else SolveStatus.FOUND
                 return SolveResult(status, s, tuple(ctx.trace))
             ctx.record("verify-failed", failed_branch=ctx.trace[-1].branch, n=g.n)
-            s = brute_force(g, z, budget)
+            s = brute_force(g, z, meter)
         except _SubInstanceInfeasible as e:
             # unless (g, z) itself was the instance brute-forced
-            s = None if (e.g, e.z) == (g, z) else brute_force(g, z, budget)
+            s = None if (e.g, e.z) == (g, z) else brute_force(g, z, meter)
     except BudgetExceededError:
         ctx.record("budget")
         return SolveResult(SolveStatus.BUDGET, None, tuple(ctx.trace))
@@ -670,18 +671,19 @@ def _branch(name: str):
 def _solve(
     ctx: _Ctx, g: Graph, z: frozenset[int], skip: str | None = None
 ) -> frozenset[int]:
-    """The first branch that applies, other than ``skip``, else brute force."""
+    """The first branch that applies, other than ``skip``, else brute force;
+    none applies to a z that is not stable (a trusted z may not be)."""
     ctx.meter.tick()
-    for name, fn in _BRANCHES:
+    for name, fn in _BRANCHES if g.is_stable(z) else ():
         if name == skip:
             continue
         try:
             s = fn(ctx, g, z)
-        except (CaseNotApplicable, GraphError):
+        except CaseNotApplicable:
             continue
         ctx.record(name, n=g.n, size=len(s))
         return s
-    s = brute_force(g, z, ctx.budget)
+    s = brute_force(g, z, ctx.meter)
     ctx.fallback = True
     if s is None:
         raise _SubInstanceInfeasible(g, z)
@@ -761,7 +763,7 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("cobipartite")
 def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    return solve_cobipartite(g, z, ctx.budget)  # GraphError unless cobipartite
+    return solve_cobipartite(g, z)
 
 
 @_branch("linear-interval")
@@ -774,15 +776,15 @@ def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset
     order = linear_interval_order(g)
     if order is None:
         raise CaseNotApplicable
-    return solve_linear_interval(g, z, order, ctx.budget)
+    return solve_linear_interval(g, z, order, ctx.meter)
 
 
 @_branch("w-join")
 def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    for wj in iter_w_joins(g, ctx.budget):
+    for wj in iter_w_joins(g, ctx.meter):
         try:
             return combine_w_join(g, wj, z, ctx.subsolver)
-        except (CaseNotApplicable, GraphError):
+        except CaseNotApplicable:
             continue
     raise CaseNotApplicable
 
@@ -792,16 +794,16 @@ def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     j = find_one_join(g)
     if j is None:
         raise CaseNotApplicable
-    return combine_one_join(g, j, z, ctx.subsolver, ctx.budget)
+    return combine_one_join(g, j, z, ctx.subsolver, ctx.meter)
 
 
 @_branch("line-graph")
 def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    rr = recover_root(g, ctx.budget)
+    rr = recover_root(g, ctx.meter)
     if rr is None:
         raise CaseNotApplicable
     forced = frozenset(rr.edge_map[v] for v in z)
-    m = suitable_matching(rr.root, forced, ctx.budget)
+    m = suitable_matching(rr.root, forced, ctx.meter)
     if m is None:
         raise CaseNotApplicable
     inverse = {e: v for v, e in enumerate(rr.edge_map)}
@@ -810,7 +812,7 @@ def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
 
 @_branch("augmentation")
 def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    st = detect_smooth_augmentation(g, ctx.budget)
+    st = detect_smooth_augmentation(g, ctx.meter)
     if st is None or not st.augments:
         raise CaseNotApplicable
     for (ex, ey), xt, yt, cross in st.augments:
@@ -818,7 +820,7 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
         if z & (xs | ys):
             continue
         sub, _ = induced(g, xs | ys)
-        if any(True for _ in squares(sub, ctx.budget)):
+        if any(True for _ in squares(sub, ctx.meter)):
             continue  # square case belongs to the W-join branch
         u = next((x for x in sorted(xs) if ys <= g.adj[x]), None)
         v = next((y for y in sorted(ys) if xs <= g.adj[y]), None)
@@ -833,7 +835,7 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
 def _branch_peculiar(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     if z:
         raise CaseNotApplicable("peculiar graphs have no simplicial vertices")
-    parts = peculiar_structure(g, ctx.budget)
+    parts = peculiar_structure(g, ctx.meter)
     if parts is None:
         raise CaseNotApplicable
     return solve_peculiar(g, parts)

@@ -10,7 +10,11 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
+from strongstable import cli, core
 from strongstable.core import Budget, complement, is_strong_stable_set, line_graph
+from strongstable.forbidden import innocence_certificate
 from strongstable.forbidden import ForbiddenKind, find_structure, is_innocent, verify_witness
 from strongstable.generators import (
     bicycle,
@@ -314,3 +318,28 @@ def test_default_budget_solves_innocent_graphs_above_the_vertex_cap():
         res = solve(g, budget=Budget())
         assert res.status == SolveStatus.FOUND, (g.n, res.trace)
         assert is_strong_stable_set(g, res.s, Budget())
+
+
+@pytest.mark.parametrize("call", ["solve", "prescribed", "certify", "check"])
+def test_one_meter_per_public_call(call, monkeypatch, tmp_path):
+    # one enumeration meter per public call: every layer (validation, each
+    # cascade branch, the root check, each of the five detectors) draws on it
+    built = []
+    init = core._Meter.__init__
+
+    def counted(self, budget):
+        built.append(budget)
+        init(self, budget)
+
+    monkeypatch.setattr(core._Meter, "__init__", counted)
+    if call == "solve":
+        solve(cycle(30))
+    elif call == "prescribed":
+        solve(path(9), {0, 8})  # validated: both ends safe, an even pair
+    elif call == "certify":
+        innocence_certificate(cycle(6))
+    else:
+        p = tmp_path / "c6.txt"
+        p.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        assert cli.main(["check", "--json", str(p)]) == 0
+    assert len(built) == 1

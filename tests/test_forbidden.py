@@ -368,6 +368,19 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             find_structure(complete(200), ForbiddenKind.EYE_MASK, Budget(max_enumerations=1000))
 
+    def test_odd_prism_ticks_each_triangle_pair_once(self):
+        # 20 disjoint nets (a triangle with a pendant at each corner) keep 20
+        # triangles and hold no prism: one tick per triangle and one per
+        # unordered pair, 20 + 190, where every ordered pair would take 400
+        edges = []
+        for i in range(0, 120, 6):
+            edges += [(i, i + 1), (i + 1, i + 2), (i, i + 2)]
+            edges += [(i, i + 3), (i + 1, i + 4), (i + 2, i + 5)]
+        nets = from_edge_list(120, edges)
+        assert find_structure(nets, ForbiddenKind.ODD_PRISM, Budget(max_enumerations=210)) is None
+        with pytest.raises(BudgetExceededError):
+            find_structure(nets, ForbiddenKind.ODD_PRISM, Budget(max_enumerations=209))
+
     def test_enumeration_gate(self):
         g = complete(12)
         with pytest.raises(BudgetExceededError):

@@ -162,6 +162,10 @@ class TestSolveBasics:
         # an odd hole is answered only by the brute-force fallback
         res = solve(cycle(7), budget=Budget(max_vertices=24, max_enumerations=2))
         assert res.status == SolveStatus.BUDGET and res.s is None
+        # every layer of the cascade draws on the one cap of the call: this
+        # even hole takes 94 ticks in all, and no single layer more than 60
+        res = solve(cycle(30), budget=Budget(max_vertices=31, max_enumerations=60))
+        assert res.status == SolveStatus.BUDGET and res.s is None
 
     def test_infeasible_root_searched_once(self, monkeypatch):
         calls = []
@@ -192,6 +196,27 @@ class TestSolveBasics:
         assert res.status == SolveStatus.FALLBACK_FOUND
         assert res.s == brute_force(cycle(4))
         assert [r.branch for r in res.trace][-2:] == ["verify-failed", "brute-force"]
+
+    def test_branch_error_propagates(self, monkeypatch):
+        # only CaseNotApplicable sends the cascade to the next branch; any
+        # other error from a branch is a fault and reaches the caller
+        def broken(ctx, g, z):
+            raise GraphError("broken branch")
+
+        branches = [
+            (name, broken if name == "cobipartite" else fn) for name, fn in solver._BRANCHES
+        ]
+        monkeypatch.setattr(solver, "_BRANCHES", branches)
+        with pytest.raises(GraphError, match="broken branch"):
+            solve(cycle(4))
+
+    def test_trusted_prescription_not_stable_or_out_of_range(self):
+        # no branch applies to a z that is not stable; brute force refutes it
+        res = solve(cycle(4), {0, 1}, trusted=True)
+        assert res.status == SolveStatus.NONE_EXISTS
+        assert [r.branch for r in res.trace] == ["brute-force"]
+        with pytest.raises(GraphError, match="out of range"):
+            solve(cycle(6), {99}, trusted=True)
 
     def test_one_strong_set_check_per_solve(self, monkeypatch):
         calls = []
