@@ -272,10 +272,7 @@ def _cmd_decompose(args) -> int:
         if cut
         else None
     )
-    try:
-        lifted = internal_clique_cutset_from_deletion(g, meter)
-    except GraphError:
-        lifted = None
+    lifted = internal_clique_cutset_from_deletion(g, meter)
     report["lifted_internal_cutset"] = (
         {
             "clique": sorted(lifted.k),

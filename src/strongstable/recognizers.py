@@ -19,7 +19,9 @@ from .core import (
     _Meter,
     _above,
     _anchored_paths,
+    _flood,
     _iter_bits,
+    _mask_components,
     _mask_of,
     _meter,
     induced_cycles,
@@ -107,21 +109,6 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 def is_simplicial_vertex(g: Graph, v: int) -> bool:
     return g.is_clique(g.adj[v])
-
-
-def is_simplicial_edge(g: Graph, u: int, v: int) -> bool:
-    """Edge uv with every neighbor of u adjacent to every neighbor of v.
-
-    Pairs are compared outside {u, v} and a shared neighbor trivially
-    satisfies its own pair.
-    """
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    for x in g.adj[u] - {v}:
-        for y in g.adj[v] - {u}:
-            if x != y and not g.has_edge(x, y):
-                return False
-    return True
 
 
 def is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
@@ -364,16 +351,6 @@ def is_safe_vertex(
     return True, None
 
 
-def is_simplicial_clique(g: Graph, k: Iterable[int]) -> bool:
-    """Non-empty clique whose members' outside neighborhoods are cliques."""
-    k = frozenset(k)
-    if not k:
-        raise GraphError("simplicial clique must be non-empty")
-    if not g.is_clique(k):
-        raise GraphError("input is not a clique")
-    return all(g.is_clique(g.adj[v] - k) for v in k)
-
-
 # -- peculiar structure ------------------------------------------------------
 
 # part indices: 0..2 = a1..a3, 3..5 = b1..b3, 6..8 = k1..k3
@@ -417,67 +394,82 @@ def verify_peculiar(g: Graph, parts: PeculiarParts) -> bool:
     )
 
 
-def _has_stable_four(g: Graph) -> bool:
-    """Whether g has four pairwise non-adjacent vertices. A peculiar graph has
-    none: a stable set meeting two K parts lies in K1 | K2 | K3, one meeting
-    only K_i has one more, in the clique A_i | B_i, and one in A | B is at
-    most a free pair."""
-    bits = g.bits
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        far_u = full & ~bits[u] & ~(1 << u)
-        for v in _iter_bits(far_u & ~((2 << u) - 1)):
-            far = far_u & ~bits[v] & ~(1 << v)
-            for w in _iter_bits(far):
-                if far & ~bits[w] & ~(1 << w):
-                    return True
-    return False
-
-
 def peculiar_structure(
     g: Graph, budget: Budget | _Meter | None = None
 ) -> Optional[PeculiarParts]:
-    """Search for a peculiar 9-part assignment by label backtracking.
+    """The nine parts of g when g is peculiar, else None, read off the
+    complement H. By ``_RELATION`` the only edges of H are k_i-k_j (i != j),
+    k_i-(a_i | b_i) and the free pairs a_i-b_{i+1}, indices mod 3. Hence:
 
-    Quick necessary conditions (connected, n >= 6, min degree >= 4, no
-    stable set of four vertices) gate the exponential search; rotation
-    symmetry is cut by pinning vertex 0 to one of a1, b1, k1.
+    - every non-empty k_i is one class of true twins of g;
+    - every triangle of H has one vertex in each k_i, so the first one fixes
+      K; with none, at most two k_i are non-empty and H is bipartite;
+    - S3 acts on the indices (a reflection also swaps a_i with b_{-i}), so
+      the guesses at K are that triangle's three twin classes, or else the
+      empty K, each twin class and each anticomplete pair of them that
+      split their component of H, as a k part then does;
+    - a vertex outside K lies in a_i | b_i for the i whose k_i it misses, or
+      for an empty k_i when it sees every non-empty one;
+    - the components of H - K are the free pairs' bipartite graphs.
+
+    Each guess ticks the meter once, and a labelling is returned only if
+    ``verify_peculiar`` passes.
     """
-    if g.n < 6 or not g.is_connected():
+    meter, n, bits = _meter(budget), g.n, g.bits
+    full = (1 << n) - 1
+    co = [full ^ b ^ (1 << v) for v, b in enumerate(bits)]
+    twins: dict[int, int] = {}  # closed neighbourhood -> its class mask
+    for v, b in enumerate(bits):
+        twins[b | 1 << v] = twins.get(b | 1 << v, 0) | 1 << v
+    triangle = next(((u, v, w) for u in range(n) for v in _iter_bits(co[u] & _above(u))
+                     for w in _iter_bits(co[u] & co[v] & _above(v))), None)
+    if triangle is not None:
+        guesses = [tuple(twins[bits[v] | 1 << v] for v in triangle)]
+    elif two_coloring(co) is None:
         return None
-    if min(g.degree(v) for v in range(g.n)) < 4 or _has_stable_four(g):
-        return None
-    meter = _meter(budget)
-    n, bits = g.n, g.bits
-    # part[p]: the vertices labelled p so far; see[p] / miss[p]: the labelled
-    # vertices a vertex labelled p must be adjacent / non-adjacent to
-    part = see = miss = (0,) * 9
-    frames = []  # per labelled vertex: its untried labels and the masks before it
-    tries: Iterator[int] = iter((0, 3, 6))
-    meter.tick()
-    while True:
-        v = len(frames)
-        for lab in tries:
-            if see[lab] & ~bits[v] or miss[lab] & bits[v]:
-                continue
-            frames.append((tries, part, see, miss))
-            bit, rel = 1 << v, _RELATION[lab]
-            part = part[:lab] + (part[lab] | bit,) + part[lab + 1:]
-            see = tuple(m | bit if r == "edge" else m for m, r in zip(see, rel))
-            miss = tuple(m | bit if r == "non" else m for m, r in zip(miss, rel))
-            break
-        else:
-            if not frames:
-                return None
-            tries, part, see, miss = frames.pop()
-            continue
+    else:  # a k part splits its component of H into two with an edge
+        ks = [c for c in twins.values() if sum(
+            m & m - 1 > 0 for m in _mask_components(co, _flood(co, c, full) & ~c)) >= 2]
+        guesses = [(), *((c,) for c in ks), *(
+            (c, d) for c, d in itertools.combinations(ks, 2) if co[c.bit_length() - 1] & d)]
+    for k in guesses:
         meter.tick()
-        if v + 1 < n:
-            tries = iter(range(9))
+        parts = _peculiar_around(co, k + (0,) * (3 - len(k)))
+        if parts is not None and verify_peculiar(g, parts):
+            return parts
+    return None
+
+
+def _peculiar_around(co: list[int], k: tuple[int, ...]) -> Optional[PeculiarParts]:
+    """Unverified parts around the k parts k, from the complement masks co.
+
+    Each component of H - K with an edge goes to a free pair a_p, b_{p+1}
+    that its sides' indices allow, the most constrained first, to a pair not
+    yet taken when it can (the allowed pair sets are nested or disjoint). A
+    lone vertex goes to a_i for its smallest allowed i."""
+    rest = ((1 << len(co)) - 1) & ~(k[0] | k[1] | k[2])
+    sub = [m & rest if rest >> v & 1 else 0 for v, m in enumerate(co)]
+    zero = two_coloring(sub)
+    if zero is None:
+        return None
+    zero, empty = _mask_of(zero), sum(1 << i for i in range(3) if not k[i])
+    ab, placements = [0] * 6, []  # a1..a3, b1..b3; options per component with an edge
+    for comp in _mask_components(sub, rest):
+        sides, idx = (comp & zero, comp & ~zero), [7, 7]
+        for s, side in enumerate(sides):
+            for v in _iter_bits(side):
+                idx[s] &= sum(1 << i for i in range(3) if co[v] & k[i]) or empty
+        if not sides[1] and idx[0]:
+            ab[(idx[0] & -idx[0]).bit_length() - 1] |= comp
             continue
-        # every pair has its relation; left: a_i, b_i non-empty, free pairs not complete
-        if all(part[:6]) and all(
-            any(part[q] & ~bits[u] for u in _iter_bits(part[p])) for p, q in _FREE_PAIRS
-        ):
-            return PeculiarParts(*(frozenset(_iter_bits(m)) for m in part))
-        tries, part, see, miss = frames.pop()
+        placements.append([(p, sides[s], sides[1 - s]) for s in range(2) for p in range(3)
+                           if idx[s] >> p & 1 and idx[1 - s] >> (p + 1) % 3 & 1])
+    taken: set[int] = set()
+    for options in sorted(placements, key=lambda o: len({p for p, _, _ in o})):
+        if not options:
+            return None
+        p, x, y = next((o for o in options if o[0] not in taken), options[0])
+        taken.add(p)
+        ab[p] |= x
+        ab[3 + (p + 1) % 3] |= y
+    return PeculiarParts(*(frozenset(_iter_bits(m)) for m in ab + list(k)))

@@ -270,9 +270,7 @@ def extend_at_simplicial(
 # -- closed-form cases ---------------------------------------------------------------
 
 
-def solve_cobipartite(
-    g: Graph, z: Iterable[int] = (), budget: Budget | None = None
-) -> frozenset[int]:
+def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> frozenset[int]:
     """A two-vertex (or smaller) strong stable set of a cobipartite graph
     containing z, via a cosimplicial non-edge.
 

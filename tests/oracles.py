@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from strongstable.core import Graph, complement, from_edge_list, induced
+from strongstable.core import Graph, GraphError, complement, from_edge_list, induced
 
 
 def subsets(items, min_size=0, max_size=None):
@@ -195,6 +195,31 @@ def naive_is_consistent_set(g: Graph, z) -> bool:
     )
 
 
+def is_simplicial_edge(g: Graph, u: int, v: int) -> bool:
+    """Edge uv with every neighbor of u adjacent to every neighbor of v.
+
+    Pairs are compared outside {u, v} and a shared neighbor trivially
+    satisfies its own pair.
+    """
+    if not g.has_edge(u, v):
+        raise GraphError(f"({u}, {v}) is not an edge")
+    for x in g.adj[u] - {v}:
+        for y in g.adj[v] - {u}:
+            if x != y and not g.has_edge(x, y):
+                return False
+    return True
+
+
+def is_simplicial_clique(g: Graph, k) -> bool:
+    """Non-empty clique whose members' outside neighborhoods are cliques."""
+    k = frozenset(k)
+    if not k:
+        raise GraphError("simplicial clique must be non-empty")
+    if not g.is_clique(k):
+        raise GraphError("input is not a clique")
+    return all(g.is_clique(g.adj[v] - k) for v in k)
+
+
 def naive_is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
     """The definition on the complement graph: uv is an edge of it, and every
     other complement-neighbour of u sees every other one of v there (a
@@ -249,10 +274,6 @@ def naive_find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
             if naive_is_stable(g, trio):
                 return c, trio
     return None
-
-
-def naive_has_stable_set(g: Graph, k: int) -> bool:
-    return any(naive_is_stable(g, s) for s in itertools.combinations(range(g.n), k))
 
 
 def _naive_peculiar_rule(p, q):

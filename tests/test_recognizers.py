@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from strongstable import core, recognizers
 from strongstable.core import (
     Budget,
-    BudgetExceededError,
     GraphError,
     Multigraph,
     from_edge_list,
@@ -25,8 +24,6 @@ from strongstable.recognizers import (
     is_consistent_set,
     is_cosimplicial_nonedge,
     is_safe_vertex,
-    is_simplicial_clique,
-    is_simplicial_edge,
     linear_interval_order,
     peculiar_structure,
     simplicial_vertices,
@@ -35,11 +32,12 @@ from strongstable.recognizers import (
 from oracles import (
     complete,
     cycle,
+    is_simplicial_clique,
+    is_simplicial_edge,
     naive_anchored_paths,
     naive_clowns,
     naive_find_claw,
     naive_find_cosimplicial_nonedge,
-    naive_has_stable_set,
     naive_is_cosimplicial_nonedge,
     naive_is_consistent_set,
     naive_is_peculiar,
@@ -420,6 +418,17 @@ class TestSafeVertices:
                     assert v not in hats
 
 
+def _peculiar(sizes, seed=None):
+    from strongstable.generators import peculiar
+
+    return peculiar(sizes, seed)[0]
+
+
+def _edited(g, drop=None, add=None):
+    """g with the edge drop removed and the non-edge add put in."""
+    return from_edge_list(g.n, [e for e in g.edges() if e != drop] + ([add] if add else []))
+
+
 class TestPeculiar:
     def _minimal(self):
         edges = [
@@ -469,27 +478,44 @@ class TestPeculiar:
                 assert verify_peculiar(g, parts)
         assert found >= 10
 
-    def test_search_prunes_both_ways(self):
-        # 66 search nodes when a label is refused for a missing edge and for an
-        # edge it must not have; 306 when only missing edges prune
-        from strongstable.generators import peculiar
+    @pytest.mark.parametrize(
+        "build, found",
+        [
+            pytest.param(lambda: _edited(complete(9), drop=(7, 8)), False, id="K9-e"),
+            pytest.param(lambda: _edited(complete(10), drop=(0, 1)), False, id="K10-e"),
+            pytest.param(lambda: complete(1100), False, id="K1100"),
+            pytest.param(lambda: _peculiar((2,) * 9), True, id="2x9"),
+            # the first edge (0, 1) lies inside a1; the first non-edge is the
+            # one cross edge the generator leaves out of the free pair a1, b2
+            pytest.param(lambda: _edited(_peculiar((2,) * 9), drop=(0, 1)), False,
+                         id="2x9-drop"),
+            pytest.param(lambda: _edited(_peculiar((2,) * 9), add=(0, 8)), False,
+                         id="2x9-add"),
+            pytest.param(lambda: _peculiar((3,) * 6 + (2, 2, 2)), True, id="3x6"),
+            pytest.param(lambda: _edited(_peculiar((3,) * 6 + (2, 2, 2)), drop=(0, 1)),
+                         False, id="3x6-drop"),
+            pytest.param(lambda: _edited(_peculiar((3,) * 6 + (2, 2, 2)), add=(0, 12)),
+                         False, id="3x6-add"),
+        ],
+    )
+    def test_answers_in_a_few_guesses(self, build, found):
+        # one guess per K; a search cliffs on the near misses and on K9 - e
+        g = build()
+        parts = peculiar_structure(g, Budget(max_enumerations=5))
+        assert (parts is not None) == found
+        assert parts is None or verify_peculiar(g, parts)
 
-        g, _ = peculiar((1,) * 9)
-        assert peculiar_structure(g, Budget(max_enumerations=100)) is not None
-
-    def test_deep_search_is_not_recursive(self):
-        # K1100 passes every gate, and one descent labels all 1,100 vertices
-        with pytest.raises(BudgetExceededError):
-            peculiar_structure(complete(1100), Budget(max_enumerations=2000))
-
-    def test_stable_four_gate(self, graphs_by_n):
-        for n in range(8):
-            for g in graphs_by_n[n]:
-                assert recognizers._has_stable_four(g) == naive_has_stable_set(g, 4)
-        # L(K8): connected, 12-regular, four disjoint edges of K8; no search
-        k8 = Multigraph.build(8, list(itertools.combinations(range(8), 2)))
-        lg, _ = line_graph(k8)
-        assert peculiar_structure(lg, Budget(max_enumerations=1)) is None
+    def test_every_k_pattern_found(self):
+        # each of k1..k3 empty or not; with two or fewer non-empty the
+        # complement has no triangle and K is guessed from the twin classes
+        rng = random.Random(5)
+        for seed, ks in enumerate(itertools.product((0, 2), repeat=3)):
+            g = _peculiar((1, 2, 2, 1, 2, 1) + ks, seed)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            parts = peculiar_structure(g)
+            assert parts is not None and verify_peculiar(g, parts), ks
 
     def test_empty_k_parts_accepted(self):
         from strongstable.generators import peculiar

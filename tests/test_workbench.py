@@ -263,6 +263,19 @@ class TestCli:
         assert payload["one_join"] is not None
         assert payload["w_join"] is None
 
+    def test_decompose_reports_a_lifted_cutset_fault(self, capsys, tmp_path, monkeypatch):
+        # a GraphError from the lifted-cutset search is an error, not a null
+        from strongstable import cli
+
+        def fault(*args):
+            raise GraphError("fault")
+
+        monkeypatch.setattr(cli, "internal_clique_cutset_from_deletion", fault)
+        p = tmp_path / "p5.txt"
+        p.write_text("0 1\n1 2\n2 3\n3 4\n")
+        code, out, err = self._run(["decompose", str(p), "--json"], capsys)
+        assert code == 1 and out == "" and "fault" in err
+
     def test_decompose_reports_w_join(self, capsys, tmp_path):
         # a square (0,1)x(2,3) with a pendant path hanging off each side
         p = tmp_path / "wj.txt"
