@@ -8,67 +8,46 @@ characterization routes through (clique cutsets, 1-joins, W-joins, linear
 interval orders, line graphs of bipartite multigraphs and their smooth
 augmentations), and computes strong stable sets constructively, with a
 brute-force oracle for verification.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562), so a caller pays
+only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    Budget,
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    Graph,
-    GraphError,
-    Multigraph,
-    anticomponents,
-    complement,
-    components,
-    from_edge_list,
-    induced,
-    induced_paths_between,
-    is_strong_stable_set,
-    line_graph,
-    maximal_cliques,
-)
-from .forbidden import ForbiddenKind, ForbiddenWitness, Innocent, find_structure, innocence_certificate, verify_witness
-from .recognizers import (
-    find_claw,
-    find_clowns,
-    is_consistent_set,
-    is_safe_vertex,
-    simplicial_vertices,
-)
-from .solver import SolveResult, SolveStatus, brute_force, solve
+# public name -> the module that defines it
+_HOME = {
+    **dict.fromkeys((
+        "Budget", "BudgetExceededError", "DEFAULT_BUDGET", "Graph", "GraphError",
+        "Multigraph", "anticomponents", "complement", "components", "from_edge_list",
+        "induced", "induced_paths_between", "is_strong_stable_set", "line_graph",
+        "maximal_cliques",
+    ), "core"),
+    **dict.fromkeys((
+        "ForbiddenKind", "ForbiddenWitness", "Innocent", "find_structure",
+        "innocence_certificate", "verify_witness",
+    ), "forbidden"),
+    **dict.fromkeys((
+        "find_claw", "find_clowns", "is_consistent_set", "is_safe_vertex",
+        "simplicial_vertices",
+    ), "recognizers"),
+    **dict.fromkeys(("SolveResult", "SolveStatus", "brute_force", "solve"), "solver"),
+}
 
-__all__ = [
-    "Budget",
-    "BudgetExceededError",
-    "DEFAULT_BUDGET",
-    "ForbiddenKind",
-    "ForbiddenWitness",
-    "Graph",
-    "GraphError",
-    "Innocent",
-    "Multigraph",
-    "SolveResult",
-    "SolveStatus",
-    "anticomponents",
-    "brute_force",
-    "complement",
-    "components",
-    "find_claw",
-    "find_clowns",
-    "find_structure",
-    "from_edge_list",
-    "induced",
-    "induced_paths_between",
-    "innocence_certificate",
-    "is_consistent_set",
-    "is_safe_vertex",
-    "is_strong_stable_set",
-    "line_graph",
-    "maximal_cliques",
-    "simplicial_vertices",
-    "solve",
-    "verify_witness",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups are plain attribute hits
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

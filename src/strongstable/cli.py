@@ -16,6 +16,8 @@ import functools
 import sys
 from pathlib import Path
 
+# only what argument parsing and ``check`` need; every other command imports
+# its modules when it runs, so ``check`` never loads the solver
 from . import __version__
 from .core import (
     Budget,
@@ -27,15 +29,7 @@ from .core import (
     _meter,
     line_graph,
 )
-from .decompose import (
-    find_clique_cutset,
-    find_one_join,
-    find_zero_join,
-    internal_clique_cutset_from_deletion,
-    iter_w_joins,
-)
 from .forbidden import Innocent, innocence_certificate
-from .generators import GenSpec, GenerationError, generate
 from .graphio import (
     FormatError,
     certificate_json,
@@ -43,9 +37,7 @@ from .graphio import (
     format_edgelist,
     parse_graph,
 )
-from .linegraph import recover_root
-from .recognizers import find_claw, find_twins, simplicial_vertices
-from .solver import SolveStatus, solve
+from .recognizers import find_claw
 
 
 class CliUsageError(Exception):
@@ -181,6 +173,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import SolveStatus, solve
+
     g = _read_input(args)
     budget = _budget(args)
     z = frozenset(int(t) for t in args.require.split(",") if t.strip() != "")
@@ -207,7 +201,7 @@ def _cmd_solve(args) -> int:
     return 2 if res.status == SolveStatus.BUDGET else 0
 
 
-def _gen_spec(args) -> GenSpec:
+def _gen_params(args) -> dict:
     params: dict = {}
     if args.n is not None:
         params["n"] = args.n
@@ -233,15 +227,20 @@ def _gen_spec(args) -> GenSpec:
         params["rate"] = args.rate
     if args.sizes:
         params["sizes"] = tuple(int(t) for t in args.sizes.split(","))
-    return GenSpec(args.kind, params, args.seed)
+    return params
 
 
 def _cmd_generate(args) -> int:
-    spec = _gen_spec(args)
+    from .generators import GenSpec, GenerationError, generate
+
+    spec = GenSpec(args.kind, _gen_params(args), args.seed)
     try:
         g = generate(spec)
     except (KeyError, TypeError) as exc:
         raise CliUsageError(f"missing or bad parameters for kind {spec.kind!r}: {exc}")
+    except GenerationError as exc:  # main does not import generators to catch it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.out_format == "graph6":
         if isinstance(g, Multigraph):
             raise CliUsageError("graph6 cannot encode multigraphs; use edgelist")
@@ -252,16 +251,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import decompose
+    from .recognizers import find_twins, simplicial_vertices
+
     g = _read_input(args)
     budget = _budget(args)
     meter = _meter(budget)  # one cap for the three searches below
     report: dict = {"command": "decompose", "n": g.n, **_tool_block(args, budget)}
-    zj = find_zero_join(g)
+    zj = decompose.find_zero_join(g)
     report["zero_join"] = [sorted(zj[0]), sorted(zj[1])] if zj else None
     tw = find_twins(g)
     report["twins"] = list(tw) if tw else None
     report["simplicial_vertices"] = sorted(simplicial_vertices(g))
-    cut = find_clique_cutset(g, meter)
+    cut = decompose.find_clique_cutset(g, meter)
     report["clique_cutset"] = (
         {
             "clique": sorted(cut.k),
@@ -272,7 +274,7 @@ def _cmd_decompose(args) -> int:
         if cut
         else None
     )
-    lifted = internal_clique_cutset_from_deletion(g, meter)
+    lifted = decompose.internal_clique_cutset_from_deletion(g, meter)
     report["lifted_internal_cutset"] = (
         {
             "clique": sorted(lifted.k),
@@ -282,7 +284,7 @@ def _cmd_decompose(args) -> int:
         if lifted
         else None
     )
-    oj = find_one_join(g)
+    oj = decompose.find_one_join(g)
     report["one_join"] = (
         {
             "v1": sorted(oj.v1),
@@ -294,7 +296,7 @@ def _cmd_decompose(args) -> int:
         if oj
         else None
     )
-    wj = next(iter_w_joins(g, meter), None)
+    wj = next(decompose.iter_w_joins(g, meter), None)
     report["w_join"] = {"a": sorted(wj.a), "b": sorted(wj.b)} if wj else None
     if args.json:
         _emit(args, certificate_json(report))
@@ -305,6 +307,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .linegraph import recover_root
+
     g = _read_input(args)
     budget = _budget(args)
     try:
@@ -353,7 +357,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, GraphError, GenerationError, OSError, ValueError) as exc:
+    except (FormatError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

@@ -37,10 +37,10 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """Caps for exhaustive routines.
 
-    ``max_vertices`` bounds only the exponential searches (brute force and
-    the isomorphism test); ``max_enumerations`` bounds the number of
-    enumerated objects (search-tree nodes, paths, cliques, candidate
-    embeddings) in every routine.
+    ``max_vertices`` bounds only the exponential brute force;
+    ``max_enumerations`` bounds the number of enumerated objects
+    (search-tree nodes, paths, cliques, candidate embeddings) in every
+    routine.
     """
 
     max_vertices: int = 24
@@ -99,13 +99,6 @@ def _iter_bits(m: int) -> Iterator[int]:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
-
-
-def _check_size(g: "Graph", budget: Budget, what: str) -> None:
-    if g.n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"{what}: graph has {g.n} vertices, budget allows {budget.max_vertices}"
-        )
 
 
 @dataclass(frozen=True)
@@ -783,46 +776,3 @@ def line_graph(b: Multigraph) -> tuple[Graph, tuple[int, ...]]:
             adj[i].add(j)
             adj[j].add(i)
     return Graph(m, tuple(frozenset(s) for s in adj)), tuple(range(m))
-
-
-def graph_isomorphic(g: Graph, h: Graph, budget: Budget | None = None) -> bool:
-    """Exact isomorphism test by backtracking with degree-signature pruning."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-    meter = _meter(budget)
-    _check_size(g, meter.budget, "isomorphism test")
-
-    def sig(graph: Graph, v: int) -> tuple:
-        return (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adj[v])))
-
-    gs = {v: sig(g, v) for v in range(g.n)}
-    hs = {v: sig(h, v) for v in range(h.n)}
-    if sorted(gs.values()) != sorted(hs.values()):
-        return False
-    order = sorted(range(g.n), key=lambda v: (gs[v], v))
-
-    def assign(i: int, mapping: dict[int, int], used: set[int]) -> bool:
-        meter.tick()
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if w in used or hs[w] != gs[v]:
-                continue
-            ok = True
-            for u, mu in mapping.items():
-                if g.has_edge(u, v) != h.has_edge(mu, w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if assign(i + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return assign(0, {}, set())

@@ -146,18 +146,6 @@ def find_clique_cutset(
     return best
 
 
-def verify_clique_cutset(g: Graph, c: CliqueCutset) -> bool:
-    if c.k | c.side_a | c.side_b != g.vertex_set():
-        return False
-    if (c.k & c.side_a) or (c.k & c.side_b) or (c.side_a & c.side_b):
-        return False
-    if not (c.side_a and c.side_b):
-        return False
-    if not g.is_clique(c.k):
-        return False
-    return g.is_anticomplete_between(c.side_a, c.side_b)
-
-
 def find_zero_join(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """A bipartition into anticomplete halves iff g is disconnected."""
     comps = components(g)

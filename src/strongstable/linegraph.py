@@ -1,7 +1,7 @@
 """Bipartite-multigraph machinery: recovering a bipartite root of a line
 graph, harmlessness (theta / bicycle subgraph search), suitable matchings
-with frozen forced edges, degree-two contraction, and detection of smooth
-augmentations of line graphs.
+with frozen forced edges, and detection of smooth augmentations of line
+graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import (
     components_within,
     from_edge_list,
     iter_maximal_cliques,
-    line_graph,
     shortest_path,
 )
 from .decompose import w_join_partition
@@ -78,19 +77,6 @@ class SuitableMatching:
     """Pairwise disjoint edges covering every vertex of degree at least two."""
 
     edges: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    """Degree-two contraction: u deleted, its two neighbors identified.
-
-    ``vertex_map[old]`` is the new id (None for the deleted vertex);
-    ``edge_map[new]`` is the old id of each surviving edge.
-    """
-
-    graph: Multigraph
-    vertex_map: tuple[Optional[int], ...]
-    edge_map: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -169,56 +155,6 @@ def _root_ambiguous(root: Multigraph) -> bool:
             if deg[a] == 1:
                 pendant_at[b] += 1
     return any(k >= 2 for k in pendant_at.values())
-
-
-def multigraph_isomorphic(b1: Multigraph, b2: Multigraph) -> bool:
-    """Backtracking isomorphism test respecting edge multiplicities."""
-    if b1.n != b2.n or b1.m != b2.m:
-        return False
-
-    def mult_map(b: Multigraph) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = defaultdict(int)
-        for e in b.edges:
-            out[e] += 1
-        return out
-
-    m1, m2 = mult_map(b1), mult_map(b2)
-
-    def sig(b: Multigraph, mm: dict) -> dict[int, tuple]:
-        out = {}
-        for v in range(b.n):
-            mults = sorted(k for (x, y), k in mm.items() if v in (x, y))
-            out[v] = (b.degree(v), tuple(mults))
-        return out
-
-    s1, s2 = sig(b1, m1), sig(b2, m2)
-    if sorted(s1.values()) != sorted(s2.values()):
-        return False
-    order = sorted(range(b1.n), key=lambda v: (s1[v], v))
-
-    def norm(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u <= v else (v, u)
-
-    def assign(i: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(b2.n):
-            if w in used or s2[w] != s1[v]:
-                continue
-            if all(
-                m1[norm(u, v)] == m2[norm(mu, w)]
-                for u, mu in mapping.items()
-            ):
-                mapping[v] = w
-                used.add(w)
-                if assign(i + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return assign(0, {}, set())
 
 
 # -- theta / bicycle subgraph search -------------------------------------------------
@@ -549,48 +485,6 @@ def suitable_matching(
     return SuitableMatching(frozenset(match.values()))
 
 
-# -- degree-two contraction --------------------------------------------------------
-
-
-def contract_degree_two(b: Multigraph, u: int) -> ContractionResult:
-    """Delete a degree-two vertex and identify its two distinct neighbors.
-
-    Surviving edges keep their relative order; the merged vertex takes the
-    smaller neighbor's slot.
-    """
-    inc = b.incident(u)
-    if len(inc) != 2:
-        raise GraphError(f"vertex {u} does not have degree two")
-    (e1, e2) = inc
-    v = other_end(b, e1, u)
-    w = other_end(b, e2, u)
-    if v == w:
-        raise GraphError("the two edges at u are parallel; neighbors not distinct")
-    lo, hi = min(v, w), max(v, w)
-    vmap: list[Optional[int]] = []
-    nxt = 0
-    for x in range(b.n):
-        if x == u:
-            vmap.append(None)
-        elif x == hi:
-            vmap.append(None)  # patched to lo's new id below
-            continue
-        else:
-            vmap.append(nxt)
-            nxt += 1
-    vmap[hi] = vmap[lo]
-    new_edges: list[tuple[int, int]] = []
-    emap: list[int] = []
-    for i, (x, y) in enumerate(b.edges):
-        if i in (e1, e2):
-            continue
-        new_edges.append((vmap[x], vmap[y]))
-        emap.append(i)
-    return ContractionResult(
-        Multigraph.build(nxt, new_edges), tuple(vmap), tuple(emap)
-    )
-
-
 def other_end(b: Multigraph, e: int, v: int) -> int:
     x, y = b.edges[e]
     return y if x == v else x
@@ -779,36 +673,3 @@ def _assemble(
         )
         packed.append(((ex, ey), xt, yt, cross))
     return AugmentationStructure(rr.root, tuple(packed), tuple(line_to_input))
-
-
-def reconstruct_augmentation(structure: AugmentationStructure) -> Graph:
-    """Rebuild the augmented graph from its structure, on the input's ids."""
-    lg, _ = line_graph(structure.base)
-    n = 0
-    for o in structure.line_to_input:
-        if o is not None:
-            n = max(n, o + 1)
-    for _, xt, yt, _cross in structure.augments:
-        for v in xt + yt:
-            n = max(n, v + 1)
-    edges: list[tuple[int, int]] = []
-    expand: dict[int, tuple[int, ...]] = {}
-    for e, o in enumerate(structure.line_to_input):
-        expand[e] = (o,) if o is not None else ()
-    for (ex, ey), xt, yt, cross in structure.augments:
-        expand[ex] = xt
-        expand[ey] = yt
-        edges.extend(itertools.combinations(xt, 2))
-        edges.extend(itertools.combinations(yt, 2))
-        edges.extend(cross)
-    for e1, e2 in lg.edges():
-        if structure.line_to_input[e1] is None and structure.line_to_input[e2] is None:
-            marked = {e1, e2}
-            if any(
-                {ex, ey} == marked for (ex, ey), *_ in structure.augments
-            ):
-                continue  # the flat marker pair itself; cross edges already added
-        for a in expand[e1]:
-            for bb in expand[e2]:
-                edges.append((a, bb))
-    return from_edge_list(n, edges)

@@ -31,7 +31,6 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
-    _check_size,
     _iter_bits,
     _mask_of,
     _meter,
@@ -119,7 +118,9 @@ def brute_force(
     against the maximal cliques; absence is therefore verified.
     """
     meter = _meter(budget)
-    _check_size(g, meter.budget, "brute force")
+    cap = meter.budget.max_vertices  # the one search the vertex cap bounds
+    if g.n > cap:
+        raise BudgetExceededError(f"brute force: graph has {g.n} vertices, budget allows {cap}")
     z = frozenset(z)
     if not z <= g.vertex_set():
         raise GraphError("prescribed vertices out of range")
@@ -149,48 +150,6 @@ def brute_force(
 
 
 # -- the gadgets -------------------------------------------------------------------
-
-
-def attach_anchor_gadgets(
-    g: Graph, z: Iterable[int]
-) -> tuple[Graph, tuple[tuple[int, int, int, int], ...]]:
-    """Attach a 3-vertex gadget (w, x, y) to every anchor z_i.
-
-    w_i duplicates z_i (complete to N[z_i]) and additionally sees x_i; y_i
-    sees z_i and x_i. Any strong stable set of the extension uses {x_i, z_i}
-    or {y_i, w_i} per anchor, which is what makes recovery possible.
-    """
-    z = tuple(sorted(frozenset(z)))
-    edges = list(g.edges())
-    n = g.n
-    anchors = []
-    for zi in z:
-        w, x, y = n, n + 1, n + 2
-        n += 3
-        edges.extend((w, nb) for nb in g.adj[zi])
-        edges.extend([(w, zi), (w, x), (y, zi), (y, x)])
-        anchors.append((zi, w, x, y))
-    return from_edge_list(n, edges), tuple(anchors)
-
-
-def strip_anchor_gadgets(
-    g: Graph,
-    anchors: tuple[tuple[int, int, int, int], ...],
-    s_prime: Iterable[int],
-) -> frozenset[int]:
-    """Recover a strong stable set of g containing the anchors.
-
-    Drops the x/y gadget vertices and swaps any chosen duplicate w_i back to
-    its twin z_i.
-    """
-    s = set(s_prime)
-    for zi, w, x, y in anchors:
-        s.discard(x)
-        s.discard(y)
-        if w in s:
-            s.discard(w)
-            s.add(zi)
-    return frozenset(s)
 
 
 @dataclass(frozen=True)

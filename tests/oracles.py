@@ -9,8 +9,19 @@ searches. Slow and dumb on purpose.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Optional
 
-from strongstable.core import Graph, GraphError, complement, from_edge_list, induced
+from strongstable.core import (
+    Graph,
+    GraphError,
+    Multigraph,
+    complement,
+    from_edge_list,
+    induced,
+    line_graph,
+)
 
 
 def subsets(items, min_size=0, max_size=None):
@@ -566,8 +577,6 @@ def naive_suitable_matching_exists(b, forced=frozenset()) -> bool:
 def all_graphs_up_to(maxn: int) -> dict[int, list[Graph]]:
     """Non-isomorphic graphs by vertex count, via augmentation with bucketed
     isomorphism tests."""
-    from strongstable.core import graph_isomorphic
-
     levels: dict[int, list[Graph]] = {0: [from_edge_list(0, [])]}
     for n in range(1, maxn + 1):
         buckets: dict[tuple, list[Graph]] = {}
@@ -595,8 +604,6 @@ def all_graphs_up_to(maxn: int) -> dict[int, list[Graph]]:
 
 def bipartite_graphs_up_to(maxn: int) -> dict[int, list[Graph]]:
     """Non-isomorphic bipartite graphs by vertex count."""
-    from strongstable.core import graph_isomorphic
-    from strongstable.core import Multigraph
 
     def is_bipartite(g: Graph) -> bool:
         return Multigraph.build(g.n, list(g.edges())).bipartition() is not None if g.edge_count() else True
@@ -626,6 +633,229 @@ def bipartite_graphs_up_to(maxn: int) -> dict[int, list[Graph]]:
                     out.append(g1)
         levels[n] = out
     return levels
+
+
+# -- isomorphism, gadgets, contraction, reconstruction ------------------------------
+# Checks and constructions the lemmas under test talk about; nothing in the
+# library calls them.
+
+
+def graph_isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test by backtracking with degree-signature pruning."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return False
+
+    def sig(graph: Graph, v: int) -> tuple:
+        return (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adj[v])))
+
+    gs = {v: sig(g, v) for v in range(g.n)}
+    hs = {v: sig(h, v) for v in range(h.n)}
+    if sorted(gs.values()) != sorted(hs.values()):
+        return False
+    order = sorted(range(g.n), key=lambda v: (gs[v], v))
+
+    def assign(i: int, mapping: dict[int, int], used: set[int]) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(h.n):
+            if w in used or hs[w] != gs[v]:
+                continue
+            if all(g.has_edge(u, v) == h.has_edge(mu, w) for u, mu in mapping.items()):
+                mapping[v] = w
+                used.add(w)
+                if assign(i + 1, mapping, used):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    return assign(0, {}, set())
+
+
+def multigraph_isomorphic(b1: Multigraph, b2: Multigraph) -> bool:
+    """Backtracking isomorphism test respecting edge multiplicities."""
+    if b1.n != b2.n or b1.m != b2.m:
+        return False
+
+    def mult_map(b: Multigraph) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = defaultdict(int)
+        for e in b.edges:
+            out[e] += 1
+        return out
+
+    m1, m2 = mult_map(b1), mult_map(b2)
+
+    def sig(b: Multigraph, mm: dict) -> dict[int, tuple]:
+        out = {}
+        for v in range(b.n):
+            mults = sorted(k for (x, y), k in mm.items() if v in (x, y))
+            out[v] = (b.degree(v), tuple(mults))
+        return out
+
+    s1, s2 = sig(b1, m1), sig(b2, m2)
+    if sorted(s1.values()) != sorted(s2.values()):
+        return False
+    order = sorted(range(b1.n), key=lambda v: (s1[v], v))
+
+    def norm(u: int, v: int) -> tuple[int, int]:
+        return (u, v) if u <= v else (v, u)
+
+    def assign(i: int, mapping: dict[int, int], used: set[int]) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(b2.n):
+            if w in used or s2[w] != s1[v]:
+                continue
+            if all(
+                m1[norm(u, v)] == m2[norm(mu, w)]
+                for u, mu in mapping.items()
+            ):
+                mapping[v] = w
+                used.add(w)
+                if assign(i + 1, mapping, used):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    return assign(0, {}, set())
+
+
+def attach_anchor_gadgets(g: Graph, z) -> tuple[Graph, tuple[tuple[int, int, int, int], ...]]:
+    """Attach a 3-vertex gadget (w, x, y) to every anchor z_i.
+
+    w_i duplicates z_i (complete to N[z_i]) and additionally sees x_i; y_i
+    sees z_i and x_i. Any strong stable set of the extension uses {x_i, z_i}
+    or {y_i, w_i} per anchor, which is what makes recovery possible.
+    """
+    z = tuple(sorted(frozenset(z)))
+    edges = list(g.edges())
+    n = g.n
+    anchors = []
+    for zi in z:
+        w, x, y = n, n + 1, n + 2
+        n += 3
+        edges.extend((w, nb) for nb in g.adj[zi])
+        edges.extend([(w, zi), (w, x), (y, zi), (y, x)])
+        anchors.append((zi, w, x, y))
+    return from_edge_list(n, edges), tuple(anchors)
+
+
+def strip_anchor_gadgets(g: Graph, anchors, s_prime) -> frozenset[int]:
+    """Recover a strong stable set of g containing the anchors.
+
+    Drops the x/y gadget vertices and swaps any chosen duplicate w_i back to
+    its twin z_i.
+    """
+    s = set(s_prime)
+    for zi, w, x, y in anchors:
+        s.discard(x)
+        s.discard(y)
+        if w in s:
+            s.discard(w)
+            s.add(zi)
+    return frozenset(s)
+
+
+@dataclass(frozen=True)
+class ContractionResult:
+    """Degree-two contraction: u deleted, its two neighbors identified.
+
+    ``vertex_map[old]`` is the new id (None for the deleted vertex);
+    ``edge_map[new]`` is the old id of each surviving edge.
+    """
+
+    graph: Multigraph
+    vertex_map: tuple[Optional[int], ...]
+    edge_map: tuple[int, ...]
+
+
+def contract_degree_two(b: Multigraph, u: int) -> ContractionResult:
+    """Delete a degree-two vertex and identify its two distinct neighbors.
+
+    Surviving edges keep their relative order; the merged vertex takes the
+    smaller neighbor's slot.
+    """
+    inc = b.incident(u)
+    if len(inc) != 2:
+        raise GraphError(f"vertex {u} does not have degree two")
+    (e1, e2) = inc
+    v, w = (y if x == u else x for x, y in (b.edges[e1], b.edges[e2]))
+    if v == w:
+        raise GraphError("the two edges at u are parallel; neighbors not distinct")
+    lo, hi = min(v, w), max(v, w)
+    vmap: list[Optional[int]] = []
+    nxt = 0
+    for x in range(b.n):
+        if x == u:
+            vmap.append(None)
+        elif x == hi:
+            vmap.append(None)  # patched to lo's new id below
+            continue
+        else:
+            vmap.append(nxt)
+            nxt += 1
+    vmap[hi] = vmap[lo]
+    new_edges: list[tuple[int, int]] = []
+    emap: list[int] = []
+    for i, (x, y) in enumerate(b.edges):
+        if i in (e1, e2):
+            continue
+        new_edges.append((vmap[x], vmap[y]))
+        emap.append(i)
+    return ContractionResult(
+        Multigraph.build(nxt, new_edges), tuple(vmap), tuple(emap)
+    )
+
+
+def reconstruct_augmentation(structure) -> Graph:
+    """Rebuild the augmented graph from the ``AugmentationStructure`` that
+    ``detect_smooth_augmentation`` returns, on the input's ids."""
+    lg, _ = line_graph(structure.base)
+    n = 0
+    for o in structure.line_to_input:
+        if o is not None:
+            n = max(n, o + 1)
+    for _, xt, yt, _cross in structure.augments:
+        for v in xt + yt:
+            n = max(n, v + 1)
+    edges: list[tuple[int, int]] = []
+    expand: dict[int, tuple[int, ...]] = {}
+    for e, o in enumerate(structure.line_to_input):
+        expand[e] = (o,) if o is not None else ()
+    for (ex, ey), xt, yt, cross in structure.augments:
+        expand[ex] = xt
+        expand[ey] = yt
+        edges.extend(itertools.combinations(xt, 2))
+        edges.extend(itertools.combinations(yt, 2))
+        edges.extend(cross)
+    for e1, e2 in lg.edges():
+        if structure.line_to_input[e1] is None and structure.line_to_input[e2] is None:
+            marked = {e1, e2}
+            if any(
+                {ex, ey} == marked for (ex, ey), *_ in structure.augments
+            ):
+                continue  # the flat marker pair itself; cross edges already added
+        for a in expand[e1]:
+            for bb in expand[e2]:
+                edges.append((a, bb))
+    return from_edge_list(n, edges)
+
+
+def verify_clique_cutset(g: Graph, c) -> bool:
+    """Whether the ``CliqueCutset`` c splits g: its clique and two non-empty,
+    anticomplete sides partition the vertices."""
+    if c.k | c.side_a | c.side_b != g.vertex_set():
+        return False
+    if (c.k & c.side_a) or (c.k & c.side_b) or (c.side_a & c.side_b):
+        return False
+    if not (c.side_a and c.side_b):
+        return False
+    if not g.is_clique(c.k):
+        return False
+    return g.is_anticomplete_between(c.side_a, c.side_b)
 
 
 # -- small named graphs ---------------------------------------------------------------

@@ -28,11 +28,7 @@ from strongstable.generators import (
     random_harmless_bipartite,
     theta,
 )
-from strongstable.linegraph import (
-    multigraph_isomorphic,
-    recover_root,
-    suitable_matching,
-)
+from strongstable.linegraph import recover_root, suitable_matching
 from strongstable.recognizers import (
     cobipartite_partition,
     find_claw,
@@ -43,15 +39,23 @@ from strongstable.recognizers import (
 from strongstable.decompose import grow_square_connected_pair, verify_w_join
 from strongstable.solver import (
     SolveStatus,
-    attach_anchor_gadgets,
     brute_force,
     extend_at_simplicial,
     solve,
     solve_cobipartite,
     solve_peculiar,
+)
+from oracles import (
+    attach_anchor_gadgets,
+    bipartite_graphs_up_to,
+    cycle,
+    graph_isomorphic,
+    multigraph_isomorphic,
+    naive_is_innocent,
+    path,
+    random_growth_host,
     strip_anchor_gadgets,
 )
-from oracles import bipartite_graphs_up_to, cycle, naive_is_innocent, path, random_growth_host
 
 
 def _report(num: int, name: str, detail: str = "") -> None:
@@ -90,8 +94,6 @@ def test_criterion_02_forbidden_families_not_strongly_perfect():
     assert instances["antihole-6 / odd-prism-6"].n == 6
     assert instances["handcuff-10"].n == 10
     assert instances["eye-mask-8"].n == 8
-    from strongstable.core import graph_isomorphic
-
     assert graph_isomorphic(prism((1, 1, 1)), complement(hole(6)))
     for name, g in instances.items():
         assert brute_force(g) is None, name

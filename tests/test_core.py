@@ -17,7 +17,6 @@ from strongstable.core import (
     components,
     components_within,
     from_edge_list,
-    graph_isomorphic,
     induced,
     induced_cycles,
     induced_paths_between,
@@ -31,6 +30,7 @@ from strongstable.core import (
 from oracles import (
     complete,
     cycle,
+    graph_isomorphic,
     naive_anchored_paths,
     naive_degeneracy_order,
     naive_induced_cycles,

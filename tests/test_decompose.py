@@ -17,7 +17,6 @@ from strongstable.decompose import (
     grow_square_connected_pair,
     internal_clique_cutset_from_deletion,
     minimal_separators,
-    verify_clique_cutset,
     verify_one_join,
     verify_w_join,
 )
@@ -29,6 +28,7 @@ from oracles import (
     naive_one_join,
     path,
     random_growth_host,
+    verify_clique_cutset,
 )
 
 

@@ -7,7 +7,6 @@ from strongstable.core import (
     GraphError,
     Multigraph,
     from_edge_list,
-    graph_isomorphic,
     line_graph,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
@@ -20,18 +19,23 @@ from strongstable.generators import (
 from strongstable.linegraph import (
     BicycleWitness,
     ThetaWitness,
-    contract_degree_two,
     detect_smooth_augmentation,
     find_bicycle,
     find_theta,
     is_harmless,
-    multigraph_isomorphic,
-    reconstruct_augmentation,
     recover_root,
     suitable_matching,
 )
 from strongstable.core import is_strong_stable_set
-from oracles import bipartite_graphs_up_to, cycle, naive_suitable_matching_exists
+from oracles import (
+    bipartite_graphs_up_to,
+    contract_degree_two,
+    cycle,
+    graph_isomorphic,
+    multigraph_isomorphic,
+    naive_suitable_matching_exists,
+    reconstruct_augmentation,
+)
 
 M = Multigraph.build
 

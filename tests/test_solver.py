@@ -17,7 +17,6 @@ from strongstable.recognizers import find_claw, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
     SolveStatus,
-    attach_anchor_gadgets,
     brute_force,
     combine_one_join,
     combine_w_join,
@@ -26,10 +25,17 @@ from strongstable.solver import (
     solve_cobipartite,
     solve_linear_interval,
     solve_peculiar,
-    strip_anchor_gadgets,
     validate_prescribed,
 )
-from oracles import complete, cycle, naive_is_strong_stable_set, path, subsets
+from oracles import (
+    attach_anchor_gadgets,
+    complete,
+    cycle,
+    naive_is_strong_stable_set,
+    path,
+    strip_anchor_gadgets,
+    subsets,
+)
 
 
 def plain_subsolver(h, zz):

@@ -1,13 +1,20 @@
+import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strongstable
 from strongstable.cli import main
 from strongstable.core import GraphError, Multigraph, from_edge_list
 from strongstable.forbidden import ForbiddenKind, Innocent, find_structure, innocence_certificate
 from strongstable.generators import (
     GenSpec,
+    GenerationError,
     bicycle,
     clown,
     eye_mask,
@@ -265,16 +272,27 @@ class TestCli:
 
     def test_decompose_reports_a_lifted_cutset_fault(self, capsys, tmp_path, monkeypatch):
         # a GraphError from the lifted-cutset search is an error, not a null
-        from strongstable import cli
+        from strongstable import decompose
 
         def fault(*args):
             raise GraphError("fault")
 
-        monkeypatch.setattr(cli, "internal_clique_cutset_from_deletion", fault)
+        monkeypatch.setattr(decompose, "internal_clique_cutset_from_deletion", fault)
         p = tmp_path / "p5.txt"
         p.write_text("0 1\n1 2\n2 3\n3 4\n")
         code, out, err = self._run(["decompose", str(p), "--json"], capsys)
         assert code == 1 and out == "" and "fault" in err
+
+    def test_generate_failure_exit_one(self, capsys, monkeypatch):
+        # a generator out of retries is an input error, reported like the rest
+        from strongstable import generators
+
+        def fail(spec):
+            raise GenerationError("out of retries")
+
+        monkeypatch.setattr(generators, "generate", fail)
+        code, out, err = self._run(["generate", "--kind", "hole", "--n", "5"], capsys)
+        assert (code, out, err) == (1, "", "error: out of retries\n")
 
     def test_decompose_reports_w_join(self, capsys, tmp_path):
         # a square (0,1)x(2,3) with a pendant path hanging off each side
@@ -315,3 +333,68 @@ class TestCli:
         payload = json.loads(dst.read_text())
         assert payload["status"] == "found"
         assert payload["budget"]["max_vertices"] == 24
+
+
+SRC = str(Path(strongstable.__file__).resolve().parent.parent)
+NOT_RUN_BY_CHECK = ("strongstable.solver", "strongstable.decompose",
+                  "strongstable.linegraph", "strongstable.generators")
+
+
+def _fresh_process(code: str, *args: str) -> dict:
+    """Run code in a new interpreter on this tree; it prints one JSON line last."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyImport:
+    def test_package_import_loads_no_module(self):
+        loaded = _fresh_process(
+            "import json, sys, strongstable; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('strongstable.'))))"
+        )
+        assert loaded == []
+
+    def test_check_leaves_the_solver_unloaded(self, tmp_path):
+        p = tmp_path / "c6.txt"
+        p.write_text(format_edgelist(cycle(6)))
+        got = _fresh_process(
+            "import json, sys\n"
+            "from strongstable import cli\n"
+            "rc = cli.main(['check', '--json', sys.argv[1]])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('strongstable.'))\n"
+            "import strongstable\n"
+            "res = strongstable.solve(strongstable.from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))\n"
+            "print(json.dumps({'rc': rc, 'loaded': loaded, 'solve': res.status.value}))\n",
+            str(p),
+        )
+        assert got["rc"] == 0 and got["solve"] == "found"
+        assert "strongstable.forbidden" in got["loaded"]
+        assert not set(NOT_RUN_BY_CHECK) & set(got["loaded"])
+
+    def test_names_are_their_home_objects(self):
+        for name in strongstable.__all__:
+            if name == "__version__":
+                continue
+            home = importlib.import_module(f"strongstable.{strongstable._HOME[name]}")
+            assert getattr(strongstable, name) is getattr(home, name), name
+            assert name in vars(strongstable)  # resolved once, then a plain attribute
+
+    def test_dir_and_star_import_list_every_name(self):
+        # in a new process, so that no name has been resolved before dir()
+        got = _fresh_process(
+            "import json, strongstable\n"
+            "listed = dir(strongstable)\n"
+            "namespace = {}\n"
+            "exec('from strongstable import *', namespace)\n"
+            "print(json.dumps({'all': strongstable.__all__, 'dir': listed, 'star': list(namespace)}))\n"
+        )
+        assert set(got["all"]) <= set(got["dir"])
+        assert set(got["all"]) <= set(got["star"])
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            strongstable.no_such_name
+        assert not hasattr(strongstable, "solver_cascade")
