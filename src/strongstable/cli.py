@@ -296,7 +296,7 @@ def _cmd_decompose(args) -> int:
         if oj
         else None
     )
-    wj = next(decompose.iter_w_joins(g, meter), None)
+    wj = decompose.find_w_join(g, meter)
     report["w_join"] = {"a": sorted(wj.a), "b": sorted(wj.b)} if wj else None
     if args.json:
         _emit(args, certificate_json(report))

@@ -153,10 +153,6 @@ class Graph:
             out |= self.adj[v]
         return frozenset(out - s)
 
-    def closed_neighborhood(self, s: Iterable[int]) -> frozenset[int]:
-        s = frozenset(s)
-        return self.neighborhood(s) | s
-
     def is_clique(self, s: Iterable[int]) -> bool:
         m = _mask_of(s)
         bits = self.bits
@@ -524,65 +520,6 @@ def induced_paths_between(
     if u == v:
         raise GraphError("endpoints must differ")
     yield from _anchored_paths(g, _meter(budget), u, v)
-
-
-def _simple_paths(
-    g: Graph,
-    meter: _Meter,
-    start: int,
-    end: int,
-    banned: frozenset[int] = frozenset(),
-    parity: int | None = None,
-    min_len: int = 1,
-) -> Iterator[tuple[int, ...]]:
-    """Simple paths (chords allowed) from start to end, interiors off banned,
-    in lexicographic order: the package's one simple-path enumerator.
-    ``min_len`` and ``parity`` (in edges) filter the yields; one tick per
-    path prefix. Runs on an explicit stack of the prefix's neighbour
-    iterators, so long paths do not recurse."""
-    if start == end:
-        return
-    adj = g.adj
-    meter.tick()
-    path = [start]
-    used = {start}
-    stack = [iter(sorted(adj[start]))]
-    while stack:
-        for w in stack[-1]:
-            if w == end:
-                k = len(path)
-                if k >= min_len and (parity is None or k % 2 == parity):
-                    yield (*path, end)
-            elif w not in used and w not in banned:
-                meter.tick()
-                path.append(w)
-                used.add(w)
-                stack.append(iter(sorted(adj[w])))
-                break
-        else:
-            stack.pop()
-            used.discard(path.pop())
-
-
-def all_paths_between(
-    g: Graph, u: int, v: int, budget: Budget | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield every simple path from u to v (chords allowed), in lexicographic
-    order."""
-    if u == v:
-        raise GraphError("endpoints must differ")
-    yield from _simple_paths(g, _meter(budget), u, v)
-
-
-def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
-    """Definition check: consecutive adjacent, everything else non-adjacent."""
-    if len(set(path)) != len(path):
-        return False
-    for i, j in itertools.combinations(range(len(path)), 2):
-        adjacent = g.has_edge(path[i], path[j])
-        if adjacent != (j - i == 1):
-            return False
-    return True
 
 
 def shortest_path(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
     Budget,
@@ -47,10 +47,11 @@ class OneJoin:
 
 @dataclass(frozen=True)
 class WJoin:
+    """A proper coherent W-join: every vertex of each clique is mixed on the
+    other, and the vertices complete to both form a clique."""
+
     a: frozenset[int]
     b: frozenset[int]
-    proper: bool
-    coherent: bool
 
 
 class HypothesisViolationError(RuntimeError):
@@ -259,14 +260,11 @@ def verify_w_join(g: Graph, w: WJoin) -> bool:
     if parts is None:
         return False
     _, _, e, _ = parts
-    if w.proper:
-        if not all(g.is_mixed_on(v, b) for v in a):
-            return False
-        if not all(g.is_mixed_on(v, a) for v in b):
-            return False
-    if w.coherent and not g.is_clique(e):
+    if not all(g.is_mixed_on(v, b) for v in a):
         return False
-    return True
+    if not all(g.is_mixed_on(v, a) for v in b):
+        return False
+    return g.is_clique(e)
 
 
 def _square_sides(
@@ -360,23 +358,23 @@ def grow_square_connected_pair(
         if grew:
             continue
         break
-    join = WJoin(frozenset(s), frozenset(t), proper=True, coherent=True)
+    join = WJoin(frozenset(s), frozenset(t))
     if not verify_w_join(g, join):
         raise HypothesisViolationError(min(s | t), (a1, a2, b1, b2))
     return join
 
 
-def iter_w_joins(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[WJoin]:
-    """Proper coherent W-joins grown from every square, split into sides
+def find_w_join(g: Graph, budget: Budget | _Meter | None = None) -> Optional[WJoin]:
+    """The first W-join grown from a square, each square split into sides
     both ways; seeds that violate the growth hypothesis are skipped."""
     for cyc in squares(g, budget):
         c0, c1, c2, c3 = cyc
         for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
             try:
-                wj = grow_square_connected_pair(g, cyc, a_side, b_side)
+                return grow_square_connected_pair(g, cyc, a_side, b_side)
             except HypothesisViolationError:
                 continue
-            yield wj
+    return None
 
 
 # -- lifted internal clique cutsets ----------------------------------------------

@@ -1,11 +1,12 @@
 """Bipartite-multigraph machinery: recovering a bipartite root of a line
-graph, harmlessness (theta / bicycle subgraph search), suitable matchings
-with frozen forced edges, and detection of smooth augmentations of line
-graphs.
+graph, harmlessness (theta / bicycle subgraph search on bipartite hosts),
+suitable matchings with frozen forced edges, and detection of smooth
+augmentations of line graphs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .core import (
     Multigraph,
     _Meter,
     _meter,
-    _simple_paths,
     components_within,
     from_edge_list,
     iter_maximal_cliques,
@@ -32,14 +32,21 @@ class RootRecovery:
     """A bipartite multigraph whose line graph is exactly the input.
 
     ``edge_map[v]`` is the root edge corresponding to input vertex v (the
-    construction makes this the identity). ``ambiguous`` flags the classical
-    situations where other, non-isomorphic roots exist as well (complete
-    line graphs; parallel bundles interchangeable with pendant stars).
+    construction makes this the identity).
     """
 
     root: Multigraph
     edge_map: tuple[int, ...]
-    ambiguous: bool
+
+    @functools.cached_property
+    def ambiguous(self) -> bool:
+        """Whether other, non-isomorphic roots exist as well (complete line
+        graphs; parallel bundles interchangeable with pendant stars).
+
+        Computed on first read and cached; not a field, so ``==``, ``hash``
+        and ``repr`` ignore it.
+        """
+        return _root_ambiguous(self.root)
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def recover_root(
     root = Multigraph.build(nodes, ends)
     if root.bipartition() is None:
         return None
-    return RootRecovery(root, tuple(range(g.n)), ambiguous=_root_ambiguous(root))
+    return RootRecovery(root, tuple(range(g.n)))
 
 
 def _root_ambiguous(root: Multigraph) -> bool:
@@ -166,7 +173,8 @@ def _subgraph_cycles(
     banned: frozenset[int] = frozenset(),
     through: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Even cycles of length >= 4 (chords allowed) avoiding banned vertices.
+    """Cycles of a bipartite host (chords allowed, so all even and of
+    length >= 4) avoiding banned vertices.
 
     Canonical form: smallest vertex first and second entry smaller than the
     last; in ``through`` mode the required vertex leads instead and only the
@@ -182,10 +190,8 @@ def _subgraph_cycles(
                     continue
                 if through is None and w < base:
                     continue
-                if g.has_edge(w, base) and len(path) >= 3:
-                    k = len(path) + 1
-                    if k % 2 == 0 and path[1] < w:
-                        yield tuple(path) + (w,)
+                if g.has_edge(w, base) and len(path) >= 3 and path[1] < w:
+                    yield tuple(path) + (w,)
                 yield from extend(path + [w])
 
         for second in sorted(g.adj[base]):
@@ -206,9 +212,8 @@ def _subgraph_cycles(
 def _three_disjoint_paths(
     g: Graph, a: int, z: int
 ) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Three internally vertex-disjoint a-z paths via unit-capacity flow."""
-    if g.has_edge(a, z):
-        return None
+    """Three internally vertex-disjoint paths between non-adjacent a and z,
+    via unit-capacity flow."""
     # node splitting: 2*v = in, 2*v + 1 = out
     cap: dict[tuple[int, int], int] = defaultdict(int)
     nbrs: dict[int, set[int]] = defaultdict(set)
@@ -279,44 +284,34 @@ def _three_disjoint_paths(
     return tuple(out)
 
 
+def _require_bipartite(b: Multigraph) -> frozenset[int]:
+    """One side of a bipartition of the host; GraphError when it has none."""
+    sides = b.bipartition()
+    if sides is None:
+        raise GraphError("expected a bipartite host")
+    return sides[0]
+
+
 def find_theta(
     b: Multigraph, budget: Budget | _Meter | None = None
 ) -> Optional[ThetaWitness]:
     """Two vertices joined by three even, internally disjoint paths of length
     at least two; a subgraph search, so chords and parallel edges are moot.
 
-    On bipartite hosts even-ness is automatic for same-side ends and a
-    unit-capacity flow decides three-disjoint-paths exactly; otherwise a
-    parity-tracked exhaustive search runs under the budget.
+    The host must be bipartite: even-ness is then automatic for same-side
+    ends, and a unit-capacity flow decides three-disjoint-paths exactly.
     """
     meter = _meter(budget)
+    left = _require_bipartite(b)
     u = b.underlying_simple()
     branch = [v for v in range(u.n) if u.degree(v) >= 3]
-    sides = b.bipartition()
-    if sides is not None:
-        left = sides[0]
-        for a, z in itertools.combinations(sorted(branch), 2):
-            meter.tick()
-            if (a in left) != (z in left):
-                continue
-            paths = _three_disjoint_paths(u, a, z)
-            if paths is not None:
-                return ThetaWitness((a, z), paths)
-        return None
-    for a, z in itertools.combinations(sorted(branch), 2):
-
-        def grow(i: int, acc: list[tuple[int, ...]], used: frozenset[int]):
-            if i == 3:
-                return ThetaWitness((a, z), tuple(acc))
-            for p in _simple_paths(u, meter, a, z, banned=used, parity=0, min_len=2):
-                res = grow(i + 1, acc + [p], used | frozenset(p[1:-1]))
-                if res is not None:
-                    return res
-            return None
-
-        res = grow(0, [], frozenset())
-        if res is not None:
-            return res
+    for a, z in itertools.combinations(branch, 2):
+        meter.tick()
+        if (a in left) != (z in left):
+            continue
+        paths = _three_disjoint_paths(u, a, z)
+        if paths is not None:
+            return ThetaWitness((a, z), paths)
     return None
 
 
@@ -326,19 +321,19 @@ def find_bicycle(
     """Two vertex-disjoint even cycles joined by an even path.
 
     Length-zero connections (the cycles share exactly one vertex) are
-    returned with ``shared_vertex=True`` and a single-vertex path.
+    returned with ``shared_vertex=True`` and a single-vertex path. The host
+    must be bipartite, so every cycle is even.
     """
     meter = _meter(budget)
+    left = _require_bipartite(b)
     u = b.underlying_simple()
-    sides = b.bipartition()
-    left = sides[0] if sides is not None else None
     for c1 in _subgraph_cycles(u, meter):
         c1set = frozenset(c1)
         for v in sorted(c1set):
             for c2 in _subgraph_cycles(u, meter, banned=c1set - {v}, through=v):
                 return BicycleWitness(c1, c2, (v,), shared_vertex=True)
         for c2 in _subgraph_cycles(u, meter, banned=c1set):
-            link = _even_connector(u, meter, c1set, frozenset(c2), left)
+            link = _even_connector(u, c1set, frozenset(c2), left)
             if link is not None:
                 return BicycleWitness(c1, c2, link, shared_vertex=False)
     return None
@@ -346,38 +341,29 @@ def find_bicycle(
 
 def _even_connector(
     g: Graph,
-    meter: _Meter,
     c1: frozenset[int],
     c2: frozenset[int],
-    left: frozenset[int] | None,
+    left: frozenset[int],
 ) -> Optional[tuple[int, ...]]:
-    """An even path from c1 to c2 whose interior avoids both cycles."""
-    rest = g.vertex_set() - c1 - c2
-    if left is not None:
-        for comp in components_within(g, rest):
-            ends1 = sorted(x for x in c1 if g.adj[x] & comp)
-            ends2 = sorted(x for x in c2 if g.adj[x] & comp)
-            for x1 in ends1:
-                for x2 in ends2:
-                    if (x1 in left) != (x2 in left):
-                        continue
-                    path = shortest_path(g, x1, {x2}, allowed=comp | {x1, x2})
-                    if path is not None:
-                        return path
-        return None
-    for x1 in sorted(c1):
-        for x2 in sorted(c2):
-            for p in _simple_paths(
-                g, meter, x1, x2, banned=(c1 | c2) - {x1, x2}, parity=0, min_len=2
-            ):
-                return p
+    """An even path from c1 to c2 whose interior avoids both cycles: one
+    between same-side ends through a component of the rest."""
+    for comp in components_within(g, g.vertex_set() - c1 - c2):
+        ends1 = sorted(x for x in c1 if g.adj[x] & comp)
+        ends2 = sorted(x for x in c2 if g.adj[x] & comp)
+        for x1 in ends1:
+            for x2 in ends2:
+                if (x1 in left) != (x2 in left):
+                    continue
+                path = shortest_path(g, x1, {x2}, allowed=comp | {x1, x2})
+                if path is not None:
+                    return path
     return None
 
 
 def is_harmless(
     b: Multigraph, budget: Budget | None = None
 ) -> tuple[bool, Optional[ThetaWitness | BicycleWitness]]:
-    """Neither a theta nor a bicycle occurs as a subgraph."""
+    """Neither a theta nor a bicycle occurs as a subgraph of a bipartite host."""
     meter = _meter(budget)
     w = find_theta(b, meter)
     if w is not None:
@@ -404,8 +390,7 @@ def suitable_matching(
     lose coverage, so the greedy pass is exact.
     """
     meter = _meter(budget)
-    if b.bipartition() is None:
-        raise GraphError("suitable_matching requires a bipartite host")
+    _require_bipartite(b)
     forced = frozenset(forced)
     for e in forced:
         if not (0 <= e < b.m):

@@ -339,16 +339,25 @@ def is_safe_vertex(
     if not is_simplicial_vertex(g, v):
         return False, None
     meter = _meter(budget)
-    for clown in find_clowns(g, meter):
+    witness = _clown_witness(g, v, find_clowns(g, meter), meter)
+    return witness is None, witness
+
+
+def _clown_witness(
+    g: Graph, v: int, clowns: Iterable[Clown], meter: _Meter
+) -> Optional[tuple[Clown, tuple[int, ...]]]:
+    """The first of ``clowns`` with an even qualifying path from v to its
+    hat, and that path, or None: the clown test of :func:`is_safe_vertex`."""
+    for clown in clowns:
         h = clown.hat
         if v == h:
-            return False, (clown, (v,))
+            return clown, (v,)
         hole = frozenset(clown.cycle)
         if v in hole or g.adj[v] & hole:
             continue  # no path from v qualifies
         for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
-            return False, (clown, p)
-    return True, None
+            return clown, p
+    return None
 
 
 # -- peculiar structure ------------------------------------------------------

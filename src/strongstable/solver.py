@@ -48,7 +48,7 @@ from .decompose import (
     OneJoin,
     WJoin,
     find_one_join,
-    iter_w_joins,
+    find_w_join,
     verify_w_join,
     w_join_partition,
 )
@@ -60,12 +60,14 @@ from .linegraph import (
 from .recognizers import (
     LinearIntervalOrder,
     PeculiarParts,
+    _clown_witness,
     chain_order,
     check_linear_interval_order,
     cobipartite_partition,
+    find_clowns,
     find_cosimplicial_nonedge,
     is_consistent_set,
-    is_safe_vertex,
+    is_simplicial_vertex,
     linear_interval_order,
     peculiar_structure,
     verify_peculiar,
@@ -421,7 +423,7 @@ def _solve_with_apex(
 def combine_w_join(
     g: Graph, w: WJoin, z: Iterable[int], subsolver: SubSolver
 ) -> frozenset[int]:
-    """Strong stable set through a proper coherent W-join.
+    """Strong stable set through a W-join.
 
     The two mixed cliques are covered by a cosimplicial non-edge across
     them; the attachment sides are solved independently with an apex vertex
@@ -429,7 +431,7 @@ def combine_w_join(
     attachment-to-attachment paths.
     """
     z = frozenset(z)
-    if not (w.proper and w.coherent) or not verify_w_join(g, w):
+    if not verify_w_join(g, w):
         raise CaseNotApplicable("not a verified proper coherent W-join")
     parts = w_join_partition(g, w.a, w.b)
     if parts is None:
@@ -567,9 +569,13 @@ def validate_prescribed(
         raise GraphError("prescribed vertices out of range")
     if not g.is_stable(z):
         raise GraphError("prescribed set is not stable")
+    clowns = None  # listed once, when the first simplicial vertex needs them
     for v in sorted(z):
-        ok, witness = is_safe_vertex(g, v, meter)
-        if not ok:
+        simplicial = is_simplicial_vertex(g, v)
+        if simplicial and clowns is None:
+            clowns = list(find_clowns(g, meter))
+        witness = _clown_witness(g, v, clowns, meter) if simplicial else None
+        if not simplicial or witness is not None:
             raise GraphError(f"prescribed vertex {v} is not safe ({witness})")
     ok, witness = is_consistent_set(g, z, meter)
     if not ok:
@@ -738,12 +744,10 @@ def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset
 
 @_branch("w-join")
 def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    for wj in iter_w_joins(g, ctx.meter):
-        try:
-            return combine_w_join(g, wj, z, ctx.subsolver)
-        except CaseNotApplicable:
-            continue
-    raise CaseNotApplicable
+    wj = find_w_join(g, ctx.meter)
+    if wj is None:
+        raise CaseNotApplicable
+    return combine_w_join(g, wj, z, ctx.subsolver)
 
 
 @_branch("one-join")

@@ -152,16 +152,13 @@ def naive_anchored_paths(
     return sorted(out)
 
 
-def naive_simple_paths(g: Graph, start: int, end: int) -> list[tuple[int, ...]]:
-    """Every vertex sequence start..end with consecutive entries adjacent
-    and no repeats (chords allowed), sorted."""
-    others = [v for v in range(g.n) if v not in (start, end)]
-    return sorted(
-        p
-        for k in range(len(others) + 1)
-        for mid in itertools.permutations(others, k)
-        for p in [(start, *mid, end)]
-        if all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+def is_induced_path(g: Graph, path) -> bool:
+    """Definition check: consecutive adjacent, everything else non-adjacent."""
+    if len(set(path)) != len(path):
+        return False
+    return all(
+        g.has_edge(path[i], path[j]) == (j - i == 1)
+        for i, j in itertools.combinations(range(len(path)), 2)
     )
 
 

@@ -187,7 +187,7 @@ class TestGrowSquareConnectedPair:
     def test_basic(self):
         g = square_with_attachments()
         w = grow_square_connected_pair(g, (0, 1, 2, 3), (0, 1), (2, 3))
-        assert w == WJoin(frozenset({0, 1}), frozenset({2, 3}), True, True)
+        assert w == WJoin(frozenset({0, 1}), frozenset({2, 3}))
         assert verify_w_join(g, w)
 
     def test_square_alone(self):
@@ -236,7 +236,6 @@ class TestGrowSquareConnectedPair:
             g, square, a_side, b_side = random_growth_host(rng)
             w = grow_square_connected_pair(g, square, a_side, b_side)
             assert verify_w_join(g, w)
-            assert w.proper and w.coherent
 
 
 class TestInternalCutsetFromDeletion:

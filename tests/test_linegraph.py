@@ -130,10 +130,18 @@ class TestThetaBicycle:
         assert (len(w.path) - 1) % 2 == 0
 
     def test_theta_as_subgraph_with_chords(self):
-        # theta plus an extra edge: still found (subgraph containment)
+        # theta plus a parallel edge and a pendant, still bipartite: still
+        # found (subgraph containment)
         t = theta((2, 2, 2))
-        edges = list(t.edges) + [(2, 3)]
-        assert find_theta(M(t.n, edges)) is not None
+        edges = list(t.edges) + [(0, 2), (2, t.n)]
+        assert find_theta(M(t.n + 1, edges)) is not None
+
+    def test_non_bipartite_host_rejected(self):
+        # harmlessness is defined on bipartite hosts only
+        c5 = M(5, [(i, (i + 1) % 5) for i in range(5)])
+        for search in (find_theta, find_bicycle, is_harmless):
+            with pytest.raises(GraphError):
+                search(c5)
 
     def test_harmless_iff_line_graph_innocent(self):
         rng = random.Random(3)

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from strongstable import solver
+from strongstable import recognizers, solver
 from strongstable.core import (
     Budget,
     BudgetExceededError,
     GraphError,
+    complement,
     from_edge_list,
+    induced_cycles,
     is_strong_stable_set,
 )
 from strongstable.decompose import OneJoin, WJoin, find_one_join, grow_square_connected_pair
@@ -237,6 +240,31 @@ class TestSolveBasics:
         assert [r.branch for r in res.trace] == ["complete", "peel"]
         assert len(calls) == 1
 
+    def test_w_join_branch_combines_one_w_join(self):
+        # a cobipartite host whose squares grow into many W-joins, none of
+        # which combines: the branch gives up after the first
+        rng = random.Random(8)
+        pairs = [(i, j) for i in range(10) for j in range(10, 20) if rng.random() < 0.3]
+        g = complement(from_edge_list(20, pairs))
+        res = solve(g)
+        assert res.status == SolveStatus.NONE_EXISTS
+        assert len(res.trace) < 10
+
+    def test_validation_lists_clowns_once(self, monkeypatch):
+        # the clowns do not depend on the prescribed vertex, so validating
+        # three vertices enumerates them once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return induced_cycles(*args, **kwargs)
+
+        monkeypatch.setattr(recognizers, "induced_cycles", counted)
+        # three legs of length two around a center
+        g = from_edge_list(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+        validate_prescribed(g, frozenset({4, 5, 6}))
+        assert len(calls) == 1
+
     def test_peculiar_through_solve(self):
         g, _ = peculiar((1,) * 9)
         res = solve(g)
@@ -392,7 +420,7 @@ class TestCombineWJoin:
 
     def test_degenerate_empty_far_side(self):
         g = from_edge_list(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
-        w = WJoin(frozenset({0, 1}), frozenset({2, 3}), True, True)
+        w = WJoin(frozenset({0, 1}), frozenset({2, 3}))
         s = combine_w_join(g, w, frozenset(), plain_subsolver)
         assert is_strong_stable_set(g, s) and len(s) == 2
 
@@ -402,7 +430,7 @@ class TestCombineWJoin:
             7,
             [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1), (5, 2), (5, 3), (4, 6), (5, 6)],
         )
-        w = WJoin(frozenset({0, 1}), frozenset({2, 3}), True, True)
+        w = WJoin(frozenset({0, 1}), frozenset({2, 3}))
         with pytest.raises(CaseNotApplicable):
             combine_w_join(g, w, frozenset(), plain_subsolver)
 
