@@ -248,23 +248,29 @@ def w_join_partition(
     return frozenset(c), frozenset(d), frozenset(e), frozenset(f)
 
 
-def verify_w_join(g: Graph, w: WJoin) -> bool:
-    a, b = w.a, w.b
+def _w_join_parts(
+    g: Graph, a: frozenset[int], b: frozenset[int]
+) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
+    """(C, D, E, F) of :func:`w_join_partition` when the cliques A and B form
+    a proper coherent W-join, else None."""
     if not (a and b) or (a & b):
-        return False
+        return None
     if not (g.is_clique(a) and g.is_clique(b)):
-        return False
+        return None
     if g.is_complete_between(a, b) or g.is_anticomplete_between(a, b):
-        return False
+        return None
     parts = w_join_partition(g, a, b)
     if parts is None:
-        return False
-    _, _, e, _ = parts
+        return None
     if not all(g.is_mixed_on(v, b) for v in a):
-        return False
+        return None
     if not all(g.is_mixed_on(v, a) for v in b):
-        return False
-    return g.is_clique(e)
+        return None
+    return parts if g.is_clique(parts[2]) else None
+
+
+def verify_w_join(g: Graph, w: WJoin) -> bool:
+    return _w_join_parts(g, w.a, w.b) is not None
 
 
 def _square_sides(

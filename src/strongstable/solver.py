@@ -47,10 +47,9 @@ from .core import (
 from .decompose import (
     OneJoin,
     WJoin,
+    _w_join_parts,
     find_one_join,
     find_w_join,
-    verify_w_join,
-    w_join_partition,
 )
 from .linegraph import (
     detect_smooth_augmentation,
@@ -431,11 +430,9 @@ def combine_w_join(
     attachment-to-attachment paths.
     """
     z = frozenset(z)
-    if not verify_w_join(g, w):
-        raise CaseNotApplicable("not a verified proper coherent W-join")
-    parts = w_join_partition(g, w.a, w.b)
+    parts = _w_join_parts(g, w.a, w.b)
     if parts is None:
-        raise CaseNotApplicable("not homogeneous")
+        raise CaseNotApplicable("not a verified proper coherent W-join")
     c, d, e, f = parts
     if not z <= f:
         raise CaseNotApplicable("prescribed vertices attached to the join")

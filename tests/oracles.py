@@ -870,6 +870,14 @@ def complete(k: int) -> Graph:
     return from_edge_list(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
+def cocktail_party(k: int) -> Graph:
+    """K_k minus the perfect matching {0, 1}, {2, 3}, ... (k even): every
+    vertex misses one neighbour of another, so none is simplicial."""
+    return from_edge_list(
+        k, [(i, j) for i in range(k) for j in range(i + 1, k) if j != i ^ 1]
+    )
+
+
 # -- constructed hosts for growth-hypothesis tests ------------------------------------
 
 

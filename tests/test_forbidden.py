@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,9 @@ from strongstable.forbidden import (
     verify_witness,
 )
 from strongstable.generators import antihole, bicycle, eye_mask, handcuff, hole, prism
+from strongstable.recognizers import simplicial_vertices
 from oracles import (
+    cocktail_party,
     complete,
     cycle,
     naive_anchored_paths,
@@ -139,6 +142,77 @@ class TestCertificate:
         for g, kind in cases:
             w = find_structure(g, kind)
             assert w is not None and verify_witness(g, w), kind
+
+
+# the five families on their small members, with paths of length 1 and
+# links of length 1 among them
+_STRUCTURES = (
+    [hole(k) for k in (5, 7, 9)]
+    + [antihole(k) for k in (6, 7, 8, 9)]
+    + [prism(p) for p in ((1, 1, 1), (1, 1, 3), (1, 3, 3), (3, 3, 5))]
+    + [eye_mask(c1, c2) for c1, c2 in ((4, 4), (4, 6), (6, 8))]
+    + [handcuff(c1, c2, k) for c1, c2, k in ((4, 4, 1), (4, 6, 1), (4, 4, 3), (6, 6, 5))]
+)
+
+
+def _with_simplicial_attachments(rng: random.Random, base):
+    """base plus pendants and cliques glued at a vertex, ids shuffled; an
+    attachment may hang off an earlier one, so peeling takes several rounds.
+    Returns the graph and the new ids of base's vertices."""
+    edges = list(base.edges())
+    n = base.n
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(n)
+        new = range(n, n + rng.randint(1, 4))  # a single new vertex is a pendant
+        edges += [(at, v) for v in new] + list(itertools.combinations(new, 2))
+        n = new.stop
+    ids = list(range(n))
+    rng.shuffle(ids)
+    g = from_edge_list(n, [(ids[u], ids[v]) for u, v in edges])
+    return g, frozenset(ids[: base.n])
+
+
+class TestSimplicialPeel:
+    def test_no_vertex_of_a_structure_is_simplicial(self):
+        # every vertex of the five structures has two non-adjacent
+        # neighbours in it, so the certificate's peel keeps every induced copy
+        for g in _STRUCTURES:
+            assert simplicial_vertices(g) == frozenset(), sorted(g.edges())
+
+    def test_complete_graph_peels_without_a_tick(self):
+        cert = innocence_certificate(complete(200), Budget(max_enumerations=1))
+        assert isinstance(cert, Innocent)
+
+    def test_peel_isolates_exactly_the_attachments(self):
+        rng = random.Random(19)
+        c6 = cycle(6)
+        assert forbidden._peel_simplicial(c6) is c6
+        for base in _STRUCTURES:
+            g, kept = _with_simplicial_attachments(rng, base)
+            core = forbidden._peel_simplicial(g)
+            assert core.n == g.n
+            assert frozenset(v for v in range(g.n) if core.adj[v]) == kept
+            assert all(core.adj[v] == g.adj[v] & kept for v in kept)
+
+    def test_same_witness_as_the_unpeeled_searches(self):
+        rng = random.Random(20)
+        for base in _STRUCTURES + [cycle(6), cycle(8), complete(4)]:
+            for _ in range(3):
+                g, _ = _with_simplicial_attachments(rng, base)
+                assert simplicial_vertices(g)
+                cert = innocence_certificate(g)
+                first = next(
+                    (w for kind in CERTIFICATE_ORDER if (w := find_structure(g, kind))),
+                    None,
+                )
+                if first is None:
+                    assert isinstance(cert, Innocent), sorted(g.edges())
+                else:
+                    assert (cert.kind, cert.vertices, cert.anatomy) == (
+                        first.kind,
+                        first.vertices,
+                        first.anatomy,
+                    ), sorted(g.edges())
 
 
 class TestVerifyWitness:
@@ -360,9 +434,11 @@ class TestBudgets:
 
     def test_dense_input_trips_the_meter(self):
         # K200 has 1.3M triangles: the odd-prism search ticks on each one, and
-        # the eye-mask search ticks before it has listed every 4-clique
+        # the eye-mask search ticks before it has listed every 4-clique; the
+        # certificate peels K200 whole, so it gets K200 minus a perfect
+        # matching, which has nearly as many triangles and no simplicial vertex
         with pytest.raises(BudgetExceededError):
-            innocence_certificate(complete(200), Budget())
+            innocence_certificate(cocktail_party(200), Budget())
         with pytest.raises(BudgetExceededError):
             find_structure(complete(60), ForbiddenKind.ODD_PRISM, Budget(max_enumerations=1000))
         with pytest.raises(BudgetExceededError):
@@ -382,6 +458,6 @@ class TestBudgets:
             find_structure(nets, ForbiddenKind.ODD_PRISM, Budget(max_enumerations=209))
 
     def test_enumeration_gate(self):
-        g = complete(12)
+        g = cocktail_party(12)
         with pytest.raises(BudgetExceededError):
             innocence_certificate(g, Budget(max_enumerations=5))
