@@ -227,12 +227,6 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(order), adj), order
 
 
-def delete_vertices(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Convenience wrapper: induced subgraph on the complement of x."""
-    x = frozenset(x)
-    return induced(g, frozenset(range(g.n)) - x)
-
-
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     return components_within(g, range(g.n))
@@ -266,23 +260,11 @@ def _flood(bits: Sequence[int], seed: int, room: int) -> int:
 
 
 def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[int]]:
-    """Anticomponents of s: components in the complement, restricted to s."""
-    s = frozenset(range(g.n)) if s is None else frozenset(s)
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for start in sorted(s):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in (s - g.adj[v]) - comp - {v}:
-                comp.add(w)
-                stack.append(w)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    """Anticomponents of s: components in the complement, restricted to s,
+    ordered by smallest member."""
+    rest = (1 << g.n) - 1 if s is None else _mask_of(s)
+    co = [rest & ~b for b in g.bits]
+    return [frozenset(_iter_bits(c)) for c in _mask_components(co, rest)]
 
 
 def two_coloring(bits: Sequence[int]) -> Optional[frozenset[int]]:

@@ -19,7 +19,7 @@ from .core import (
     _meter,
     components,
     components_within,
-    delete_vertices,
+    induced,
     squares,
 )
 from .recognizers import simplicial_vertices
@@ -397,7 +397,7 @@ def internal_clique_cutset_from_deletion(
     lift still returns a valid cutset of g when one exists.
     """
     simp = simplicial_vertices(g)
-    rest, mapping = delete_vertices(g, simp)
+    rest, mapping = induced(g, g.vertex_set() - simp)
     cut = find_clique_cutset(rest, budget)
     if cut is None:
         return None

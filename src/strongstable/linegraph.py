@@ -1,7 +1,7 @@
 """Bipartite-multigraph machinery: recovering a bipartite root of a line
 graph, harmlessness (theta / bicycle subgraph search on bipartite hosts),
-suitable matchings with frozen forced edges, and detection of smooth
-augmentations of line graphs.
+suitable matchings with frozen forced edges, and the candidate clique pairs
+of a smooth augmentation, which the solver reduces one at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     _Meter,
     _meter,
     components_within,
-    from_edge_list,
     iter_maximal_cliques,
     shortest_path,
 )
@@ -29,14 +28,11 @@ from .decompose import w_join_partition
 
 @dataclass(frozen=True)
 class RootRecovery:
-    """A bipartite multigraph whose line graph is exactly the input.
-
-    ``edge_map[v]`` is the root edge corresponding to input vertex v (the
-    construction makes this the identity).
+    """A bipartite multigraph whose line graph is exactly the input: root
+    edge v is input vertex v.
     """
 
     root: Multigraph
-    edge_map: tuple[int, ...]
 
     @functools.cached_property
     def ambiguous(self) -> bool:
@@ -86,26 +82,6 @@ class SuitableMatching:
     edges: frozenset[int]
 
 
-@dataclass(frozen=True)
-class AugmentationStructure:
-    """A bipartite root plus the cobipartite augments of its line graph.
-
-    Each augment is ``((ex, ey), x_side, y_side, cross_edges)``: ex, ey are
-    the base edge ids of the contracted flat edge, the sides are input
-    vertex tuples (each a clique), and cross_edges is their adjacency in the
-    input graph, which is all reconstruction needs. ``line_to_input[e]``
-    maps base edge e to the input vertex it stands for, or None for the
-    marker edges of the augments.
-    """
-
-    base: Multigraph
-    augments: tuple[
-        tuple[tuple[int, int], tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]],
-        ...,
-    ]
-    line_to_input: tuple[Optional[int], ...]
-
-
 # -- root recovery ----------------------------------------------------------------
 
 
@@ -138,7 +114,7 @@ def recover_root(
     root = Multigraph.build(nodes, ends)
     if root.bipartition() is None:
         return None
-    return RootRecovery(root, tuple(range(g.n)))
+    return RootRecovery(root)
 
 
 def _root_ambiguous(root: Multigraph) -> bool:
@@ -475,7 +451,7 @@ def other_end(b: Multigraph, e: int, v: int) -> int:
     return y if x == v else x
 
 
-# -- smooth augmentation detection ---------------------------------------------------
+# -- smooth augmentation candidates --------------------------------------------------
 
 
 def _pattern_pair(
@@ -518,14 +494,12 @@ def _pattern_pair(
 
 
 def _augment_candidates(
-    g: Graph, frozen: frozenset[int], meter: _Meter
+    g: Graph, meter: _Meter
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
     """Candidate smooth-augment pairs, seeded from same-side edges."""
     out: list[tuple[frozenset[int], frozenset[int]]] = []
     seen: set[frozenset[frozenset[int]]] = set()
     for u, v in sorted(g.edges()):
-        if u in frozen or v in frozen:
-            continue
         x0 = frozenset((u, v))
         y0 = frozenset((g.adj[u] ^ g.adj[v]) - x0)
         if not y0:
@@ -534,8 +508,6 @@ def _augment_candidates(
         if res is None:
             continue
         xs, ys = res
-        if frozen & (xs | ys):
-            continue
         if len(xs | ys) < 3 or len(xs | ys) >= g.n:
             continue
         if not _valid_augment(g, xs, ys):
@@ -570,91 +542,3 @@ def _valid_augment(g: Graph, xs: frozenset[int], ys: frozenset[int]) -> bool:
     # the augment itself is a connected cobipartite graph
     sub = xs | ys
     return len(components_within(g, sub)) == 1
-
-
-def _contract_pair(
-    g: Graph,
-    origin: list,
-    xs: frozenset[int],
-    ys: frozenset[int],
-    aug_index: int,
-) -> tuple[Graph, list]:
-    """Replace (xs, ys) by a flat marker edge x*, y*."""
-    keep = sorted(g.vertex_set() - xs - ys)
-    pos = {v: i for i, v in enumerate(keep)}
-    xstar, ystar = len(keep), len(keep) + 1
-    edges: list[tuple[int, int]] = []
-    for a, bb in g.edges():
-        if a in pos and bb in pos:
-            edges.append((pos[a], pos[bb]))
-    cx = g.neighborhood(xs) - ys
-    dy = g.neighborhood(ys) - xs
-    edges.extend((pos[v], xstar) for v in cx)
-    edges.extend((pos[v], ystar) for v in dy)
-    edges.append((xstar, ystar))
-    new_origin = [origin[v] for v in keep]
-    new_origin.append(("x", aug_index))
-    new_origin.append(("y", aug_index))
-    return from_edge_list(len(keep) + 2, edges), new_origin
-
-
-def detect_smooth_augmentation(
-    g: Graph, budget: Budget | _Meter | None = None
-) -> Optional[AugmentationStructure]:
-    """Express g as a smooth augmentation of the line graph of a bipartite
-    multigraph, when the candidate search can see how.
-
-    Candidate cobipartite pairs are closed up from same-side edge seeds;
-    each is contracted to a flat marker edge and the remainder is handed to
-    root recovery. Failure means "not recognized", never a refutation.
-    """
-    if not g.is_connected():
-        raise GraphError("smooth augmentation detection expects a connected graph")
-    meter = _meter(budget)
-    augments: list[tuple[frozenset[int], frozenset[int]]] = []
-
-    def attempt(cur: Graph, origin: list) -> Optional[AugmentationStructure]:
-        meter.tick()
-        frozen = frozenset(i for i, o in enumerate(origin) if isinstance(o, tuple))
-        rr = recover_root(cur, meter) if cur.is_connected() else None
-        if rr is not None:
-            return _assemble(g, rr, origin, augments)
-        for xs, ys in _augment_candidates(cur, frozen, meter):
-            aug_index = len(augments)
-            augments.append(
-                (
-                    frozenset(origin[v] for v in xs),
-                    frozenset(origin[v] for v in ys),
-                )
-            )
-            nxt, nxt_origin = _contract_pair(cur, origin, xs, ys, aug_index)
-            res = attempt(nxt, nxt_origin)
-            if res is not None:
-                return res
-            augments.pop()
-        return None
-
-    return attempt(g, list(range(g.n)))
-
-
-def _assemble(
-    g: Graph, rr: RootRecovery, origin: list, augments: list
-) -> AugmentationStructure:
-    line_to_input: list[Optional[int]] = [None] * len(origin)
-    marker_pos: dict[tuple[str, int], int] = {}
-    for i, o in enumerate(origin):
-        if isinstance(o, tuple):
-            marker_pos[o] = i
-        else:
-            line_to_input[i] = o
-    packed = []
-    for idx, (xs, ys) in enumerate(augments):
-        ex = marker_pos[("x", idx)]
-        ey = marker_pos[("y", idx)]
-        xt = tuple(sorted(xs))
-        yt = tuple(sorted(ys))
-        cross = tuple(
-            (a, bb) for a in xt for bb in yt if g.has_edge(a, bb)
-        )
-        packed.append(((ex, ey), xt, yt, cross))
-    return AugmentationStructure(rr.root, tuple(packed), tuple(line_to_input))

@@ -51,11 +51,7 @@ from .decompose import (
     find_one_join,
     find_w_join,
 )
-from .linegraph import (
-    detect_smooth_augmentation,
-    recover_root,
-    suitable_matching,
-)
+from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
     LinearIntervalOrder,
     PeculiarParts,
@@ -760,21 +756,28 @@ def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
     rr = recover_root(g, ctx.meter)
     if rr is None:
         raise CaseNotApplicable
-    forced = frozenset(rr.edge_map[v] for v in z)
-    m = suitable_matching(rr.root, forced, ctx.meter)
+    m = suitable_matching(rr.root, z, ctx.meter)  # root edge v is vertex v
     if m is None:
         raise CaseNotApplicable
-    inverse = {e: v for v, e in enumerate(rr.edge_map)}
-    return frozenset(inverse[e] for e in m.edges)
+    return m.edges
 
 
 @_branch("augmentation")
 def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    st = detect_smooth_augmentation(g, ctx.meter)
-    if st is None or not st.augments:
-        raise CaseNotApplicable
-    for (ex, ey), xt, yt, cross in st.augments:
-        xs, ys = frozenset(xt), frozenset(yt)
+    """Shrink the first candidate clique pair (X, Y) that misses z and has
+    no square to one edge uv, u in X complete to Y and v in Y complete to
+    X, and solve the rest: a strong stable set S' of
+    G' = G - ((X - u) | (Y - v)) is one of G.
+
+    Each candidate is a homogeneous pair of cliques with no vertex outside
+    complete to both, so each outside vertex is complete to X (C), to Y
+    (D) or to neither. In G', u sees C + v and v sees D + u, so {u, v} is a
+    maximal clique and S' holds one of them. A maximal clique K of G that
+    misses X | Y is one of G'; one inside X | Y holds u and v; any other
+    is X | C' or Y | D', and S' meets it in the maximal clique C' + u, or
+    D' + v, of G'.
+    """
+    for xs, ys in _augment_candidates(g, ctx.meter):
         if z & (xs | ys):
             continue
         sub, _ = induced(g, xs | ys)

@@ -20,7 +20,6 @@ from strongstable.core import (
     complement,
     from_edge_list,
     induced,
-    line_graph,
 )
 
 
@@ -805,40 +804,6 @@ def contract_degree_two(b: Multigraph, u: int) -> ContractionResult:
     return ContractionResult(
         Multigraph.build(nxt, new_edges), tuple(vmap), tuple(emap)
     )
-
-
-def reconstruct_augmentation(structure) -> Graph:
-    """Rebuild the augmented graph from the ``AugmentationStructure`` that
-    ``detect_smooth_augmentation`` returns, on the input's ids."""
-    lg, _ = line_graph(structure.base)
-    n = 0
-    for o in structure.line_to_input:
-        if o is not None:
-            n = max(n, o + 1)
-    for _, xt, yt, _cross in structure.augments:
-        for v in xt + yt:
-            n = max(n, v + 1)
-    edges: list[tuple[int, int]] = []
-    expand: dict[int, tuple[int, ...]] = {}
-    for e, o in enumerate(structure.line_to_input):
-        expand[e] = (o,) if o is not None else ()
-    for (ex, ey), xt, yt, cross in structure.augments:
-        expand[ex] = xt
-        expand[ey] = yt
-        edges.extend(itertools.combinations(xt, 2))
-        edges.extend(itertools.combinations(yt, 2))
-        edges.extend(cross)
-    for e1, e2 in lg.edges():
-        if structure.line_to_input[e1] is None and structure.line_to_input[e2] is None:
-            marked = {e1, e2}
-            if any(
-                {ex, ey} == marked for (ex, ey), *_ in structure.augments
-            ):
-                continue  # the flat marker pair itself; cross edges already added
-        for a in expand[e1]:
-            for bb in expand[e2]:
-                edges.append((a, bb))
-    return from_edge_list(n, edges)
 
 
 def verify_clique_cutset(g: Graph, c) -> bool:

@@ -156,6 +156,17 @@ class TestComponents:
     def test_anticomponents_c4(self):
         assert sorted(map(sorted, anticomponents(cycle(4)))) == [[0, 2], [1, 3]]
 
+    def test_anticomponents_are_components_of_the_complement(self, graphs_by_n):
+        for n in range(7):
+            for g in graphs_by_n[n]:
+                assert anticomponents(g) == anticomponents(g, range(n))
+                for s in [range(n), *(set(range(n)) - {v} for v in range(n))]:
+                    sub, mapping = induced(g, s)
+                    expected = [
+                        frozenset(mapping[v] for v in c) for c in components(complement(sub))
+                    ]
+                    assert anticomponents(g, s) == expected, (sorted(g.edges()), sorted(s))
+
     def test_within_matches_bfs(self):
         rng = random.Random(5)
         for _ in range(300):

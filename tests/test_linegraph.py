@@ -19,7 +19,6 @@ from strongstable.generators import (
 from strongstable.linegraph import (
     BicycleWitness,
     ThetaWitness,
-    detect_smooth_augmentation,
     find_bicycle,
     find_theta,
     is_harmless,
@@ -34,7 +33,6 @@ from oracles import (
     graph_isomorphic,
     multigraph_isomorphic,
     naive_suitable_matching_exists,
-    reconstruct_augmentation,
 )
 
 M = Multigraph.build
@@ -265,46 +263,3 @@ class TestContraction:
             if checked >= 20:
                 break
         assert checked >= 10
-
-
-class TestSmoothAugmentation:
-    def _augmented(self):
-        # path 0-1-2-3 with X={4,5}, Y={6,7}, nested cross, C={3}, D={0}
-        return from_edge_list(
-            8,
-            [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7), (4, 6), (5, 6), (5, 7),
-             (3, 4), (3, 5), (0, 6), (0, 7)],
-        )
-
-    def test_plain_line_graph_zero_augments(self):
-        st = detect_smooth_augmentation(cycle(6))
-        assert st is not None and st.augments == ()
-
-    def test_nontrivial_augment_found_and_reconstructs(self):
-        g = self._augmented()
-        assert recover_root(g) is None
-        st = detect_smooth_augmentation(g)
-        assert st is not None and len(st.augments) == 1
-        (pair, xs, ys, cross) = st.augments[0]
-        assert {frozenset(xs), frozenset(ys)} == {frozenset({4, 5}), frozenset({6, 7})}
-        assert reconstruct_augmentation(st) == g
-
-    def test_c5_absent(self):
-        assert detect_smooth_augmentation(cycle(5)) is None
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
-            detect_smooth_augmentation(from_edge_list(4, [(0, 1), (2, 3)]))
-
-    def test_generator_roundtrip(self):
-        from strongstable.generators import random_claw_free_innocent
-
-        found_aug = 0
-        for seed in range(30):
-            g = random_claw_free_innocent(seed, 11, augment_rate=0.6)
-            st = detect_smooth_augmentation(g, Budget(max_vertices=24, max_enumerations=400_000))
-            if st is None:
-                continue
-            assert reconstruct_augmentation(st) == g
-            found_aug += 1 if st.augments else 0
-        assert found_aug >= 3

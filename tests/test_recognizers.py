@@ -10,6 +10,7 @@ from strongstable.core import (
     GraphError,
     Multigraph,
     from_edge_list,
+    induced,
     line_graph,
 )
 from strongstable.recognizers import (
@@ -135,9 +136,7 @@ class TestSimplicial:
         # vertex is gone (claw-free hosts)
         g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)])
         assert 0 in simplicial_vertices(g)
-        from strongstable.core import delete_vertices
-
-        rest, mapping = delete_vertices(g, {0})
+        rest, mapping = induced(g, g.vertex_set() - {0})
         pos = {old: new for new, old in enumerate(mapping)}
         assert is_simplicial_clique(rest, {pos[1], pos[2]})
 
@@ -178,8 +177,6 @@ class TestSimplicialStableProperty:
                 assert g.is_stable(simp), sorted(g.edges())
 
     def test_neighborhood_is_simplicial_clique_after_deletion(self, graphs_by_n):
-        from strongstable.core import delete_vertices
-
         for n in range(2, 8):
             for g in graphs_by_n[n]:
                 if find_claw(g) is not None:
@@ -187,7 +184,7 @@ class TestSimplicialStableProperty:
                 for v in sorted(simplicial_vertices(g)):
                     if not g.adj[v]:
                         continue
-                    rest, mapping = delete_vertices(g, {v})
+                    rest, mapping = induced(g, g.vertex_set() - {v})
                     pos = {old: new for new, old in enumerate(mapping)}
                     assert is_simplicial_clique(
                         rest, {pos[u] for u in g.adj[v]}

@@ -8,14 +8,17 @@ from strongstable.core import (
     Budget,
     BudgetExceededError,
     GraphError,
+    _meter,
     complement,
     from_edge_list,
+    induced,
     induced_cycles,
     is_strong_stable_set,
 )
 from strongstable.decompose import OneJoin, WJoin, find_one_join, grow_square_connected_pair
 from strongstable.forbidden import Innocent, innocence_certificate
 from strongstable.generators import peculiar
+from strongstable.linegraph import _augment_candidates, recover_root
 from strongstable.recognizers import find_claw, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
@@ -34,7 +37,9 @@ from oracles import (
     attach_anchor_gadgets,
     complete,
     cycle,
+    naive_is_stable,
     naive_is_strong_stable_set,
+    naive_maximal_cliques,
     path,
     strip_anchor_gadgets,
     subsets,
@@ -566,7 +571,6 @@ class TestSimplicialRemovalInvariant:
     def test_obs_on_random_hosts(self, graphs_by_n):
         # when a simplicial vertex is deleted and the rest solved, the
         # solution or the solution plus the vertex solves the whole graph
-        from strongstable.core import delete_vertices
         from strongstable.recognizers import simplicial_vertices
 
         for g in graphs_by_n[6]:
@@ -574,7 +578,7 @@ class TestSimplicialRemovalInvariant:
             if not simp:
                 continue
             v = simp[0]
-            rest, mapping = delete_vertices(g, {v})
+            rest, mapping = induced(g, g.vertex_set() - {v})
             s = brute_force(rest)
             if s is None:
                 continue
@@ -583,3 +587,67 @@ class TestSimplicialRemovalInvariant:
             assert is_strong_stable_set(g, lifted) or is_strong_stable_set(
                 g, lifted | {v}
             )
+
+
+class TestAugmentationBranch:
+    @staticmethod
+    def _shrink(g, xs, ys):
+        """The branch's reduced vertex set: all but one vertex of each side,
+        u in xs complete to ys and v in ys complete to xs; None without them."""
+        u = next((x for x in sorted(xs) if ys <= g.adj[x]), None)
+        v = next((y for y in sorted(ys) if xs <= g.adj[y]), None)
+        if u is None or v is None:
+            return None
+        return g.vertex_set() - ((xs - {u}) | (ys - {v}))
+
+    def test_every_strong_set_of_the_shrunk_graph_lifts(self):
+        rng = random.Random(20)
+        pairs = lifted = 0
+        for _ in range(3000):
+            n = rng.randint(4, 9)
+            p = rng.uniform(0.5, 0.85)
+            slots = itertools.combinations(range(n), 2)
+            g = from_edge_list(n, [e for e in slots if rng.random() < p])
+            cliques = naive_maximal_cliques(g)
+            for xs, ys in _augment_candidates(g, _meter(None)):
+                keep = self._shrink(g, xs, ys)
+                if keep is None:
+                    continue
+                pairs += 1
+                sub, mapping = induced(g, keep)
+                sub_cliques = naive_maximal_cliques(sub)
+                for s in subsets(range(sub.n)):
+                    if not (naive_is_stable(sub, s) and all(k & set(s) for k in sub_cliques)):
+                        continue
+                    lifted += 1
+                    back = {mapping[x] for x in s}
+                    assert naive_is_stable(g, back) and all(k & back for k in cliques), (
+                        sorted(g.edges()), sorted(xs), sorted(ys), sorted(back)
+                    )
+        assert pairs >= 300 and lifted >= 600
+
+    def test_non_line_graph_reduced_by_one_pair(self):
+        # path 0-1-2-3 with X={4,5}, Y={6,7}, nested cross, C={3}, D={0}
+        g = from_edge_list(
+            8,
+            [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7), (4, 6), (5, 6), (5, 7),
+             (3, 4), (3, 5), (0, 6), (0, 7)],
+        )
+        assert recover_root(g) is None
+        res = solve(g)
+        assert res.status is SolveStatus.FOUND
+        assert "augmentation" in [t.branch for t in res.trace]
+        assert naive_is_strong_stable_set(g, res.s)
+
+    def test_generated_augments_solve(self):
+        # peel and the cobipartite branch finish most of these; seed 5 is
+        # the one that reaches the augmentation branch
+        from strongstable.generators import random_claw_free_innocent
+
+        used = 0
+        for seed in range(30):
+            g = random_claw_free_innocent(seed, 11, augment_rate=0.6)
+            res = solve(g)
+            assert res.status is SolveStatus.FOUND, seed
+            used += "augmentation" in [t.branch for t in res.trace]
+        assert used >= 1
