@@ -14,8 +14,10 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
+    _flood,
     _iter_bits,
     _mask_components,
+    _mask_of,
     _meter,
     components,
     components_within,
@@ -159,6 +161,10 @@ def find_zero_join(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
 # -- 1-joins --------------------------------------------------------------------
 
 
+def _is_clique_mask(bits: tuple[int, ...], m: int) -> bool:
+    return all(m & ~bits[v] == 1 << v for v in _iter_bits(m))
+
+
 def find_one_join(g: Graph) -> Optional[OneJoin]:
     """A 1-join if one exists; rich ones are preferred.
 
@@ -166,30 +172,32 @@ def find_one_join(g: Graph) -> Optional[OneJoin]:
     whole interface is K = N[a1] & N[a2], and it must be a clique. Each
     component of G - K lies on one side together with the K vertices that
     see it; these glued blocks are the components of G with the edges inside
-    K removed. The blocks of a1 and a2 fix the two sides. Moving a block to
-    side 2 never hurts side 2, and side 1 keeps a far vertex and more than
-    two vertices with at most two blocks besides a1's; so giving side 1 at
-    most two further blocks and side 2 the rest misses no (rich) 1-join.
+    K removed. The blocks of a1 and a2 fix the two sides, so the edge is
+    skipped as soon as a flood from a1 reaches a2. Moving a block to side 2
+    never hurts side 2, and side 1 keeps a far vertex and more than two
+    vertices with at most two blocks besides a1's; so giving side 1 at most
+    two further blocks and side 2 the rest misses no (rich) 1-join.
     """
-    full = g.vertex_set()
     bits = g.bits
+    full = (1 << g.n) - 1
     fallback: Optional[OneJoin] = None
     for a1, a2 in sorted(g.edges()):
         km = (bits[a1] | 1 << a1) & (bits[a2] | 1 << a2)
-        k = frozenset(_iter_bits(km))
-        if not g.is_clique(k):
+        if not _is_clique_mask(bits, km):
             continue
         cut = [b & ~km if km >> v & 1 else b for v, b in enumerate(bits)]
-        blocks = [frozenset(_iter_bits(c)) for c in _mask_components(cut, (1 << g.n) - 1)]
-        b1 = next(b for b in blocks if a1 in b)
-        b2 = next(b for b in blocks if a2 in b)
-        if b1 == b2:
+        m1 = _flood(cut, 1 << a1, full)
+        if m1 >> a2 & 1:
             continue
-        rest = [b for b in blocks if b != b1 and b != b2]
+        m2 = _flood(cut, 1 << a2, full & ~m1)
+        b1, k = frozenset(_iter_bits(m1)), frozenset(_iter_bits(km))
+        rest = [
+            frozenset(_iter_bits(c)) for c in _mask_components(cut, full & ~(m1 | m2))
+        ]
         for size in range(3):
             for extra in itertools.combinations(rest, size):
                 v1 = b1.union(*extra)
-                v2 = full - v1
+                v2 = g.vertex_set() - v1
                 rich = len(v1) > 2 and len(v2) > 2
                 join = OneJoin(v1, v2, v1 & k, v2 & k, rich)
                 if not verify_one_join(g, join):
@@ -220,32 +228,64 @@ def verify_one_join(g: Graph, j: OneJoin) -> bool:
 
 
 # -- W-joins ---------------------------------------------------------------------
+#
+# The W-join code runs on int masks over g.bits; only the public entry
+# points convert to and from frozensets.
+
+
+def _partition_masks(
+    bits: tuple[int, ...], am: int, bm: int
+) -> Optional[tuple[int, int, int, int]]:
+    """(C, D, E, F) as masks: the vertices outside A and B complete to A
+    only, to B only, to both, to neither; None when one is mixed on A or B."""
+    c = d = e = f = 0
+    for v in _iter_bits(((1 << len(bits)) - 1) & ~(am | bm)):
+        na, nb = bits[v] & am, bits[v] & bm
+        to_a, to_b = na == am, nb == bm  # an empty side counts as both
+        if na and not to_a or nb and not to_b:
+            return None
+        if to_a and not nb:
+            c |= 1 << v
+        elif to_b and not na:
+            d |= 1 << v
+        elif to_a and to_b:
+            e |= 1 << v
+        else:
+            f |= 1 << v
+    return c, d, e, f
+
+
+def _w_join_masks(
+    bits: tuple[int, ...], am: int, bm: int
+) -> Optional[tuple[int, int, int, int]]:
+    """:func:`_partition_masks` of A and B when they form a proper coherent
+    W-join, else None. Every vertex of A mixed on B (and back) already rules
+    out A complete or anticomplete to B."""
+    if not (am and bm) or am & bm:
+        return None
+    if not (_is_clique_mask(bits, am) and _is_clique_mask(bits, bm)):
+        return None
+    for x, y in ((am, bm), (bm, am)):
+        for v in _iter_bits(x):
+            h = bits[v] & y
+            if not h or h == y:
+                return None
+    parts = _partition_masks(bits, am, bm)
+    if parts is None or not _is_clique_mask(bits, parts[2]):
+        return None
+    return parts
+
+
+def _sets(masks: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(_iter_bits(m)) for m in masks)
 
 
 def w_join_partition(
     g: Graph, a: frozenset[int], b: frozenset[int]
 ) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
     """(C, D, E, F) for a homogeneous pair, or None when some vertex is mixed."""
-    c: set[int] = set()
-    d: set[int] = set()
-    e: set[int] = set()
-    f: set[int] = set()
-    for v in sorted(g.vertex_set() - a - b):
-        to_a = a <= g.adj[v]
-        anti_a = not (a & g.adj[v])
-        to_b = b <= g.adj[v]
-        anti_b = not (b & g.adj[v])
-        if not ((to_a or anti_a) and (to_b or anti_b)):
-            return None
-        if to_a and anti_b:
-            c.add(v)
-        elif to_b and anti_a:
-            d.add(v)
-        elif to_a and to_b:
-            e.add(v)
-        else:
-            f.add(v)
-    return frozenset(c), frozenset(d), frozenset(e), frozenset(f)
+    parts = _partition_masks(g.bits, _mask_of(a), _mask_of(b))
+    return None if parts is None else _sets(parts)
 
 
 def _w_join_parts(
@@ -253,24 +293,12 @@ def _w_join_parts(
 ) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
     """(C, D, E, F) of :func:`w_join_partition` when the cliques A and B form
     a proper coherent W-join, else None."""
-    if not (a and b) or (a & b):
-        return None
-    if not (g.is_clique(a) and g.is_clique(b)):
-        return None
-    if g.is_complete_between(a, b) or g.is_anticomplete_between(a, b):
-        return None
-    parts = w_join_partition(g, a, b)
-    if parts is None:
-        return None
-    if not all(g.is_mixed_on(v, b) for v in a):
-        return None
-    if not all(g.is_mixed_on(v, a) for v in b):
-        return None
-    return parts if g.is_clique(parts[2]) else None
+    parts = _w_join_masks(g.bits, _mask_of(a), _mask_of(b))
+    return None if parts is None else _sets(parts)
 
 
 def verify_w_join(g: Graph, w: WJoin) -> bool:
-    return _w_join_parts(g, w.a, w.b) is not None
+    return _w_join_masks(g.bits, _mask_of(w.a), _mask_of(w.b)) is not None
 
 
 def _square_sides(
@@ -296,15 +324,18 @@ def _square_sides(
 
 
 def _mixed_square(
-    g: Graph, v: int, s: set[int], t: set[int]
+    bits: tuple[int, ...], v: int, sm: int, tm: int
 ) -> Optional[tuple[int, int, int, int]]:
-    """A square (s1, s2, t1, t2) in (S, T) with v adjacent to s1, not to s2."""
-    for s1 in sorted(s & g.adj[v]):
-        for s2 in sorted(s - g.adj[v]):
-            for t1 in sorted((t & g.adj[s1]) - g.adj[s2]):
-                for t2 in sorted((t & g.adj[s2]) - g.adj[s1]):
-                    if t1 != t2:
-                        return (s1, s2, t1, t2)
+    """The first square (s1, s2, t1, t2) in (S, T) with v adjacent to s1,
+    not to s2, in sorted order; t1 and t2 are told apart by s1 and s2, so
+    they always differ."""
+    nv = bits[v]
+    for s1 in _iter_bits(sm & nv):
+        for s2 in _iter_bits(sm & ~nv):
+            t1 = tm & bits[s1] & ~bits[s2]
+            t2 = tm & bits[s2] & ~bits[s1]
+            if t1 and t2:
+                return s1, s2, (t1 & -t1).bit_length() - 1, (t2 & -t2).bit_length() - 1
     return None
 
 
@@ -321,53 +352,52 @@ def grow_square_connected_pair(
     outside vertices are non-adjacent, absorb that pair too. The result is a
     proper coherent W-join whenever the host satisfies the growth hypothesis;
     otherwise a :class:`HypothesisViolationError` pinpoints the obstruction.
+
+    The outside vertices are scanned lowest first, a side S before the
+    other side T, and the scan restarts after each absorption. Each side
+    keeps the union (``near``) and intersection (``full``) of its members'
+    neighbourhoods, so the vertices mixed on it are ``near & ~full``.
     """
     (a1, a2), (b1, b2) = _square_sides(g, square, a_side, b_side)
-    s: set[int] = {a1, a2}
-    t: set[int] = {b1, b2}
+    bits = g.bits
+    sm, tm = 1 << a1 | 1 << a2, 1 << b1 | 1 << b2
+    s_near, s_full = bits[a1] | bits[a2], bits[a1] & bits[a2]
+    t_near, t_full = bits[b1] | bits[b2], bits[b1] & bits[b2]
+    outside = ((1 << g.n) - 1) & ~(sm | tm)
     while True:
-        outside = sorted(g.vertex_set() - s - t)
-        absorbed = False
-        for v in outside:
-            if g.is_mixed_on(v, s):
-                sq = _mixed_square(g, v, s, t)
-                if sq is None:
-                    raise HypothesisViolationError(v, tuple(sorted(s | t))[:4])
-                if all(g.has_edge(v, w) for w in t):
-                    t.add(v)
-                    absorbed = True
-                    break
+        mixed_s = outside & s_near & ~s_full
+        mixed = mixed_s | outside & t_near & ~t_full
+        if mixed:
+            low = mixed & -mixed
+            v = low.bit_length() - 1
+            on_s = low & mixed_s
+            here, there, there_full = (sm, tm, t_full) if on_s else (tm, sm, s_full)
+            sq = _mixed_square(bits, v, here, there)
+            if sq is None:
+                raise HypothesisViolationError(v, tuple(_iter_bits(sm | tm))[:4])
+            if not low & there_full:
                 raise HypothesisViolationError(v, sq)
-            if g.is_mixed_on(v, t):
-                sq = _mixed_square(g, v, t, s)
-                if sq is None:
-                    raise HypothesisViolationError(v, tuple(sorted(s | t))[:4])
-                if all(g.has_edge(v, w) for w in s):
-                    s.add(v)
-                    absorbed = True
-                    break
-                raise HypothesisViolationError(v, sq)
-        if absorbed:
+            nv = bits[v]
+            if on_s:
+                tm, t_near, t_full = tm | low, t_near | nv, t_full & nv
+            else:
+                sm, s_near, s_full = sm | low, s_near | nv, s_full & nv
+            outside ^= low
             continue
-        e = [
-            v
-            for v in outside
-            if all(g.has_edge(v, w) for w in s) and all(g.has_edge(v, w) for w in t)
-        ]
-        grew = False
-        for e1, e2 in itertools.combinations(e, 2):
-            if not g.has_edge(e1, e2):
-                s.add(e1)
-                t.add(e2)
-                grew = True
+        e = outside & s_full & t_full
+        for e1 in _iter_bits(e):
+            apart = e & ~bits[e1] & ~((2 << e1) - 1)
+            if apart:
+                e2 = (apart & -apart).bit_length() - 1
+                sm, s_near, s_full = sm | 1 << e1, s_near | bits[e1], s_full & bits[e1]
+                tm, t_near, t_full = tm | 1 << e2, t_near | bits[e2], t_full & bits[e2]
+                outside &= ~(1 << e1 | 1 << e2)
                 break
-        if grew:
-            continue
-        break
-    join = WJoin(frozenset(s), frozenset(t))
-    if not verify_w_join(g, join):
-        raise HypothesisViolationError(min(s | t), (a1, a2, b1, b2))
-    return join
+        else:
+            break
+    if _w_join_masks(bits, sm, tm) is None:
+        raise HypothesisViolationError(next(_iter_bits(sm | tm)), (a1, a2, b1, b2))
+    return WJoin(frozenset(_iter_bits(sm)), frozenset(_iter_bits(tm)))
 
 
 def find_w_join(g: Graph, budget: Budget | _Meter | None = None) -> Optional[WJoin]:

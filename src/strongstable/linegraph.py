@@ -522,16 +522,12 @@ def _augment_candidates(
 
 
 def _valid_augment(g: Graph, xs: frozenset[int], ys: frozenset[int]) -> bool:
-    """Homogeneous clique pair with the flat-edge pattern, smooth, whose
-    contraction neighborhoods are cliques."""
+    """A pair from :func:`_pattern_pair` (so homogeneous, with no vertex
+    complete to both sides) that is smooth and whose contraction
+    neighborhoods are cliques."""
     if g.is_complete_between(xs, ys) and len(xs) == 1 and len(ys) == 1:
         return False
-    parts = w_join_partition(g, xs, ys)
-    if parts is None or parts[2]:
-        # a mixed vertex breaks homogeneity; one complete to both sides
-        # would make the contracted edge not flat
-        return False
-    c, d, _, _ = parts
+    c, d, _, _ = w_join_partition(g, xs, ys)
     if not (g.is_clique(c) and g.is_clique(d)):
         return False
     # smooth: both sides attach to each other everywhere

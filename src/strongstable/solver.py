@@ -4,12 +4,15 @@
 containing a prescribed set, by exhaustive enumeration. ``solve`` is the
 structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
-cobipartite, linear interval, W-join, 1-join, line graph of a bipartite
-multigraph, smooth augmentation, peculiar), each recursing on strictly
-smaller instances, with brute force as the flagged last resort. Each branch
-builds its answer from its sub-answers, so the cascade takes the first
-branch that applies; the structure theory makes it hit a structural branch
-on claw-free innocent inputs of the shapes it recognizes.
+cobipartite, linear interval, line graph of a bipartite multigraph, W-join,
+1-join, smooth augmentation, peculiar), each recursing on strictly smaller
+instances, with brute force as the flagged last resort. Each branch builds
+its answer from its sub-answers, so the cascade takes the first branch that
+applies; the structure theory makes it hit a structural branch on
+claw-free innocent inputs of the shapes it recognizes. The line-graph
+branch comes before the join searches because it rejects cheapest: root
+recovery stops at the first vertex in a third maximal clique, while a join
+search fails only after trying every square or every edge.
 
 ``solve`` checks the root answer once with ``is_strong_stable_set``; when
 that fails it records ``verify-failed`` and brute-forces the whole instance,
@@ -31,6 +34,7 @@ from .core import (
     Graph,
     GraphError,
     _Meter,
+    _flood,
     _iter_bits,
     _mask_of,
     _meter,
@@ -405,14 +409,16 @@ def _solve_with_apex(
     off the apex is prescribed in its place. The answer is in g's ids,
     without the apex and the pendant.
     """
-    apex = top = g.n
-    edges = list(g.edges())
-    edges.extend((apex, v) for v in complete_to)
+    sub, mapping = induced(g, keep)
+    apex = sub.n
+    pos = {old: new for new, old in enumerate(mapping)}
+    at = frozenset(pos[v] for v in complete_to)
+    adj = [a | {apex} if v in at else a for v, a in enumerate(sub.adj)]
+    adj.append(at | {apex + 1} if pendant else at)
     if pendant:
-        top = apex + 1
-        edges.append((apex, top))
-    h = from_edge_list(top + 1, edges)
-    return _solve_on(h, keep | {apex, top}, z | {top}, subsolver) - {apex, top}
+        adj.append(frozenset({apex}))
+    s = subsolver(Graph(len(adj), tuple(adj)), frozenset(pos[v] for v in z) | {len(adj) - 1})
+    return frozenset(mapping[v] for v in s if v < apex)
 
 
 def combine_w_join(
@@ -658,11 +664,11 @@ def _branch_complete(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("components")
 def _branch_components(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    comps = components(g)
-    if len(comps) < 2:
+    full = (1 << g.n) - 1
+    if _flood(g.bits, full & -full, full) == full:
         raise CaseNotApplicable
     return frozenset().union(
-        *(_solve_on(g, comp, z & comp, ctx.subsolver) for comp in comps)
+        *(_solve_on(g, comp, z & comp, ctx.subsolver) for comp in components(g))
     )
 
 
@@ -735,6 +741,17 @@ def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset
     return solve_linear_interval(g, z, order, ctx.meter)
 
 
+@_branch("line-graph")
+def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
+    rr = recover_root(g, ctx.meter)
+    if rr is None:
+        raise CaseNotApplicable
+    m = suitable_matching(rr.root, z, ctx.meter)  # root edge v is vertex v
+    if m is None:
+        raise CaseNotApplicable
+    return m.edges
+
+
 @_branch("w-join")
 def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     wj = find_w_join(g, ctx.meter)
@@ -749,17 +766,6 @@ def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     if j is None:
         raise CaseNotApplicable
     return combine_one_join(g, j, z, ctx.subsolver, ctx.meter)
-
-
-@_branch("line-graph")
-def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    rr = recover_root(g, ctx.meter)
-    if rr is None:
-        raise CaseNotApplicable
-    m = suitable_matching(rr.root, z, ctx.meter)  # root edge v is vertex v
-    if m is None:
-        raise CaseNotApplicable
-    return m.edges
 
 
 @_branch("augmentation")

@@ -21,6 +21,7 @@ from strongstable.core import (
     from_edge_list,
     induced,
 )
+from strongstable.decompose import HypothesisViolationError, WJoin, _square_sides
 
 
 def subsets(items, min_size=0, max_size=None):
@@ -841,6 +842,84 @@ def cocktail_party(k: int) -> Graph:
     return from_edge_list(
         k, [(i, j) for i in range(k) for j in range(i + 1, k) if j != i ^ 1]
     )
+
+
+# -- set-based W-join growth ------------------------------------------------------
+
+
+def naive_w_join_parts(g: Graph, a, b):
+    """(C, D, E, F) when the cliques a and b form a proper coherent W-join,
+    else None, by set scans vertex by vertex."""
+    a, b = frozenset(a), frozenset(b)
+    if not (a and b) or (a & b):
+        return None
+    if not (naive_is_clique(g, a) and naive_is_clique(g, b)):
+        return None
+    if g.is_complete_between(a, b) or g.is_anticomplete_between(a, b):
+        return None
+    parts = ([], [], [], [])
+    for v in sorted(g.vertex_set() - a - b):
+        to_a, anti_a = a <= g.adj[v], not (a & g.adj[v])
+        to_b, anti_b = b <= g.adj[v], not (b & g.adj[v])
+        if not ((to_a or anti_a) and (to_b or anti_b)):
+            return None
+        parts[(0 if anti_b else 2) if to_a else (1 if to_b else 3)].append(v)
+    if not all(g.is_mixed_on(v, b) for v in a):
+        return None
+    if not all(g.is_mixed_on(v, a) for v in b):
+        return None
+    c, d, e, f = (frozenset(p) for p in parts)
+    return (c, d, e, f) if naive_is_clique(g, e) else None
+
+
+def _naive_mixed_square(g: Graph, v: int, s: set[int], t: set[int]):
+    for s1 in sorted(s & g.adj[v]):
+        for s2 in sorted(s - g.adj[v]):
+            for t1 in sorted((t & g.adj[s1]) - g.adj[s2]):
+                for t2 in sorted((t & g.adj[s2]) - g.adj[s1]):
+                    if t1 != t2:
+                        return (s1, s2, t1, t2)
+    return None
+
+
+def naive_grow_square_connected_pair(g: Graph, square, a_side, b_side) -> WJoin:
+    """Square-connected growth on vertex sets, rescanning every outside
+    vertex after each absorption: the same absorption order, result and
+    :class:`HypothesisViolationError` as the library's mask growth."""
+    (a1, a2), (b1, b2) = _square_sides(g, square, a_side, b_side)
+    s: set[int] = {a1, a2}
+    t: set[int] = {b1, b2}
+    while True:
+        outside = sorted(g.vertex_set() - s - t)
+        absorbed = False
+        for v in outside:
+            for here, there in ((s, t), (t, s)):
+                if not g.is_mixed_on(v, here):
+                    continue
+                sq = _naive_mixed_square(g, v, here, there)
+                if sq is None:
+                    raise HypothesisViolationError(v, tuple(sorted(s | t))[:4])
+                if not all(g.has_edge(v, w) for w in there):
+                    raise HypothesisViolationError(v, sq)
+                there.add(v)
+                absorbed = True
+                break
+            if absorbed:
+                break
+        if absorbed:
+            continue
+        e = [v for v in outside if s <= g.adj[v] and t <= g.adj[v]]
+        pair = next(
+            ((e1, e2) for e1, e2 in itertools.combinations(e, 2) if not g.has_edge(e1, e2)),
+            None,
+        )
+        if pair is None:
+            break
+        s.add(pair[0])
+        t.add(pair[1])
+    if naive_w_join_parts(g, s, t) is None:
+        raise HypothesisViolationError(min(s | t), (a1, a2, b1, b2))
+    return WJoin(frozenset(s), frozenset(t))
 
 
 # -- constructed hosts for growth-hypothesis tests ------------------------------------

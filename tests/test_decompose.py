@@ -6,11 +6,13 @@ from strongstable.core import (
     from_edge_list,
     induced,
     induced_cycles,
+    squares,
 )
 from strongstable.decompose import (
     HypothesisViolationError,
     OneJoin,
     WJoin,
+    _w_join_parts,
     find_clique_cutset,
     find_one_join,
     find_zero_join,
@@ -19,13 +21,16 @@ from strongstable.decompose import (
     minimal_separators,
     verify_one_join,
     verify_w_join,
+    w_join_partition,
 )
 from strongstable.recognizers import simplicial_vertices
 from oracles import (
     complete,
     cycle,
+    naive_grow_square_connected_pair,
     naive_has_clique_cutset,
     naive_one_join,
+    naive_w_join_parts,
     path,
     random_growth_host,
     verify_clique_cutset,
@@ -236,6 +241,51 @@ class TestGrowSquareConnectedPair:
             g, square, a_side, b_side = random_growth_host(rng)
             w = grow_square_connected_pair(g, square, a_side, b_side)
             assert verify_w_join(g, w)
+
+    def test_matches_set_based_growth(self):
+        # every square of seeded random graphs, claws included, split into
+        # sides both ways: the same W-join, or the same failing vertex and
+        # square
+        rng = random.Random(21)
+        grown = failed = 0
+        for _ in range(1500):
+            n = rng.randint(4, 13)
+            p = rng.choice((0.3, 0.5, 0.7, 0.85))
+            g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            for cyc in squares(g):
+                c0, c1, c2, c3 = cyc
+                for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
+                    try:
+                        want = naive_grow_square_connected_pair(g, cyc, a_side, b_side)
+                    except HypothesisViolationError as exc:
+                        with pytest.raises(HypothesisViolationError) as got:
+                            grow_square_connected_pair(g, cyc, a_side, b_side)
+                        assert (got.value.vertex, got.value.square) == (exc.vertex, exc.square)
+                        failed += 1
+                        continue
+                    assert grow_square_connected_pair(g, cyc, a_side, b_side) == want
+                    assert _w_join_parts(g, want.a, want.b) == naive_w_join_parts(g, want.a, want.b)
+                    grown += 1
+        assert grown >= 500 and failed >= 500
+
+    def test_partition_matches_set_scan(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            n = rng.randint(3, 9)
+            g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+            a = frozenset(rng.sample(range(n), rng.randint(1, 3)))
+            b = frozenset(rng.sample(range(n), rng.randint(1, 3))) - a
+            assert _w_join_parts(g, a, b) == naive_w_join_parts(g, a, b)
+            parts = w_join_partition(g, a, b)
+            if parts is not None:
+                c, d, e, f = parts
+                assert c | d | e | f == g.vertex_set() - a - b
+                assert all(a <= g.adj[v] and not b & g.adj[v] for v in c)
+                assert all(b <= g.adj[v] and not a & g.adj[v] for v in d)
+                assert all(a | b <= g.adj[v] for v in e)
+                assert all(not (a | b) & g.adj[v] for v in f)
+            else:
+                assert any(g.is_mixed_on(v, a) or g.is_mixed_on(v, b) for v in g.vertex_set() - a - b)
 
 
 class TestInternalCutsetFromDeletion:

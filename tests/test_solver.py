@@ -15,7 +15,13 @@ from strongstable.core import (
     induced_cycles,
     is_strong_stable_set,
 )
-from strongstable.decompose import OneJoin, WJoin, find_one_join, grow_square_connected_pair
+from strongstable.decompose import (
+    OneJoin,
+    WJoin,
+    find_one_join,
+    find_w_join,
+    grow_square_connected_pair,
+)
 from strongstable.forbidden import Innocent, innocence_certificate
 from strongstable.generators import peculiar
 from strongstable.linegraph import _augment_candidates, recover_root
@@ -651,3 +657,68 @@ class TestAugmentationBranch:
             assert res.status is SolveStatus.FOUND, seed
             used += "augmentation" in [t.branch for t in res.trace]
         assert used >= 1
+
+
+class TestCascadeOrder:
+    """The line-graph branch runs before the W-join and 1-join searches;
+    both joins stay reachable on graphs that are not line graphs."""
+
+    @staticmethod
+    def branches(g, z):
+        validate_prescribed(g, frozenset(z))
+        res = solve(g, z)
+        assert res.status is SolveStatus.FOUND
+        assert naive_is_strong_stable_set(g, res.s) and set(z) <= res.s
+        return [t.branch for t in res.trace]
+
+    def test_w_join_on_a_non_line_graph(self):
+        g = from_edge_list(
+            7,
+            [(0, 4), (0, 5), (0, 6), (1, 3), (2, 3), (2, 4), (2, 5), (2, 6),
+             (3, 5), (4, 5), (4, 6)],
+        )
+        assert find_claw(g) is None and recover_root(g) is None
+        assert self.branches(g, {1})[-1] == "w-join"
+
+    def test_one_join_on_a_non_line_graph(self):
+        g = from_edge_list(
+            8,
+            [(0, 3), (0, 5), (0, 6), (1, 2), (2, 5), (2, 7), (3, 4), (3, 5),
+             (3, 6), (4, 6), (4, 7), (5, 7), (6, 7)],
+        )
+        assert find_claw(g) is None and recover_root(g) is None
+        assert self.branches(g, {1})[-1] == "one-join"
+
+    def test_line_graph_with_a_w_join_takes_the_line_graph_branch(self):
+        g = w_join_host()
+        assert recover_root(g) is not None
+        assert find_w_join(g) is not None
+        branches = self.branches(g, {6})
+        assert "line-graph" in branches and "w-join" not in branches
+
+    def test_generated_graphs_solve_without_fallback(self):
+        # claw-free innocent graphs of 10-60 vertices, with z empty and with
+        # the first simplicial vertex that validates as safe
+        from strongstable.generators import random_claw_free_innocent
+
+        rng = random.Random(2121)
+        seed = kept = prescribed = 0
+        while kept < 300:
+            seed += 1
+            size, rate = rng.randint(20, 120), rng.choice((0.0, 0.2, 0.4))
+            g = random_claw_free_innocent(60_000 + seed, size, rate, Budget(1000, 50_000_000))
+            if not 10 <= g.n <= 60:
+                continue
+            kept += 1
+            res = solve(g)
+            assert res.status is SolveStatus.FOUND, (seed, res.trace)
+            for v in sorted(simplicial_vertices(g)):
+                try:
+                    validate_prescribed(g, frozenset({v}))
+                except GraphError:
+                    continue
+                res = solve(g, {v}, trusted=True)
+                assert res.status is SolveStatus.FOUND and v in res.s, (seed, v, res.trace)
+                prescribed += 1
+                break
+        assert prescribed >= 250
