@@ -3,6 +3,9 @@
 Conventions used across the package:
 
 * vertices are the integers ``0 .. n-1``;
+* a graph stores each neighbourhood as an int mask (``Graph.bits``), and
+  every constructor builds the masks directly; ``Graph.adj``, the same
+  neighbourhoods as frozensets, is derived on first use;
 * a vertex set is a ``frozenset[int]`` (or any iterable normalized to one);
 * a path is a tuple of distinct vertices, consecutive entries adjacent; an
   *induced* path additionally has no chords;
@@ -16,7 +19,6 @@ All enumerative routines are exhaustive but budget-bounded: they raise
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -103,32 +105,33 @@ def _iter_bits(m: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with set-based adjacency.
+    """Simple undirected graph stored as adjacency masks.
 
+    Entry v of ``bits`` is N(v) as an int mask (bit w set iff vw is an edge).
     Invariants: no self-loops, symmetric adjacency, vertex ids exactly
     ``0 .. n-1``. Construct through :func:`from_edge_list` (or the helpers
     below), which validate input.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    bits: tuple[int, ...]
 
     @functools.cached_property
-    def bits(self) -> tuple[int, ...]:
-        """Entry v is N(v) as an int mask (bit w set iff vw is an edge).
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Entry v is N(v) as a frozenset.
 
         Built on first use and cached; not a field, so ``==``, ``hash`` and
         ``repr`` ignore it.
         """
-        return tuple(_mask_of(a) for a in self.adj)
+        return tuple(frozenset(_iter_bits(b)) for b in self.bits)
 
     # -- elementary predicates -------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.bits[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.bits[v].bit_count()
 
     def vertices(self) -> range:
         return range(self.n)
@@ -137,21 +140,20 @@ class Graph:
         return frozenset(range(self.n))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        for u, b in enumerate(self.bits):
+            for v in _iter_bits(b & _above(u)):
+                yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(b.bit_count() for b in self.bits) // 2
 
     def neighborhood(self, s: Iterable[int]) -> frozenset[int]:
         """N(S): vertices outside S with a neighbor in S."""
-        s = frozenset(s)
-        out: set[int] = set()
-        for v in s:
-            out |= self.adj[v]
-        return frozenset(out - s)
+        m = _mask_of(s)
+        out = 0
+        for v in _iter_bits(m):
+            out |= self.bits[v]
+        return frozenset(_iter_bits(out & ~m))
 
     def is_clique(self, s: Iterable[int]) -> bool:
         m = _mask_of(s)
@@ -165,51 +167,51 @@ class Graph:
 
     def is_complete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
         """True when disjoint sets x, y have every cross pair adjacent."""
-        x, y = frozenset(x), frozenset(y)
-        if x & y:
+        xm, ym = _mask_of(x), _mask_of(y)
+        if xm & ym:
             return False
-        return all(y <= self.adj[u] for u in x)
+        return all(not ym & ~self.bits[u] for u in _iter_bits(xm))
 
     def is_anticomplete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
-        x, y = frozenset(x), frozenset(y)
-        if x & y:
+        xm, ym = _mask_of(x), _mask_of(y)
+        if xm & ym:
             return False
-        return all(not (y & self.adj[u]) for u in x)
+        return all(not ym & self.bits[u] for u in _iter_bits(xm))
 
     def is_mixed_on(self, v: int, x: Iterable[int]) -> bool:
         """v not in x is mixed on x: neither complete nor anticomplete to it."""
-        x = frozenset(x)
-        if v in x or not x:
+        xm = _mask_of(x)
+        if xm >> v & 1 or not xm:
             return False
-        hits = len(x & self.adj[v])
-        return 0 < hits < len(x)
+        return 0 != self.bits[v] & xm != xm
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(components(self)) == 1
 
     def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self.adj)
+        full = (1 << self.n) - 1
+        return all(b | 1 << v == full for v, b in enumerate(self.bits))
 
 
 def from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a graph on n vertices; duplicate pairs collapse, self-loops reject."""
     if n < 0:
         raise GraphError("vertex count must be non-negative")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    bits = [0] * n
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(frozenset(a) for a in adj))
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return Graph(n, tuple(bits))
 
 
 def complement(g: Graph) -> Graph:
-    full = frozenset(range(g.n))
-    return Graph(g.n, tuple((full - g.adj[v]) - {v} for v in range(g.n)))
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ b ^ 1 << v for v, b in enumerate(g.bits)))
 
 
 def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -220,11 +222,15 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     order = tuple(sorted(frozenset(x)))
     if order and not (0 <= order[0] and order[-1] < g.n):
         raise GraphError("induced set out of range")
-    pos = {old: new for new, old in enumerate(order)}
-    adj = tuple(
-        frozenset(pos[w] for w in g.adj[old] if w in pos) for old in order
-    )
-    return Graph(len(order), adj), order
+    keep = _mask_of(order)
+    pos = {old: 1 << new for new, old in enumerate(order)}
+    bits = []
+    for old in order:
+        b = 0
+        for w in _iter_bits(g.bits[old] & keep):
+            b |= pos[w]
+        bits.append(b)
+    return Graph(len(order), tuple(bits)), order
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -686,12 +692,11 @@ def line_graph(b: Multigraph) -> tuple[Graph, tuple[int, ...]]:
     array; it is returned anyway so callers can stay representation-agnostic.
     Parallel edges share both endpoints and therefore become adjacent twins.
     """
-    m = b.m
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i, j in itertools.combinations(range(m), 2):
-        a, c = b.edges[i]
-        x, y = b.edges[j]
-        if {a, c} & {x, y}:
-            adj[i].add(j)
-            adj[j].add(i)
-    return Graph(m, tuple(frozenset(s) for s in adj)), tuple(range(m))
+    inc = [0] * b.n  # inc[v]: the edges at root vertex v
+    for i, (a, c) in enumerate(b.edges):
+        inc[a] |= 1 << i
+        inc[c] |= 1 << i
+    bits = tuple(
+        (inc[a] | inc[c]) ^ 1 << i for i, (a, c) in enumerate(b.edges)
+    )
+    return Graph(b.m, bits), tuple(range(b.m))

@@ -344,6 +344,7 @@ def grow_square_connected_pair(
     square: Iterable[int],
     a_side: Iterable[int],
     b_side: Iterable[int],
+    budget: Budget | _Meter | None = None,
 ) -> WJoin:
     """Grow the seed square into a maximal square-connected pair of cliques.
 
@@ -356,9 +357,11 @@ def grow_square_connected_pair(
     The outside vertices are scanned lowest first, a side S before the
     other side T, and the scan restarts after each absorption. Each side
     keeps the union (``near``) and intersection (``full``) of its members'
-    neighbourhoods, so the vertices mixed on it are ``near & ~full``.
+    neighbourhoods, so the vertices mixed on it are ``near & ~full``. One
+    tick per absorbed vertex.
     """
     (a1, a2), (b1, b2) = _square_sides(g, square, a_side, b_side)
+    tick = _meter(budget).tick
     bits = g.bits
     sm, tm = 1 << a1 | 1 << a2, 1 << b1 | 1 << b2
     s_near, s_full = bits[a1] | bits[a2], bits[a1] & bits[a2]
@@ -377,6 +380,7 @@ def grow_square_connected_pair(
                 raise HypothesisViolationError(v, tuple(_iter_bits(sm | tm))[:4])
             if not low & there_full:
                 raise HypothesisViolationError(v, sq)
+            tick()
             nv = bits[v]
             if on_s:
                 tm, t_near, t_full = tm | low, t_near | nv, t_full & nv
@@ -389,6 +393,7 @@ def grow_square_connected_pair(
             apart = e & ~bits[e1] & ~((2 << e1) - 1)
             if apart:
                 e2 = (apart & -apart).bit_length() - 1
+                tick(2)
                 sm, s_near, s_full = sm | 1 << e1, s_near | bits[e1], s_full & bits[e1]
                 tm, t_near, t_full = tm | 1 << e2, t_near | bits[e2], t_full & bits[e2]
                 outside &= ~(1 << e1 | 1 << e2)
@@ -403,11 +408,12 @@ def grow_square_connected_pair(
 def find_w_join(g: Graph, budget: Budget | _Meter | None = None) -> Optional[WJoin]:
     """The first W-join grown from a square, each square split into sides
     both ways; seeds that violate the growth hypothesis are skipped."""
-    for cyc in squares(g, budget):
+    meter = _meter(budget)
+    for cyc in squares(g, meter):
         c0, c1, c2, c3 = cyc
         for a_side, b_side in (((c0, c1), (c2, c3)), ((c1, c2), (c3, c0))):
             try:
-                return grow_square_connected_pair(g, cyc, a_side, b_side)
+                return grow_square_connected_pair(g, cyc, a_side, b_side, meter)
             except HypothesisViolationError:
                 continue
     return None

@@ -433,8 +433,7 @@ def _peel_simplicial(g: Graph) -> Graph:
             todo.extend(_iter_bits(near))
     if keep == full:
         return g
-    kept = frozenset(_iter_bits(keep))
-    return Graph(g.n, tuple(a & kept if v in kept else frozenset() for v, a in enumerate(g.adj)))
+    return Graph(g.n, tuple(b & keep if keep >> v & 1 else 0 for v, b in enumerate(bits)))
 
 
 def innocence_certificate(

@@ -26,6 +26,8 @@ class FormatError(ValueError):
 # -- graph6 ------------------------------------------------------------------------
 
 _HEADER = ">>graph6<<"
+# graph6 byte -> its six data bits, most significant first
+_SIXBITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def _decode_n(data: bytes) -> tuple[int, int]:
@@ -79,20 +81,26 @@ def decode_graph6(text: str | bytes) -> Graph:
         )
     if len(body) > need:
         raise FormatError("trailing bytes after graph6 body", used + need)
-    bits: list[int] = []
-    for i, byte in enumerate(body):
-        if not 63 <= byte <= 126:
-            raise FormatError(f"invalid graph6 byte {byte}", used + i)
-        val = byte - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
+    try:
+        digits = "".join([_SIXBITS[byte] for byte in body])
+    except KeyError:
+        i = next(i for i, byte in enumerate(body) if byte not in _SIXBITS)
+        raise FormatError(f"invalid graph6 byte {body[i]}", used + i) from None
+    if "1" in digits[nbits:]:
+        raise FormatError("non-zero graph6 padding", used + need - 1)
+    # column j is the next j characters, pair (i, j) at character i
+    bits = [0] * n
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edge_list(n, edges)
+        bits[j] = int(digits[start : start + j][::-1], 2)
+        start += j
+    for j in range(1, n):
+        col = bits[j]
+        while col:
+            low = col & -col
+            bits[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph(n, tuple(bits))
 
 
 def encode_graph6(g: Graph, header: bool = False) -> str:
@@ -110,16 +118,12 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
         prefix = chr(126) * 2 + "".join(
             chr(((n >> shift) & 63) + 63) for shift in (30, 24, 18, 12, 6, 0)
         )
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(sum(bit << shift for bit, shift in zip(bits[k : k + 6], range(5, -1, -1))) + 63)
-        for k in range(0, len(bits), 6)
+    # column j holds the pairs (0, j) .. (j - 1, j), pair (i, j) at bit i
+    digits = "".join(
+        format(b & ((1 << j) - 1), f"0{j}b")[::-1] for j, b in enumerate(g.bits) if j
     )
+    digits += "0" * (-len(digits) % 6)
+    body = "".join(chr(int(digits[k : k + 6], 2) + 63) for k in range(0, len(digits), 6))
     return (_HEADER if header else "") + prefix + body
 
 

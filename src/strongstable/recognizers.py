@@ -93,13 +93,20 @@ class PeculiarParts:
 def find_claw(g: Graph) -> Optional[ClawWitness]:
     """First claw in lowest-id order, or None when g is claw-free."""
     bits = g.bits
-    for center in range(g.n):
-        for x in _iter_bits(bits[center]):
-            far_x = bits[center] & ~bits[x] & _above(x)
-            for y in _iter_bits(far_x):
-                far = far_x & ~bits[y] & _above(y)
+    for center, rest_x in enumerate(bits):
+        # once x is taken, rest_x is N(center) above x; once y is taken,
+        # rest_y is what of N(center) - N(x) lies above y
+        while rest_x:
+            bx = rest_x & -rest_x
+            rest_x ^= bx
+            rest_y = rest_x & ~bits[bx.bit_length() - 1]
+            while rest_y:
+                by = rest_y & -rest_y
+                rest_y ^= by
+                far = rest_y & ~bits[by.bit_length() - 1]
                 if far:
-                    return ClawWitness(center, (x, y, (far & -far).bit_length() - 1))
+                    x, y, t = (b.bit_length() - 1 for b in (bx, by, far & -far))
+                    return ClawWitness(center, (x, y, t))
     return None
 
 

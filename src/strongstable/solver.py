@@ -412,12 +412,12 @@ def _solve_with_apex(
     sub, mapping = induced(g, keep)
     apex = sub.n
     pos = {old: new for new, old in enumerate(mapping)}
-    at = frozenset(pos[v] for v in complete_to)
-    adj = [a | {apex} if v in at else a for v, a in enumerate(sub.adj)]
-    adj.append(at | {apex + 1} if pendant else at)
+    at = _mask_of(pos[v] for v in complete_to)
+    bits = [b | 1 << apex if at >> v & 1 else b for v, b in enumerate(sub.bits)]
+    bits.append(at | 1 << apex + 1 if pendant else at)
     if pendant:
-        adj.append(frozenset({apex}))
-    s = subsolver(Graph(len(adj), tuple(adj)), frozenset(pos[v] for v in z) | {len(adj) - 1})
+        bits.append(1 << apex)
+    s = subsolver(Graph(len(bits), tuple(bits)), frozenset(pos[v] for v in z) | {len(bits) - 1})
     return frozenset(mapping[v] for v in s if v < apex)
 
 

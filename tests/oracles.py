@@ -960,3 +960,31 @@ def random_growth_host(rng):
             e_class.append(v)
     g = from_edge_list(n, edges)
     return g, (a[0], a[1], b[0], b[1]), (a[0], a[1]), (b[0], b[1])
+
+
+def naive_decode_graph6(text: str) -> Graph:
+    """A well-formed graph6 line read bit by bit: the size header, then the
+    upper triangle column by column, (0, 1), (0, 2), (1, 2), (0, 3), ...,
+    six bits per byte, most significant first."""
+    data = text.strip()
+    if data.startswith(">>graph6<<"):
+        data = data[len(">>graph6<<") :]
+    vals = [ord(c) - 63 for c in data]
+    if vals[0] != 63:
+        size, body = vals[:1], vals[1:]
+    elif vals[1] != 63:
+        size, body = vals[1:4], vals[4:]
+    else:
+        size, body = vals[2:8], vals[8:]
+    n = 0
+    for val in size:
+        n = n << 6 | val
+    bits = [(val >> shift) & 1 for val in body for shift in range(5, -1, -1)]
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return from_edge_list(n, edges)

@@ -99,10 +99,13 @@ class TestBits:
         self.assert_matches_adj(induced(g, keep & set(range(g.n)))[0])
 
     def test_not_a_field(self):
+        # bits is the field; adj is a cache built on first use, and ==, hash
+        # and repr ignore it
         g, h = cycle(7), cycle(7)
         before = (hash(g), repr(g))
-        assert g.bits == h.bits
-        assert "bits" not in repr(g)
+        assert g.adj[0] == {1, 6}
+        assert "adj" in vars(g) and "adj" not in vars(h)
+        assert "bits" in repr(g) and "adj" not in repr(g)
         assert (hash(g), repr(g)) == before
         assert g == h and hash(g) == hash(h)
 

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from strongstable.core import (
+    Budget,
+    BudgetExceededError,
+    complement,
     from_edge_list,
     induced,
     induced_cycles,
@@ -14,6 +17,7 @@ from strongstable.decompose import (
     WJoin,
     _w_join_parts,
     find_clique_cutset,
+    find_w_join,
     find_one_join,
     find_zero_join,
     grow_square_connected_pair,
@@ -286,6 +290,32 @@ class TestGrowSquareConnectedPair:
                 assert all(not (a | b) & g.adj[v] for v in f)
             else:
                 assert any(g.is_mixed_on(v, a) or g.is_mixed_on(v, b) for v in g.vertex_set() - a - b)
+
+    def test_growth_ticks_per_absorbed_vertex(self):
+        # the claw-free cobipartite n = 60 graph plus a vertex seeing 0 and
+        # its smallest non-neighbour: about 16,000 grows absorb all 60
+        # vertices before failing at the last, for only 9,669 square ticks;
+        # with a tick per absorbed vertex the budget bounds the growth
+        rng = random.Random(11)
+        pairs = [(i, j) for i in range(30) for j in range(30, 60) if rng.random() < 0.3]
+        host = complement(from_edge_list(60, pairs))
+        far = min(v for v in range(1, 60) if not host.has_edge(0, v))
+        g = from_edge_list(61, [*host.edges(), (0, 60), (far, 60)])
+        assert far == 36
+        with pytest.raises(BudgetExceededError):
+            find_w_join(g, Budget(max_enumerations=20_000))
+
+    def test_growth_ticks_the_meter_passed_down(self):
+        # square (0,1)x(2,3); 4 and 5 are mixed on {0, 1} and complete to
+        # the other side, so growth absorbs both: one tick each
+        g = from_edge_list(
+            6, [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4)]
+        )
+        args = (g, (0, 1, 2, 3), (0, 1), (2, 3))
+        w = grow_square_connected_pair(*args, Budget(max_enumerations=2))
+        assert w == WJoin(frozenset({0, 1}), frozenset({2, 3, 4, 5}))
+        with pytest.raises(BudgetExceededError):
+            grow_square_connected_pair(*args, Budget(max_enumerations=1))
 
 
 class TestInternalCutsetFromDeletion:

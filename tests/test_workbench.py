@@ -10,11 +10,12 @@ import pytest
 
 import strongstable
 from strongstable.cli import main
-from strongstable.core import GraphError, Multigraph, from_edge_list
+from strongstable.core import Graph, GraphError, Multigraph, from_edge_list
 from strongstable.forbidden import ForbiddenKind, Innocent, find_structure, innocence_certificate
 from strongstable.generators import (
     GenSpec,
     GenerationError,
+    antihole,
     bicycle,
     clown,
     eye_mask,
@@ -38,7 +39,7 @@ from strongstable.graphio import (
 from strongstable.linegraph import is_harmless, recover_root
 from strongstable.recognizers import find_claw, find_clowns
 from strongstable.solver import brute_force
-from oracles import cycle
+from oracles import cycle, naive_decode_graph6
 
 
 class TestGenerators:
@@ -114,9 +115,9 @@ class TestGenerators:
 
 class TestGraph6:
     def test_roundtrip_random(self):
+        # sizes past 62 take the four-byte size header
         rng = random.Random(1)
-        for _ in range(60):
-            n = rng.randint(0, 24)
+        for n in [rng.randint(0, 24) for _ in range(60)] + [62, 63, 64, rng.randint(65, 130)]:
             edges = [
                 (i, j)
                 for i in range(n)
@@ -125,6 +126,30 @@ class TestGraph6:
             ]
             g = from_edge_list(n, edges)
             assert decode_graph6(encode_graph6(g)) == g
+
+    def test_matches_bit_by_bit_decoder(self):
+        # random well-formed lines, padding zeroed, short and long headers
+        rng = random.Random(2)
+        for n in [rng.randint(0, 70) for _ in range(150)] + [63, 100]:
+            nbits = n * (n - 1) // 2
+            body = [rng.randrange(64) for _ in range((nbits + 5) // 6)]
+            if body:
+                body[-1] &= ~((1 << (-nbits % 6)) - 1)
+            prefix = encode_graph6(from_edge_list(n, []))[: 1 if n <= 62 else 4]
+            text = prefix + "".join(chr(v + 63) for v in body)
+            g = decode_graph6(text)
+            assert g == naive_decode_graph6(text)
+            assert encode_graph6(g) == text
+
+    def test_nonzero_padding_rejected(self):
+        # K2 needs one bit and K3 three; the rest of the byte is padding,
+        # which graph6 fixes at zero
+        for text in ("A`", "Bx", b"Bx", ">>graph6<<A`"):
+            with pytest.raises(FormatError) as exc:
+                decode_graph6(text)
+            assert exc.value.offset == 1 and "padding" in str(exc.value)
+        assert decode_graph6("A_").edge_count() == 1
+        assert decode_graph6("Bw").edge_count() == 3
 
     def test_header_accepted(self):
         g = cycle(5)
@@ -321,6 +346,37 @@ class TestCli:
         p.write_text("0 1\n1 2\n2 3\n")
         code, _, err = self._run(["solve", str(p), "--require", "0,3"], capsys)
         assert code == 1
+
+    def test_check_runs_on_masks_alone(self, capsys, tmp_path, monkeypatch):
+        # check decodes graph6 into masks and never builds the frozenset
+        # adjacency: an innocent graph and one of each family planted in it
+        # give the same certificate with Graph.adj made to fail
+        host = random_claw_free_innocent(5, 30)
+        gadgets = {
+            None: from_edge_list(0, []),
+            "odd-hole": hole(7),
+            "long-antihole": antihole(7),
+            "odd-prism": prism((1, 1, 3)),
+            "eye-mask": eye_mask(4, 4),
+            "handcuff": handcuff(4, 4, 1),
+        }
+        runs = {}
+        for kind, gadget in gadgets.items():
+            edges = [*host.edges(), *((u + host.n, v + host.n) for u, v in gadget.edges())]
+            p = tmp_path / f"{kind}.g6"
+            p.write_text(encode_graph6(from_edge_list(host.n + gadget.n, edges)) + "\n")
+            runs[kind] = p, self._run(["check", "--json", str(p)], capsys)
+
+        def fail(self):
+            raise AssertionError("Graph.adj built")
+
+        monkeypatch.setattr(Graph, "adj", property(fail))
+        for kind, (p, want) in runs.items():
+            code, out, err = self._run(["check", "--json", str(p)], capsys)
+            assert (code, out, err) == want
+            payload = json.loads(out)
+            assert payload["status"] == ("innocent" if kind is None else "not-innocent")
+            assert payload.get("witness", {}).get("kind") == kind
 
     def test_output_file(self, capsys, tmp_path):
         src = tmp_path / "c6.txt"
