@@ -14,7 +14,6 @@ from typing import Optional
 
 from .core import Budget, Graph, GraphError, Multigraph, from_edge_list, line_graph
 from .forbidden import Innocent, innocence_certificate
-from .linegraph import is_harmless
 from .recognizers import find_claw
 from .solver import extend_at_simplicial
 
@@ -225,31 +224,22 @@ def random_connected_bipartite(
 def repair_to_harmless(
     b: Multigraph, rng: random.Random, budget: Budget | None = None, max_rounds: int = 200
 ) -> Multigraph:
-    """Delete witness edges (never bridges when avoidable) until harmless."""
+    """Delete witness edges (never bridges when avoidable) until harmless.
+
+    B is harmless exactly when L(B) is innocent, so each round runs the
+    certificate on L(B). Vertex i of ``line_graph(b)`` is root edge i, so
+    the witness's vertices are the root edges of a harmful subgraph of B,
+    and deleting any one of them destroys that witness.
+    """
     for _ in range(max_rounds):
-        harmless, w = is_harmless(b, budget)
-        if harmless:
+        w = innocence_certificate(line_graph(b)[0], budget)
+        if isinstance(w, Innocent):
             return b
-        victims = w.edges()
+        victims = sorted(w.vertices)
         rng.shuffle(victims)
-        for u, v in victims:
-            keep = [e for e in b.edges if e != (min(u, v), max(u, v))]
-            dropped = len(b.edges) - len(keep)
-            if dropped == 0:
-                continue
-            if dropped > 1:  # parallel class: drop one copy
-                keep = list(b.edges)
-                keep.remove((min(u, v), max(u, v)))
-            cand = Multigraph.build(b.n, keep)
-            if cand.is_connected():
-                b = cand
-                break
-        else:
-            # every witness edge is a bridge to connectivity; drop one anyway
-            u, v = victims[0]
-            keep = list(b.edges)
-            keep.remove((min(u, v), max(u, v)))
-            b = Multigraph.build(b.n, keep)
+        cands = [Multigraph.build(b.n, b.edges[:e] + b.edges[e + 1:]) for e in victims]
+        # when every witness edge is a bridge to connectivity, drop one anyway
+        b = next((c for c in cands if c.is_connected()), cands[0])
     raise GenerationError("harmless repair did not converge")
 
 

@@ -1,16 +1,19 @@
 """Bipartite-multigraph machinery: recovering a bipartite root of a line
-graph, harmlessness (theta / bicycle subgraph search on bipartite hosts),
-suitable matchings with frozen forced edges, and the candidate clique pairs
-of a smooth augmentation, which the solver reduces one at a time.
+graph, suitable matchings with frozen forced edges, and the candidate clique
+pairs of a smooth augmentation, which the solver reduces one at a time.
+
+Harmlessness has no search here: a bipartite multigraph B is harmless
+exactly when its line graph L(B) is innocent, so
+``forbidden.innocence_certificate`` on L(B) decides it and names the root
+edges of a harmful subgraph.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
     Budget,
@@ -21,7 +24,6 @@ from .core import (
     _meter,
     components_within,
     iter_maximal_cliques,
-    shortest_path,
 )
 from .decompose import w_join_partition
 
@@ -43,36 +45,6 @@ class RootRecovery:
         and ``repr`` ignore it.
         """
         return _root_ambiguous(self.root)
-
-
-@dataclass(frozen=True)
-class ThetaWitness:
-    ends: tuple[int, int]
-    paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for p in self.paths:
-            out.extend((min(a, b), max(a, b)) for a, b in zip(p, p[1:]))
-        return out
-
-
-@dataclass(frozen=True)
-class BicycleWitness:
-    cycle1: tuple[int, ...]
-    cycle2: tuple[int, ...]
-    path: tuple[int, ...]  # from a cycle1 vertex to a cycle2 vertex; (v,) when shared
-    shared_vertex: bool
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for c in (self.cycle1, self.cycle2):
-            out.extend(
-                (min(c[i], c[(i + 1) % len(c)]), max(c[i], c[(i + 1) % len(c)]))
-                for i in range(len(c))
-            )
-        out.extend((min(a, b), max(a, b)) for a, b in zip(self.path, self.path[1:]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -140,217 +112,13 @@ def _root_ambiguous(root: Multigraph) -> bool:
     return any(k >= 2 for k in pendant_at.values())
 
 
-# -- theta / bicycle subgraph search -------------------------------------------------
-
-
-def _subgraph_cycles(
-    g: Graph,
-    meter: _Meter,
-    banned: frozenset[int] = frozenset(),
-    through: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Cycles of a bipartite host (chords allowed, so all even and of
-    length >= 4) avoiding banned vertices.
-
-    Canonical form: smallest vertex first and second entry smaller than the
-    last; in ``through`` mode the required vertex leads instead and only the
-    traversal direction is deduplicated.
-    """
-
-    def run(base: int) -> Iterator[tuple[int, ...]]:
-        def extend(path: list[int]) -> Iterator[tuple[int, ...]]:
-            meter.tick()
-            tip = path[-1]
-            for w in sorted(g.adj[tip]):
-                if w in banned or w in path:
-                    continue
-                if through is None and w < base:
-                    continue
-                if g.has_edge(w, base) and len(path) >= 3 and path[1] < w:
-                    yield tuple(path) + (w,)
-                yield from extend(path + [w])
-
-        for second in sorted(g.adj[base]):
-            if second in banned:
-                continue
-            if through is None and second < base:
-                continue
-            yield from extend([base, second])
-
-    if through is not None:
-        if through not in banned:
-            yield from run(through)
-    else:
-        for base in sorted(g.vertex_set() - banned):
-            yield from run(base)
-
-
-def _three_disjoint_paths(
-    g: Graph, a: int, z: int
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Three internally vertex-disjoint paths between non-adjacent a and z,
-    via unit-capacity flow."""
-    # node splitting: 2*v = in, 2*v + 1 = out
-    cap: dict[tuple[int, int], int] = defaultdict(int)
-    nbrs: dict[int, set[int]] = defaultdict(set)
-
-    def arc(x: int, y: int, c: int) -> None:
-        cap[(x, y)] += c
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-
-    for v in range(g.n):
-        arc(2 * v, 2 * v + 1, 3 if v in (a, z) else 1)
-    for u, v in g.edges():
-        arc(2 * u + 1, 2 * v, 1)
-        arc(2 * v + 1, 2 * u, 1)
-    src, snk = 2 * a, 2 * z + 1
-    flow: dict[tuple[int, int], int] = defaultdict(int)
-
-    def residual(x: int, y: int) -> int:
-        return cap[(x, y)] - flow[(x, y)] + flow[(y, x)]
-
-    def augment() -> bool:
-        prev: dict[int, int] = {src: -1}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in sorted(nbrs[x]):
-                    if y in prev or residual(x, y) <= 0:
-                        continue
-                    prev[y] = x
-                    if y == snk:
-                        while y != src:
-                            x0 = prev[y]
-                            if flow[(y, x0)] > 0:
-                                flow[(y, x0)] -= 1
-                            else:
-                                flow[(x0, y)] += 1
-                            y = x0
-                        return True
-                    nxt.append(y)
-            frontier = nxt
-        return False
-
-    found = 0
-    while found < 3 and augment():
-        found += 1
-    if found < 3:
-        return None
-    out: list[tuple[int, ...]] = []
-    for _ in range(3):
-        path = [a]
-        flow[(2 * a, 2 * a + 1)] -= 1
-        node = 2 * a + 1
-        while True:
-            nxt = None
-            for y in sorted(nbrs[node]):
-                if flow[(node, y)] > 0:
-                    nxt = y
-                    break
-            assert nxt is not None, "flow decomposition failed"
-            flow[(node, nxt)] -= 1
-            path.append(nxt // 2)
-            flow[(nxt, nxt + 1)] -= 1
-            if nxt // 2 == z:
-                break
-            node = nxt + 1  # enter -> leave through the split arc
-        out.append(tuple(path))
-    return tuple(out)
-
-
-def _require_bipartite(b: Multigraph) -> frozenset[int]:
-    """One side of a bipartition of the host; GraphError when it has none."""
-    sides = b.bipartition()
-    if sides is None:
-        raise GraphError("expected a bipartite host")
-    return sides[0]
-
-
-def find_theta(
-    b: Multigraph, budget: Budget | _Meter | None = None
-) -> Optional[ThetaWitness]:
-    """Two vertices joined by three even, internally disjoint paths of length
-    at least two; a subgraph search, so chords and parallel edges are moot.
-
-    The host must be bipartite: even-ness is then automatic for same-side
-    ends, and a unit-capacity flow decides three-disjoint-paths exactly.
-    """
-    meter = _meter(budget)
-    left = _require_bipartite(b)
-    u = b.underlying_simple()
-    branch = [v for v in range(u.n) if u.degree(v) >= 3]
-    for a, z in itertools.combinations(branch, 2):
-        meter.tick()
-        if (a in left) != (z in left):
-            continue
-        paths = _three_disjoint_paths(u, a, z)
-        if paths is not None:
-            return ThetaWitness((a, z), paths)
-    return None
-
-
-def find_bicycle(
-    b: Multigraph, budget: Budget | _Meter | None = None
-) -> Optional[BicycleWitness]:
-    """Two vertex-disjoint even cycles joined by an even path.
-
-    Length-zero connections (the cycles share exactly one vertex) are
-    returned with ``shared_vertex=True`` and a single-vertex path. The host
-    must be bipartite, so every cycle is even.
-    """
-    meter = _meter(budget)
-    left = _require_bipartite(b)
-    u = b.underlying_simple()
-    for c1 in _subgraph_cycles(u, meter):
-        c1set = frozenset(c1)
-        for v in sorted(c1set):
-            for c2 in _subgraph_cycles(u, meter, banned=c1set - {v}, through=v):
-                return BicycleWitness(c1, c2, (v,), shared_vertex=True)
-        for c2 in _subgraph_cycles(u, meter, banned=c1set):
-            link = _even_connector(u, c1set, frozenset(c2), left)
-            if link is not None:
-                return BicycleWitness(c1, c2, link, shared_vertex=False)
-    return None
-
-
-def _even_connector(
-    g: Graph,
-    c1: frozenset[int],
-    c2: frozenset[int],
-    left: frozenset[int],
-) -> Optional[tuple[int, ...]]:
-    """An even path from c1 to c2 whose interior avoids both cycles: one
-    between same-side ends through a component of the rest."""
-    for comp in components_within(g, g.vertex_set() - c1 - c2):
-        ends1 = sorted(x for x in c1 if g.adj[x] & comp)
-        ends2 = sorted(x for x in c2 if g.adj[x] & comp)
-        for x1 in ends1:
-            for x2 in ends2:
-                if (x1 in left) != (x2 in left):
-                    continue
-                path = shortest_path(g, x1, {x2}, allowed=comp | {x1, x2})
-                if path is not None:
-                    return path
-    return None
-
-
-def is_harmless(
-    b: Multigraph, budget: Budget | None = None
-) -> tuple[bool, Optional[ThetaWitness | BicycleWitness]]:
-    """Neither a theta nor a bicycle occurs as a subgraph of a bipartite host."""
-    meter = _meter(budget)
-    w = find_theta(b, meter)
-    if w is not None:
-        return False, w
-    w2 = find_bicycle(b, meter)
-    if w2 is not None:
-        return False, w2
-    return True, None
-
-
 # -- suitable matchings ----------------------------------------------------------
+
+
+def _require_bipartite(b: Multigraph) -> None:
+    """GraphError when the host has no bipartition."""
+    if b.bipartition() is None:
+        raise GraphError("expected a bipartite host")
 
 
 def suitable_matching(

@@ -111,11 +111,14 @@ def find_claw(g: Graph) -> Optional[ClawWitness]:
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if g.is_clique(g.adj[v]))
+    return frozenset(v for v in range(g.n) if is_simplicial_vertex(g, v))
 
 
 def is_simplicial_vertex(g: Graph, v: int) -> bool:
-    return g.is_clique(g.adj[v])
+    """N(v) is a clique: each u in it sees the rest of N(v)."""
+    bits = g.bits
+    near = bits[v]
+    return all(near & ~bits[u] == 1 << u for u in _iter_bits(near))
 
 
 def is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
@@ -290,12 +293,12 @@ def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clo
     """All clowns: even holes plus a hat seeing exactly two consecutive vertices."""
     for hole in induced_cycles(g, budget, min_len=4, parity=0):
         k = len(hole)
-        members = frozenset(hole)
-        for hat in sorted(g.vertex_set() - members):
-            hits = g.adj[hat] & members
-            if len(hits) != 2:
+        members = _mask_of(hole)
+        for hat in _iter_bits(((1 << g.n) - 1) & ~members):
+            hits = g.bits[hat] & members
+            if hits.bit_count() != 2:
                 continue
-            idx = sorted(hole.index(x) for x in hits)
+            idx = sorted(hole.index(x) for x in _iter_bits(hits))
             if idx[1] - idx[0] == 1 or (idx[0] == 0 and idx[1] == k - 1):
                 if idx[1] - idx[0] == 1:
                     i = idx[0]
@@ -360,7 +363,7 @@ def _clown_witness(
         if v == h:
             return clown, (v,)
         hole = frozenset(clown.cycle)
-        if v in hole or g.adj[v] & hole:
+        if v in hole or g.bits[v] & _mask_of(hole):
             continue  # no path from v qualifies
         for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
             return clown, p

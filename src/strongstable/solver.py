@@ -376,7 +376,13 @@ def _lift_simplicial(g: Graph, v: int, s: frozenset[int]) -> frozenset[int]:
     maximal clique of G is one of G - v; so s needs v exactly when it
     misses N(v).
     """
-    return s if g.adj[v] & s else s | {v}
+    near = g.bits[v]
+    while near:
+        low = near & -near
+        if low.bit_length() - 1 in s:
+            return s
+        near ^= low
+    return s | {v}
 
 
 # -- recombination cases ----------------------------------------------------------
@@ -523,7 +529,7 @@ def _side_parity(
     """Parity of a shortest qualifying path from the opposite anchor into
     this side, ending at an even hole or a simplicial far vertex."""
     allowed = verts | {anchor}
-    simp = sorted(v for v in far if g.is_clique(g.adj[v]))
+    simp = sorted(v for v in far if is_simplicial_vertex(g, v))
     if simp:
         path = shortest_path(g, anchor, {simp[0]}, allowed=allowed)
         if path is None:

@@ -568,6 +568,34 @@ def naive_suitable_matching_exists(b, forced=frozenset()) -> bool:
     return False
 
 
+def naive_is_harmless(b: Multigraph) -> bool:
+    """No theta and no bicycle in a bipartite host, by scanning every edge
+    set of its underlying simple graph.
+
+    A connected edge set with minimum degree two and one more edge than
+    vertices is a figure eight (one vertex of degree four), a theta or a
+    dumbbell (two vertices of degree three). The figure eight is a bicycle;
+    the theta's paths, or the dumbbell's connector, are even exactly when
+    the two vertices of degree three are on the same side.
+    """
+    sides = b.bipartition()
+    if sides is None:
+        raise GraphError("expected a bipartite host")
+    for sub in subsets(sorted(b.underlying_simple().edges())):
+        deg: dict[int, int] = defaultdict(int)
+        for u, v in sub:
+            deg[u] += 1
+            deg[v] += 1
+        if len(sub) != len(deg) + 1 or min(deg.values()) < 2:
+            continue
+        if not induced(from_edge_list(b.n, sub), deg)[0].is_connected():
+            continue
+        big = [v for v in sorted(deg) if deg[v] > 2]
+        if len(big) == 1 or (big[0] in sides[0]) == (big[1] in sides[0]):
+            return False
+    return True
+
+
 # -- exhaustive small-graph enumeration ----------------------------------------------
 
 

@@ -36,10 +36,10 @@ from strongstable.graphio import (
     parse_edgelist,
     parse_graph,
 )
-from strongstable.linegraph import is_harmless, recover_root
+from strongstable.linegraph import recover_root
 from strongstable.recognizers import find_claw, find_clowns
 from strongstable.solver import brute_force
-from oracles import cycle, naive_decode_graph6
+from oracles import cycle, naive_decode_graph6, naive_is_harmless
 
 
 class TestGenerators:
@@ -93,11 +93,22 @@ class TestGenerators:
         for seed in range(8):
             b = random_harmless_bipartite(seed, 10)
             assert b.is_connected()
-            assert is_harmless(b)[0]
+            assert naive_is_harmless(b)
 
     def test_innocent_generator_gates(self):
         for seed in range(10):
             g = random_claw_free_innocent(seed, 10, augment_rate=0.4)
+            assert find_claw(g) is None
+            assert isinstance(innocence_certificate(g), Innocent)
+
+    def test_large_innocent_generation(self):
+        # the harmless repair asks the certificate of L(B), with no subgraph
+        # search, so graphs of a few hundred vertices are cheap to draw
+        for g in (
+            random_claw_free_innocent(20008, 700),
+            random_claw_free_innocent(20008, 600, augment_rate=0.4),
+        ):
+            assert g.n > 300 and g.is_connected()
             assert find_claw(g) is None
             assert isinstance(innocence_certificate(g), Innocent)
 
