@@ -1,6 +1,6 @@
 """Local-structure recognizers: claws, simplicial objects, twins, cobipartite
-and linear-interval structure, chain orders, clowns, consistent sets, safe
-vertices, and peculiar structure.
+and linear-interval structure, clowns, consistent sets, safe vertices, and
+peculiar structure.
 
 Path-parity checks (even pairs, safe vertices) quantify over chordless
 paths, the definition used everywhere else in this package.
@@ -52,17 +52,6 @@ class Clown:
 
     def vertices(self) -> frozenset[int]:
         return frozenset((self.hat,) + self.cycle)
-
-
-@dataclass(frozen=True)
-class CobipartitePartition:
-    a: frozenset[int]
-    b: frozenset[int]
-
-
-@dataclass(frozen=True)
-class LinearIntervalOrder:
-    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -168,16 +157,16 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def cobipartite_partition(g: Graph) -> Optional[CobipartitePartition]:
-    """Two cliques covering all vertices (a 2-coloring of the complement)."""
+def cobipartite_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """Two cliques (a, b) covering all vertices (a 2-coloring of the complement)."""
     full = (1 << g.n) - 1
     a = two_coloring([full ^ b ^ (1 << v) for v, b in enumerate(g.bits)])
     if a is None:
         return None
-    return CobipartitePartition(a, frozenset(range(g.n)) - a)
+    return a, frozenset(range(g.n)) - a
 
 
-def linear_interval_order(g: Graph) -> Optional[LinearIntervalOrder]:
+def linear_interval_order(g: Graph) -> Optional[tuple[int, ...]]:
     """A numbering where every edge's index window is a clique, if one exists.
 
     Such a numbering is a proper interval ordering, so Corneil's 3-sweep
@@ -191,7 +180,7 @@ def linear_interval_order(g: Graph) -> Optional[LinearIntervalOrder]:
         order = _lbfs(g, order[::-1])
     if not check_linear_interval_order(g, order):
         return None
-    return LinearIntervalOrder(tuple(order))
+    return tuple(order)
 
 
 def _lbfs(g: Graph, prefer: Iterable[int]) -> list[int]:
@@ -268,25 +257,6 @@ def check_linear_interval_order(g: Graph, order: Iterable[int]) -> bool:
         if earlier and min(earlier) != i - len(earlier):
             return False
     return True
-
-
-def chain_order(
-    g: Graph, a: Iterable[int], b: Iterable[int]
-) -> Optional[tuple[int, ...]]:
-    """Order a by nested neighborhoods in b, or None when a crossing exists.
-
-    A crossing is a pair a1, a2 with incomparable b-neighborhoods, which is
-    exactly when some edges a1b1, a2b2 exist with a1b2, a2b1 both missing.
-    """
-    a = sorted(frozenset(a))
-    b = frozenset(b)
-    if b & frozenset(a):
-        raise GraphError("sets must be disjoint")
-    nb = {u: g.adj[u] & b for u in a}
-    for u, v in itertools.combinations(a, 2):
-        if not (nb[u] <= nb[v] or nb[v] <= nb[u]):
-            return None
-    return tuple(sorted(a, key=lambda u: (len(nb[u]), u)))
 
 
 def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clown]:

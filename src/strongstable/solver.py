@@ -18,7 +18,9 @@ search fails only after trying every square or every edge.
 that fails it records ``verify-failed`` and brute-forces the whole instance,
 the same fallback as for a sub-instance with no solution. Results are
 therefore sound on arbitrary inputs, and "none exists" is only ever reported
-after a completed brute-force confirmation on the whole instance.
+after a completed brute-force confirmation on the whole instance, or when
+the cobipartite branch, a complete decision, finds none on the whole
+instance.
 """
 
 from __future__ import annotations
@@ -57,10 +59,8 @@ from .decompose import (
 )
 from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
-    LinearIntervalOrder,
     PeculiarParts,
     _clown_witness,
-    chain_order,
     check_linear_interval_order,
     cobipartite_partition,
     find_clowns,
@@ -99,12 +99,14 @@ class CaseNotApplicable(GraphError):
 
 
 class _SubInstanceInfeasible(Exception):
-    """Internal: a recursive brute force found no solution for instance (g, z)."""
+    """Internal: instance (g, z) has no solution, as ``proof`` (a brute force
+    or a deciding branch) showed."""
 
-    def __init__(self, g: Graph, z: frozenset[int]):
+    def __init__(self, g: Graph, z: frozenset[int], proof: str = "brute-force"):
         super().__init__(f"no strong stable set on {g.n} vertices")
         self.g = g
         self.z = z
+        self.proof = proof
 
 
 # -- the oracle -------------------------------------------------------------------
@@ -230,50 +232,31 @@ def extend_at_simplicial(
 # -- closed-form cases ---------------------------------------------------------------
 
 
-def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> frozenset[int]:
-    """A two-vertex (or smaller) strong stable set of a cobipartite graph
-    containing z, via a cosimplicial non-edge.
+def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> Optional[frozenset[int]]:
+    """A strong stable set of a cobipartite graph containing z, or None when
+    none exists.
 
-    Empty z takes any cosimplicial non-edge; a two-vertex z must itself be
-    one; a single safe z takes the far endpoint with the largest nested
-    neighborhood on the non-neighbor side.
+    Every stable set of a cobipartite graph has at most two vertices, one
+    per clique. The empty set is strong only in the empty graph, and {w}
+    exactly when w is universal. A non-edge {u, v} is strong exactly when it
+    is cosimplicial: a maximal clique missing both holds some x not in N[u]
+    and some y not in N[v]; these lie on opposite sides, so x != y and xy is
+    an edge. So the lex-first cosimplicial non-edge through z, else the
+    lowest universal vertex that z allows, covers every stable set
+    containing z.
     """
     z = frozenset(z)
-    part = cobipartite_partition(g)
-    if part is None:
+    if cobipartite_partition(g) is None:
         raise CaseNotApplicable("graph is not cobipartite")
-    if g.is_complete():
-        if len(z) > 1:
-            raise GraphError("prescribed set is not stable")
-        return z if z else frozenset({0})
-    if len(z) > 2:
-        raise GraphError("a cobipartite graph has no stable set of size three")
-    if not z:
-        pair = find_cosimplicial_nonedge(g)
-        if pair is None:
-            raise CaseNotApplicable("no cosimplicial non-edge; host out of scope")
+    if not g.is_stable(z):
+        raise GraphError("prescribed set is not stable")
+    if g.n == 0:
+        return frozenset()
+    pair = find_cosimplicial_nonedge(g, z)
+    if pair is not None:
         return frozenset(pair)
-    if len(z) == 2:
-        u, v = sorted(z)
-        if g.has_edge(u, v):
-            raise GraphError("prescribed set is not stable")
-        pair = find_cosimplicial_nonedge(g, (u, v))
-        if pair is None:
-            raise CaseNotApplicable("prescribed pair is not a cosimplicial non-edge")
-        return z
-    (a,) = z
-    if g.degree(a) == g.n - 1:
-        return frozenset({a})
-    aside, bside = (part.a, part.b) if a in part.a else (part.b, part.a)
-    b2 = bside - g.adj[a]
-    order = chain_order(g, b2, aside)
-    if order is None:
-        raise CaseNotApplicable("crossing squares on the far side; host out of scope")
-    b = order[-1]
-    pair = find_cosimplicial_nonedge(g, (a, b))
-    if pair is None:
-        raise CaseNotApplicable("chain maximum is not cosimplicial; host out of scope")
-    return frozenset({a, b})
+    universal = (w for w in sorted(z) or range(g.n) if g.degree(w) == g.n - 1)
+    return next((frozenset({w}) for w in universal), None)
 
 
 def solve_peculiar(g: Graph, parts: PeculiarParts) -> frozenset[int]:
@@ -291,7 +274,7 @@ def solve_peculiar(g: Graph, parts: PeculiarParts) -> frozenset[int]:
 def solve_linear_interval(
     g: Graph,
     z: Iterable[int],
-    order: LinearIntervalOrder | Iterable[int],
+    order: Iterable[int],
     budget: Budget | _Meter | None = None,
 ) -> frozenset[int]:
     """Strong stable set containing z for a linear interval graph.
@@ -302,7 +285,7 @@ def solve_linear_interval(
     point, and the first vertex rejoins the solution of the remaining suffix.
     """
     meter = _meter(budget)
-    seq = tuple(order.order if isinstance(order, LinearIntervalOrder) else order)
+    seq = tuple(order)
     if not check_linear_interval_order(g, seq):
         raise GraphError("not a valid linear interval order")
     z = frozenset(z)
@@ -606,6 +589,7 @@ def solve(
     if not trusted and z:
         validate_prescribed(g, z, meter)
     ctx = _Ctx(meter)
+    proof = "brute-force"
     try:
         try:
             s = _solve(ctx, g, z)
@@ -615,12 +599,15 @@ def solve(
             ctx.record("verify-failed", failed_branch=ctx.trace[-1].branch, n=g.n)
             s = brute_force(g, z, meter)
         except _SubInstanceInfeasible as e:
-            # unless (g, z) itself was the instance brute-forced
-            s = None if (e.g, e.z) == (g, z) else brute_force(g, z, meter)
+            # unless (g, z) itself was the instance proved infeasible
+            if (e.g, e.z) == (g, z):
+                s, proof = None, e.proof
+            else:
+                s = brute_force(g, z, meter)
     except BudgetExceededError:
         ctx.record("budget")
         return SolveResult(SolveStatus.BUDGET, None, tuple(ctx.trace))
-    ctx.record("brute-force", result="none-exists" if s is None else "found", n=g.n)
+    ctx.record(proof, result="none-exists" if s is None else "found", n=g.n)
     status = SolveStatus.NONE_EXISTS if s is None else SolveStatus.FALLBACK_FOUND
     return SolveResult(status, s, tuple(ctx.trace))
 
@@ -731,7 +718,10 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("cobipartite")
 def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    return solve_cobipartite(g, z)
+    s = solve_cobipartite(g, z)
+    if s is None:
+        raise _SubInstanceInfeasible(g, z, "cobipartite")
+    return s
 
 
 @_branch("linear-interval")

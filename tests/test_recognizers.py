@@ -15,7 +15,6 @@ from strongstable.core import (
 )
 from strongstable.recognizers import (
     Clown,
-    chain_order,
     check_linear_interval_order,
     cobipartite_partition,
     find_claw,
@@ -206,15 +205,15 @@ class TestTwins:
 
 class TestCobipartite:
     def test_c4(self):
-        p = cobipartite_partition(cycle(4))
-        assert {frozenset(p.a), frozenset(p.b)} == {frozenset({0, 1}), frozenset({2, 3})}
+        a, b = cobipartite_partition(cycle(4))
+        assert {a, b} == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_c5_none(self):
         assert cobipartite_partition(cycle(5)) is None
 
     def test_k5_any(self):
-        p = cobipartite_partition(complete(5))
-        assert p is not None and complete(5).is_clique(p.a) and complete(5).is_clique(p.b)
+        a, b = cobipartite_partition(complete(5))
+        assert complete(5).is_clique(a) and complete(5).is_clique(b)
 
     def test_builds_no_complement_graph(self, monkeypatch):
         def refuse(g):
@@ -223,27 +222,27 @@ class TestCobipartite:
         monkeypatch.setattr(core, "complement", refuse)
         monkeypatch.setattr(recognizers, "complement", refuse, raising=False)
         assert cobipartite_partition(path(2401)) is None
-        p = cobipartite_partition(cycle(4))
-        assert {p.a, p.b} == {frozenset({0, 1}), frozenset({2, 3})}
+        a, b = cobipartite_partition(cycle(4))
+        assert {a, b} == {frozenset({0, 1}), frozenset({2, 3})}
 
 
 class TestLinearInterval:
     def test_p4(self):
-        assert linear_interval_order(path(4)).order == (0, 1, 2, 3)
+        assert linear_interval_order(path(4)) == (0, 1, 2, 3)
 
     def test_c4_none(self):
         assert linear_interval_order(cycle(4)) is None
 
     def test_k4(self):
         order = linear_interval_order(complete(4))
-        assert order is not None and check_linear_interval_order(complete(4), order.order)
+        assert order is not None and check_linear_interval_order(complete(4), order)
 
     def test_agrees_with_permutation_search(self, graphs_by_n):
         for n in range(1, 7):
             for g in graphs_by_n[n]:
                 found = linear_interval_order(g)
                 if found is not None:
-                    assert check_linear_interval_order(g, found.order)
+                    assert check_linear_interval_order(g, found)
                 else:
                     assert not naive_linear_interval_exists(g), sorted(g.edges())
 
@@ -264,14 +263,14 @@ class TestLinearInterval:
             ]
             g = from_edge_list(n, edges)
             found = linear_interval_order(g)
-            assert found is not None and check_linear_interval_order(g, found.order)
+            assert found is not None and check_linear_interval_order(g, found)
 
     def test_long_cycle_none(self):
         assert linear_interval_order(cycle(30)) is None
 
     def test_long_path(self):
         found = linear_interval_order(path(3000))
-        assert found is not None and check_linear_interval_order(path(3000), found.order)
+        assert found is not None and check_linear_interval_order(path(3000), found)
 
     def test_check_matches_window_definition(self, graphs_by_n):
         # every numbering of every graph up to five vertices, some of six
@@ -289,31 +288,6 @@ class TestLinearInterval:
     def test_check_rejects_non_permutations(self):
         assert not check_linear_interval_order(path(3), (0, 1))
         assert not check_linear_interval_order(path(3), (0, 1, 1))
-
-
-class TestChainOrder:
-    def test_nested(self):
-        g = from_edge_list(4, [(0, 2), (1, 2), (1, 3)])
-        assert chain_order(g, [0, 1], [2, 3]) == (0, 1)
-
-    def test_crossing_none(self):
-        g = from_edge_list(4, [(0, 2), (1, 3)])
-        assert chain_order(g, [0, 1], [2, 3]) is None
-
-    def test_empty_far_side(self):
-        assert chain_order(path(4), [0, 1], []) == (0, 1)
-
-    def test_last_element_property(self, graphs_by_n):
-        # when an order exists, the last element is complete to B or some
-        # B-vertex is anticomplete to A
-        for g in graphs_by_n[6]:
-            a = frozenset({0, 1, 2})
-            b = frozenset({3, 4, 5})
-            order = chain_order(g, a, b)
-            if order is None:
-                continue
-            last = order[-1]
-            assert (b <= g.adj[last]) or any(not (g.adj[v] & a) for v in b)
 
 
 class TestClowns:

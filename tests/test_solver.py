@@ -23,7 +23,7 @@ from strongstable.decompose import (
     grow_square_connected_pair,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
-from strongstable.generators import peculiar
+from strongstable.generators import antihole, peculiar
 from strongstable.linegraph import _augment_candidates, recover_root
 from strongstable.recognizers import find_claw, simplicial_vertices
 from strongstable.solver import (
@@ -50,6 +50,13 @@ from oracles import (
     strip_anchor_gadgets,
     subsets,
 )
+
+
+def cobipartite_recipe(h):
+    """The complement of a random bipartite graph on h + h vertices."""
+    rng = random.Random(11)
+    edges = [(i, j) for i in range(h) for j in range(h, 2 * h) if rng.random() < 0.3]
+    return complement(from_edge_list(2 * h, edges))
 
 
 def plain_subsolver(h, zz):
@@ -90,7 +97,7 @@ class TestDefaultBudget:
             brute_force(complete(25))
 
     def test_odd_hole_above_the_cap_is_budget(self):
-        # none-exists needs a completed brute force
+        # not cobipartite, so none-exists needs a completed brute force
         res = solve(cycle(61))
         assert res.status == SolveStatus.BUDGET and res.s is None
 
@@ -337,6 +344,49 @@ class TestSolveCobipartite:
     def test_not_cobipartite(self):
         with pytest.raises(GraphError):
             solve_cobipartite(cycle(5))
+
+    def test_empty_graph(self):
+        assert solve_cobipartite(from_edge_list(0, [])) == frozenset()
+
+    def test_decides_against_brute_force(self, graphs_by_n):
+        # every stable z with at most two vertices, safe or not, on every
+        # cobipartite graph with at most seven vertices
+        cases = infeasible = 0
+        for n in range(1, 8):
+            for g in graphs_by_n[n]:
+                if recognizers.cobipartite_partition(g) is None:
+                    continue
+                for z in map(frozenset, subsets(range(n), max_size=2)):
+                    if not naive_is_stable(g, z):
+                        continue
+                    cases += 1
+                    s = solve_cobipartite(g, z)
+                    bf = brute_force(g, z)
+                    assert (s is None) == (bf is None), (sorted(g.edges()), sorted(z))
+                    if s is None:
+                        infeasible += 1
+                    else:
+                        assert z <= s and naive_is_strong_stable_set(g, s)
+        assert (cases, infeasible) == (1865, 362)
+
+    @pytest.mark.parametrize(
+        "g", [cobipartite_recipe(30), antihole(40)], ids=["recipe-60", "antihole-40"]
+    )
+    def test_none_exists_above_the_vertex_cap(self, g):
+        # no brute force runs: the branch itself proves that none exists
+        res = solve(g, budget=Budget())
+        assert res.status == SolveStatus.NONE_EXISTS and res.s is None
+        last = res.trace[-1]
+        assert last.branch == "cobipartite"
+        assert last.detail == {"result": "none-exists", "n": g.n}
+
+    def test_sub_instance_proof_still_brute_forces_the_root(self):
+        # peel drops the pendant first, so the cobipartite proof is on a
+        # sub-instance, and only a brute force may answer for the root
+        g = from_edge_list(9, [*antihole(8).edges(), (0, 8)])
+        res = solve(g)
+        assert res.status == SolveStatus.NONE_EXISTS and res.s is None
+        assert res.trace[-1].branch == "brute-force"
 
 
 class TestSolvePeculiar:
