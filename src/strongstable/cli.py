@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="claw-freeness and innocence certificates")
     common(sp)
-    # taken and ignored for older callers: nothing check runs reads a vertex cap
+    # check reads no vertex cap; the flag stays because perfbench/worker.py passes it
     sp.add_argument("--budget-vertices", type=int, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("solve", help="strong stable set computation")
@@ -319,13 +319,12 @@ def _cmd_roundtrip(args) -> int:
     if rr is None:
         payload["root"] = None
     else:
-        lg, _ = line_graph(rr.root)
         payload["root"] = {
             "n": rr.root.n,
             "edges": [list(e) for e in rr.root.edges],
             "ambiguous": rr.ambiguous,
         }
-        payload["line_graph_matches"] = lg == g
+        payload["line_graph_matches"] = line_graph(rr.root) == g
     if args.json:
         _emit(args, certificate_json(payload))
     else:

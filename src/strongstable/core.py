@@ -4,8 +4,7 @@ Conventions used across the package:
 
 * vertices are the integers ``0 .. n-1``;
 * a graph stores each neighbourhood as an int mask (``Graph.bits``), and
-  every constructor builds the masks directly; ``Graph.adj``, the same
-  neighbourhoods as frozensets, is derived on first use;
+  every constructor builds the masks directly;
 * a vertex set is a ``frozenset[int]`` (or any iterable normalized to one);
 * a path is a tuple of distinct vertices, consecutive entries adjacent; an
   *induced* path additionally has no chords;
@@ -18,7 +17,6 @@ All enumerative routines are exhaustive but budget-bounded: they raise
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -115,15 +113,6 @@ class Graph:
 
     n: int
     bits: tuple[int, ...]
-
-    @functools.cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Entry v is N(v) as a frozenset.
-
-        Built on first use and cached; not a field, so ``==``, ``hash`` and
-        ``repr`` ignore it.
-        """
-        return tuple(frozenset(_iter_bits(b)) for b in self.bits)
 
     # -- elementary predicates -------------------------------------------
 
@@ -513,24 +502,26 @@ def induced_paths_between(
 def shortest_path(
     g: Graph, source: int, targets: Iterable[int], allowed: Iterable[int] | None = None
 ) -> Optional[tuple[int, ...]]:
-    """BFS shortest path from source to any target through allowed vertices.
+    """BFS shortest path from source to any target through allowed vertices,
+    each vertex's neighbours taken lowest first.
 
     Shortest paths are chordless, which is what parity arguments need.
     """
-    targets = frozenset(targets)
-    allowed = g.vertex_set() if allowed is None else frozenset(allowed)
-    if source in targets:
+    tm = _mask_of(targets)
+    room = (1 << g.n) - 1 if allowed is None else _mask_of(allowed)
+    if tm >> source & 1:
         return (source,)
     prev: dict[int, int] = {source: -1}
+    seen = 1 << source
     frontier = [source]
     while frontier:
         nxt: list[int] = []
         for v in frontier:
-            for w in sorted(g.adj[v]):
-                if w in prev or w not in allowed:
-                    continue
+            new = g.bits[v] & room & ~seen
+            seen |= new
+            for w in _iter_bits(new):
                 prev[w] = v
-                if w in targets:
+                if tm >> w & 1:
                     path = [w]
                     while path[-1] != source:
                         path.append(prev[path[-1]])
@@ -685,11 +676,9 @@ class Multigraph:
         return left, frozenset(range(self.n)) - left
 
 
-def line_graph(b: Multigraph) -> tuple[Graph, tuple[int, ...]]:
-    """Line graph of b plus the mapping edge id -> line-graph vertex id.
+def line_graph(b: Multigraph) -> Graph:
+    """Line graph of b: vertex i of the result is edge i of b.
 
-    Vertex i of the result is edge i of b, so the mapping is the identity
-    array; it is returned anyway so callers can stay representation-agnostic.
     Parallel edges share both endpoints and therefore become adjacent twins.
     """
     inc = [0] * b.n  # inc[v]: the edges at root vertex v
@@ -699,4 +688,4 @@ def line_graph(b: Multigraph) -> tuple[Graph, tuple[int, ...]]:
     bits = tuple(
         (inc[a] | inc[c]) ^ 1 << i for i, (a, c) in enumerate(b.edges)
     )
-    return Graph(b.m, bits), tuple(range(b.m))
+    return Graph(b.m, bits)

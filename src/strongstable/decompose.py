@@ -78,29 +78,30 @@ def minimal_separators(
 ) -> list[frozenset[int]]:
     """All minimal vertex separators, by close-separator generation + expansion."""
     meter = _meter(budget)
-    full = g.vertex_set()
+    bits = g.bits
+    full = (1 << g.n) - 1
     seen: set[frozenset[int]] = set()
     queue: list[frozenset[int]] = []
 
-    def consider(s: frozenset[int]) -> None:
-        if s and s not in seen:
-            seen.add(s)
-            queue.append(s)
+    def consider(room: int) -> None:  # queue N(C) for each component C of room
+        for comp in _mask_components(bits, room):
+            s = g.neighborhood(_iter_bits(comp))
+            if s and s not in seen:
+                seen.add(s)
+                queue.append(s)
 
     for v in range(g.n):
-        for comp in components_within(g, full - g.adj[v] - {v}):
-            consider(g.neighborhood(comp))
+        consider(full & ~(bits[v] | 1 << v))
     i = 0
     while i < len(queue):
         s = queue[i]
         i += 1
         meter.tick()
         for x in sorted(s):
-            for comp in components_within(g, full - s - g.adj[x]):
-                consider(g.neighborhood(comp))
+            consider(full & ~(_mask_of(s) | bits[x]))
     # keep only true separators: at least two components remain without them
     return sorted(
-        (s for s in seen if len(components_within(g, full - s)) >= 2),
+        (s for s in seen if len(components_within(g, g.vertex_set() - s)) >= 2),
         key=lambda s: (len(s), sorted(s)),
     )
 
@@ -441,7 +442,7 @@ def internal_clique_cutset_from_deletion(
     side_a = set(mapping[v] for v in cut.side_a)
     side_b = set(mapping[v] for v in cut.side_b)
     for v in sorted(simp):
-        if g.adj[v] & side_a:
+        if g.neighborhood({v}) & side_a:
             side_a.add(v)
         else:
             side_b.add(v)

@@ -232,7 +232,7 @@ def repair_to_harmless(
     and deleting any one of them destroys that witness.
     """
     for _ in range(max_rounds):
-        w = innocence_certificate(line_graph(b)[0], budget)
+        w = innocence_certificate(line_graph(b), budget)
         if isinstance(w, Innocent):
             return b
         victims = sorted(w.vertices)
@@ -297,7 +297,7 @@ def random_claw_free_innocent(
             continue
         if b.m == 0:
             continue
-        g, _ = line_graph(b)
+        g = line_graph(b)
         if augment_rate > 0:
             g = _augment_some_flats(g, b, rng, augment_rate)
         if g.n == 0 or not g.is_connected():
@@ -330,8 +330,8 @@ def _augment_some_flats(
     for v in chosen:
         e1, e2 = b.incident(v)
         x_old, y_old = e1, e2  # line-graph vertex ids
-        c = g.adj[x_old] - {y_old}
-        d = g.adj[y_old] - {x_old}
+        c = g.neighborhood({x_old}) - {y_old}
+        d = g.neighborhood({y_old}) - {x_old}
         pattern = rng.choice(("pair-single", "nested"))
         if pattern == "pair-single":
             xs = [x_old, n]
@@ -411,7 +411,7 @@ _GRAPH_KINDS = {
     "peculiar": lambda p, s: peculiar(tuple(p.get("sizes", (1,) * 6 + (0,) * 3)), s)[0],
     "line-of-harmless": lambda p, s: line_graph(
         random_harmless_bipartite(s, p.get("size", 10), p.get("extra", 2))
-    )[0],
+    ),
     "augmented-line": lambda p, s: random_claw_free_innocent(
         s, p.get("size", 10), p.get("rate", 0.3)
     ),

@@ -21,11 +21,12 @@ from .core import (
     GraphError,
     Multigraph,
     _Meter,
+    _flood,
+    _iter_bits,
     _meter,
-    components_within,
     iter_maximal_cliques,
 )
-from .decompose import w_join_partition
+from .decompose import _is_clique_mask, _partition_masks
 
 
 @dataclass(frozen=True)
@@ -223,40 +224,41 @@ def other_end(b: Multigraph, e: int, v: int) -> int:
 
 
 def _pattern_pair(
-    g: Graph, x0: frozenset[int], y0: frozenset[int], meter: _Meter
-) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Close a seed pair into a homogeneous clique pair with the flat-edge
-    external pattern, branching on vertices complete to both sides."""
+    g: Graph, x0: int, y0: int, meter: _Meter
+) -> Optional[tuple[int, int]]:
+    """Close a disjoint seed pair of masks into a homogeneous clique pair
+    with the flat-edge external pattern, branching on vertices complete to
+    both sides; masks in and out."""
+    bits = g.bits
+    full = (1 << g.n) - 1
 
-    def close(xs: frozenset[int], ys: frozenset[int], depth: int) -> Optional[
-        tuple[frozenset[int], frozenset[int]]
-    ]:
+    def close(xm: int, ym: int, depth: int) -> Optional[tuple[int, int]]:
         meter.tick()
         if depth > g.n:
             return None
-        if xs & ys or not (g.is_clique(xs) and g.is_clique(ys)):
+        if not (_is_clique_mask(bits, xm) and _is_clique_mask(bits, ym)):
             return None
-        both = xs | ys
-        pending_both: list[int] = []
-        for v in sorted(g.vertex_set() - both):
-            mixed_x = g.is_mixed_on(v, xs)
-            mixed_y = g.is_mixed_on(v, ys)
+        both = xm | ym
+        pending = -1  # the first outside vertex complete to both sides
+        for v in _iter_bits(full & ~both):
+            b = bits[v]
+            mixed_x = 0 != b & xm != xm
+            mixed_y = 0 != b & ym != ym
             if mixed_x and mixed_y:
                 return None
             if mixed_x:
-                return close(xs, ys | {v}, depth + 1)
+                return close(xm, ym | 1 << v, depth + 1)
             if mixed_y:
-                return close(xs | {v}, ys, depth + 1)
-            if xs <= g.adj[v] and ys <= g.adj[v]:
-                pending_both.append(v)
-        if pending_both:
-            v = pending_both[0]
-            for xs2, ys2 in ((xs | {v}, ys), (xs, ys | {v})):
-                res = close(xs2, ys2, depth + 1)
+                return close(xm | 1 << v, ym, depth + 1)
+            if pending < 0 and not both & ~b:
+                pending = v
+        if pending >= 0:
+            for xm2, ym2 in ((xm | 1 << pending, ym), (xm, ym | 1 << pending)):
+                res = close(xm2, ym2, depth + 1)
                 if res is not None:
                     return res
             return None
-        return xs, ys
+        return xm, ym
 
     return close(x0, y0, 0)
 
@@ -266,43 +268,43 @@ def _augment_candidates(
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
     """Candidate smooth-augment pairs, seeded from same-side edges."""
     out: list[tuple[frozenset[int], frozenset[int]]] = []
-    seen: set[frozenset[frozenset[int]]] = set()
-    for u, v in sorted(g.edges()):
-        x0 = frozenset((u, v))
-        y0 = frozenset((g.adj[u] ^ g.adj[v]) - x0)
+    seen: set[frozenset[int]] = set()
+    for u, v in g.edges():  # lex order
+        x0 = 1 << u | 1 << v
+        y0 = (g.bits[u] ^ g.bits[v]) & ~x0
         if not y0:
             continue
         res = _pattern_pair(g, x0, y0, meter)
         if res is None:
             continue
-        xs, ys = res
-        if len(xs | ys) < 3 or len(xs | ys) >= g.n:
+        xm, ym = res
+        if not 3 <= (xm | ym).bit_count() < g.n:
             continue
-        if not _valid_augment(g, xs, ys):
+        if not _valid_augment(g, xm, ym):
             continue
-        key = frozenset((xs, ys))
+        key = frozenset(res)
         if key in seen:
             continue
         seen.add(key)
+        xs, ys = frozenset(_iter_bits(xm)), frozenset(_iter_bits(ym))
         out.append((min(xs, ys, key=sorted), max(xs, ys, key=sorted)))
     out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
     return out
 
 
-def _valid_augment(g: Graph, xs: frozenset[int], ys: frozenset[int]) -> bool:
-    """A pair from :func:`_pattern_pair` (so homogeneous, with no vertex
-    complete to both sides) that is smooth and whose contraction
-    neighborhoods are cliques."""
-    if g.is_complete_between(xs, ys) and len(xs) == 1 and len(ys) == 1:
-        return False
-    c, d, _, _ = w_join_partition(g, xs, ys)
-    if not (g.is_clique(c) and g.is_clique(d)):
+def _valid_augment(g: Graph, xm: int, ym: int) -> bool:
+    """A pair of masks from :func:`_pattern_pair` (so homogeneous cliques,
+    X holding the seed edge, with no vertex complete to both sides) that is
+    smooth and whose contraction neighborhoods are cliques."""
+    bits = g.bits
+    c, d, _, _ = _partition_masks(bits, xm, ym)
+    if not (_is_clique_mask(bits, c) and _is_clique_mask(bits, d)):
         return False
     # smooth: both sides attach to each other everywhere
-    if any(not (g.adj[x] & ys) for x in xs):
+    if any(not bits[x] & ym for x in _iter_bits(xm)):
         return False
-    if any(not (g.adj[y] & xs) for y in ys):
+    if any(not bits[y] & xm for y in _iter_bits(ym)):
         return False
     # the augment itself is a connected cobipartite graph
-    sub = xs | ys
-    return len(components_within(g, sub)) == 1
+    both = xm | ym
+    return _flood(bits, xm & -xm, both) == both

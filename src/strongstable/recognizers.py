@@ -149,10 +149,10 @@ def find_cosimplicial_nonedge(
 
 def find_twins(g: Graph) -> Optional[tuple[int, int]]:
     """Lex-first adjacent pair with the same closed neighborhood."""
-    closed = [g.adj[v] | {v} for v in range(g.n)]
+    bits = g.bits
     for u in range(g.n):
-        for v in sorted(g.adj[u]):
-            if u < v and closed[u] == closed[v]:
+        for v in _iter_bits(bits[u] & _above(u)):
+            if bits[v] | 1 << v == bits[u] | 1 << u:
                 return (u, v)
     return None
 
@@ -216,7 +216,7 @@ def _lbfs(g: Graph, prefer: Iterable[int]) -> list[int]:
         where[v] = -1
         order.append(v)
         split: dict[int, int] = {}
-        for w in sorted(g.adj[v], key=rank.__getitem__):
+        for w in sorted(_iter_bits(g.bits[v]), key=rank.__getitem__):
             old = where[w]
             if old < 0:
                 continue
@@ -250,8 +250,8 @@ def check_linear_interval_order(g: Graph, order: Iterable[int]) -> bool:
         return False
     pos = {v: i for i, v in enumerate(order)}
     for i, v in enumerate(order):
-        later = [pos[w] for w in g.adj[v] if pos[w] > i]
-        earlier = [pos[w] for w in g.adj[v] if pos[w] < i]
+        later = [pos[w] for w in _iter_bits(g.bits[v]) if pos[w] > i]
+        earlier = [pos[w] for w in _iter_bits(g.bits[v]) if pos[w] < i]
         if later and max(later) != i + len(later):
             return False
         if earlier and min(earlier) != i - len(earlier):

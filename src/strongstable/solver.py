@@ -19,8 +19,8 @@ that fails it records ``verify-failed`` and brute-forces the whole instance,
 the same fallback as for a sub-instance with no solution. Results are
 therefore sound on arbitrary inputs, and "none exists" is only ever reported
 after a completed brute-force confirmation on the whole instance, or when
-the cobipartite branch, a complete decision, finds none on the whole
-instance.
+the cobipartite branch, a complete decision for graphs with no stable
+triple, finds none on the whole instance.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .core import (
 from .decompose import (
     OneJoin,
     WJoin,
+    _is_clique_mask,
     _w_join_parts,
     find_one_join,
     find_w_join,
@@ -62,7 +63,6 @@ from .recognizers import (
     PeculiarParts,
     _clown_witness,
     check_linear_interval_order,
-    cobipartite_partition,
     find_clowns,
     find_cosimplicial_nonedge,
     is_consistent_set,
@@ -129,27 +129,24 @@ def brute_force(
         raise GraphError("prescribed vertices out of range")
     if not g.is_stable(z):
         return None
-    cliques = list(iter_maximal_cliques(g, meter))
-
-    def is_strong(s: frozenset[int]) -> bool:
-        return all(s & k for k in cliques)
-
+    cliques = [_mask_of(k) for k in iter_maximal_cliques(g, meter)]
+    bits = g.bits
     eligible = sorted(g.vertex_set() - z - g.neighborhood(z))
 
-    def extend(current: frozenset[int], start: int) -> Optional[frozenset[int]]:
+    def extend(current: int, start: int) -> Optional[frozenset[int]]:
         meter.tick()
-        if is_strong(current):
-            return current
+        if all(current & k for k in cliques):
+            return frozenset(_iter_bits(current))
         for idx in range(start, len(eligible)):
             v = eligible[idx]
-            if g.adj[v] & current:
+            if bits[v] & current:
                 continue
-            res = extend(current | {v}, idx + 1)
+            res = extend(current | 1 << v, idx + 1)
             if res is not None:
                 return res
         return None
 
-    return extend(z, 0)
+    return extend(_mask_of(z), 0)
 
 
 # -- the gadgets -------------------------------------------------------------------
@@ -181,7 +178,7 @@ def extend_at_simplicial(
     When ``solution`` (a strong stable set of g containing v0) is given, the
     matching extension is returned as well.
     """
-    if not g.is_clique(g.adj[v0]):
+    if not is_simplicial_vertex(g, v0):
         raise GraphError(f"vertex {v0} is not simplicial")
     if variant == 1:
         if m < 3 or m % 2 == 0:
@@ -206,7 +203,7 @@ def extend_at_simplicial(
     clown = None
     if variant == 1:
         edges.append((v(m), v0))
-        edges.extend((v(1), nb) for nb in g.adj[v0])
+        edges.extend((v(1), nb) for nb in _iter_bits(g.bits[v0]))
     elif variant == 3:
         c0 = n + m
         hole = tuple(range(n + m + 1, n + m + 1 + k))
@@ -233,21 +230,22 @@ def extend_at_simplicial(
 
 
 def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> Optional[frozenset[int]]:
-    """A strong stable set of a cobipartite graph containing z, or None when
-    none exists.
+    """A strong stable set containing z of a graph with no stable triple
+    (every non-neighbourhood is a clique, as in cobipartite graphs and
+    antiholes), or None when none exists.
 
-    Every stable set of a cobipartite graph has at most two vertices, one
-    per clique. The empty set is strong only in the empty graph, and {w}
-    exactly when w is universal. A non-edge {u, v} is strong exactly when it
-    is cosimplicial: a maximal clique missing both holds some x not in N[u]
-    and some y not in N[v]; these lie on opposite sides, so x != y and xy is
-    an edge. So the lex-first cosimplicial non-edge through z, else the
-    lowest universal vertex that z allows, covers every stable set
-    containing z.
+    Every stable set has at most two vertices. The empty set is strong only
+    in the empty graph, and {w} exactly when w is universal. A non-edge
+    {u, v} is strong exactly when it is cosimplicial: a maximal clique
+    missing both holds some x not in N[u] and some y not in N[v]; x != y,
+    since otherwise x, u, v would be a stable triple, so xy is an edge. So
+    the lex-first cosimplicial non-edge through z, else the lowest universal
+    vertex that z allows, covers every stable set containing z.
     """
     z = frozenset(z)
-    if cobipartite_partition(g) is None:
-        raise CaseNotApplicable("graph is not cobipartite")
+    full = (1 << g.n) - 1
+    if not all(_is_clique_mask(g.bits, full & ~(b | 1 << u)) for u, b in enumerate(g.bits)):
+        raise CaseNotApplicable("graph has a stable triple")
     if not g.is_stable(z):
         raise GraphError("prescribed set is not stable")
     if g.n == 0:
@@ -292,7 +290,7 @@ def solve_linear_interval(
     if not g.is_stable(z):
         raise GraphError("prescribed set is not stable")
 
-    adj = g.adj
+    edge = g.has_edge
     # Every subsequence of the order has the umbrella property, so its
     # components are its runs of consecutive adjacent vertices, and a
     # connected one is a clique when its ends are adjacent. Each step below
@@ -300,7 +298,7 @@ def solve_linear_interval(
     # suffix, or drops the second vertex while the first sees the third),
     # so only the whole order is ever split, and each run is one chain of
     # steps.
-    cuts = [i for i in range(1, len(seq)) if seq[i] not in adj[seq[i - 1]]]
+    cuts = [i for i in range(1, len(seq)) if not edge(seq[i - 1], seq[i])]
     runs = [seq[i:j] for i, j in zip([0, *cuts], [*cuts, len(seq)])]
     if len(runs) > 1:
         meter.tick()
@@ -317,7 +315,7 @@ def solve_linear_interval(
                 s = frozenset(active)
                 break
             first, last = active[0], active[-1]
-            if last in adj[first]:  # complete
+            if edge(first, last):  # complete
                 s = zz if zz else frozenset({first})
                 break
             # both ends of the order are simplicial in the active subgraph
@@ -331,10 +329,10 @@ def solve_linear_interval(
                 continue
             # the neighbours of second after it come right after it
             second, idx = active[1], 1
-            while idx + 1 < len(active) and active[idx + 1] in adj[second]:
+            while idx + 1 < len(active) and edge(second, active[idx + 1]):
                 idx += 1
             v_i = active[idx]
-            if v_i in adj[first]:
+            if edge(first, v_i):
                 # first and second are twins within the active set; drop second
                 active = active[:1] + active[2:]
                 continue
@@ -436,8 +434,8 @@ def combine_w_join(
     f_c: set[int] = set()
     f_d: set[int] = set()
     for comp in components_within(g, f):
-        touches_c = any(g.adj[v] & c for v in comp)
-        touches_d = any(g.adj[v] & d for v in comp)
+        near = g.neighborhood(comp)
+        touches_c, touches_d = bool(near & c), bool(near & d)
         if touches_c and touches_d:
             raise CaseNotApplicable("far side not splittable")
         (f_d if touches_d else f_c).update(comp)
@@ -521,7 +519,7 @@ def _side_parity(
     sub, mapping = induced(g, verts)
     for cyc in induced_cycles(sub, meter, min_len=4, parity=0):
         hole = frozenset(mapping[v] for v in cyc)
-        if g.adj[anchor] & hole:
+        if g.bits[anchor] & _mask_of(hole):
             return 1  # zero-length qualifying path, plus the step onto the hole
         ring = g.neighborhood(hole) & verts
         inner = (allowed - hole - ring) | {anchor}
@@ -785,8 +783,8 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
         sub, _ = induced(g, xs | ys)
         if any(True for _ in squares(sub, ctx.meter)):
             continue  # square case belongs to the W-join branch
-        u = next((x for x in sorted(xs) if ys <= g.adj[x]), None)
-        v = next((y for y in sorted(ys) if xs <= g.adj[y]), None)
+        u = next((x for x in sorted(xs) if g.is_complete_between({x}, ys)), None)
+        v = next((y for y in sorted(ys) if g.is_complete_between({y}, xs)), None)
         if u is None or v is None:
             continue
         drop = (xs - {u}) | (ys - {v})

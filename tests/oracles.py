@@ -8,6 +8,7 @@ searches. Slow and dumb on purpose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,6 +23,12 @@ from strongstable.core import (
     induced,
 )
 from strongstable.decompose import HypothesisViolationError, WJoin, _square_sides
+
+
+@functools.lru_cache(maxsize=4096)
+def nbrs(g: Graph) -> tuple[frozenset[int], ...]:
+    """Entry v is N(v) as a frozenset, read off ``has_edge`` once per graph."""
+    return tuple(frozenset(w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n))
 
 
 def subsets(items, min_size=0, max_size=None):
@@ -45,7 +52,7 @@ def naive_maximal_cliques(g: Graph) -> list[frozenset[int]]:
         s = frozenset(sub)
         if not naive_is_clique(g, s):
             continue
-        if any(all(v in g.adj[u] for u in s) for v in g.vertex_set() - s):
+        if any(all(v in nbrs(g)[u] for u in s) for v in g.vertex_set() - s):
             continue
         out.append(s)
     return out
@@ -68,7 +75,7 @@ def naive_degeneracy_order(g: Graph) -> list[int]:
         v = min(alive, key=lambda u: (deg[u], u))
         order.append(v)
         alive.remove(v)
-        for w in g.adj[v]:
+        for w in nbrs(g)[v]:
             if w in alive:
                 deg[w] -= 1
     return order
@@ -107,13 +114,13 @@ def naive_induced_cycles(
             continue
         s = set(sub)
         # two neighbours inside each is necessary; is_cycle_graph decides
-        if any(len(g.adj[v] & s) != 2 for v in sub):
+        if any(len(nbrs(g)[v] & s) != 2 for v in sub):
             continue
         if not is_cycle_graph(induced(g, sub)[0]):
             continue
-        seq = [sub[0], min(g.adj[sub[0]] & s)]
+        seq = [sub[0], min(nbrs(g)[sub[0]] & s)]
         while len(seq) < len(sub):
-            seq.append(next(w for w in g.adj[seq[-1]] & s if w != seq[-2]))
+            seq.append(next(w for w in nbrs(g)[seq[-1]] & s if w != seq[-2]))
         out.append(tuple(seq))
     return sorted(out)
 
@@ -139,7 +146,7 @@ def naive_anchored_paths(
         if k + 1 < min_len or (parity is not None and (k + 1) % 2 != parity):
             continue
         for mid in itertools.permutations(others, k):
-            if any(v in blocked or g.adj[v] & quiet for v in mid):
+            if any(v in blocked or nbrs(g)[v] & quiet for v in mid):
                 continue
             p = (start, *mid, end)
             last = len(p) - 1
@@ -171,7 +178,7 @@ def naive_clowns(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
         for hat in range(g.n):
             if hat in hole:
                 continue
-            idx = [i for i, x in enumerate(hole) if x in g.adj[hat]]
+            idx = [i for i, x in enumerate(hole) if x in nbrs(g)[hat]]
             if len(idx) == 2 and idx[1] - idx[0] in (1, k - 1):
                 out.append((hat, hole))
     return out
@@ -181,13 +188,13 @@ def naive_is_safe_vertex(g: Graph, v: int) -> bool:
     """Simplicial, and every path from v to a clown's hat whose vertices other
     than the hat miss the hole and its neighbours is odd (the zero-length path
     from the hat itself counts as even)."""
-    if not naive_is_clique(g, g.adj[v]):
+    if not naive_is_clique(g, nbrs(g)[v]):
         return False
     for hat, hole in naive_clowns(g):
         if v == hat:
             return False
         hole = frozenset(hole)
-        if v in hole or g.adj[v] & hole:
+        if v in hole or nbrs(g)[v] & hole:
             continue
         if naive_anchored_paths(g, v, hat, hole, hole, parity=0):
             return False
@@ -211,8 +218,8 @@ def is_simplicial_edge(g: Graph, u: int, v: int) -> bool:
     """
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    for x in g.adj[u] - {v}:
-        for y in g.adj[v] - {u}:
+    for x in nbrs(g)[u] - {v}:
+        for y in nbrs(g)[v] - {u}:
             if x != y and not g.has_edge(x, y):
                 return False
     return True
@@ -225,7 +232,7 @@ def is_simplicial_clique(g: Graph, k) -> bool:
         raise GraphError("simplicial clique must be non-empty")
     if not g.is_clique(k):
         raise GraphError("input is not a clique")
-    return all(g.is_clique(g.adj[v] - k) for v in k)
+    return all(g.is_clique(nbrs(g)[v] - k) for v in k)
 
 
 def naive_is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
@@ -235,8 +242,8 @@ def naive_is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
     co = complement(g)
     return co.has_edge(u, v) and all(
         x == y or co.has_edge(x, y)
-        for x in co.adj[u] - {v}
-        for y in co.adj[v] - {u}
+        for x in nbrs(co)[u] - {v}
+        for y in nbrs(co)[v] - {u}
     )
 
 
@@ -265,7 +272,7 @@ def naive_two_coloring(g: Graph) -> frozenset[int] | None:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in g.adj[v]:
+            for w in nbrs(g)[v]:
                 if w not in color:
                     color[w] = 1 - color[v]
                     stack.append(w)
@@ -278,7 +285,7 @@ def naive_find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
     """First centre and leaves of a claw in lowest-id order, by scanning
     every triple of neighbours."""
     for c in range(g.n):
-        for trio in itertools.combinations(sorted(g.adj[c]), 3):
+        for trio in itertools.combinations(sorted(nbrs(g)[c]), 3):
             if naive_is_stable(g, trio):
                 return c, trio
     return None
@@ -346,7 +353,7 @@ def _walk_chain(h: Graph, start: int, first: int, stop_at) -> tuple[int, ...] | 
     while cur not in stop_at:
         if h.degree(cur) != 2:
             return None
-        nxts = [w for w in h.adj[cur] if w != prev]
+        nxts = [w for w in nbrs(h)[cur] if w != prev]
         if len(nxts) != 1:
             return None
         prev, cur = cur, nxts[0]
@@ -369,7 +376,7 @@ def is_odd_prism_graph(h: Graph) -> bool:
         paths = []
         ok = True
         for a in t1:
-            outs = [w for w in h.adj[a] if w not in t1]
+            outs = [w for w in nbrs(h)[a] if w not in t1]
             if len(outs) != 1:
                 ok = False
                 break
@@ -420,9 +427,9 @@ def is_eye_mask_graph(h: Graph) -> bool:
 
 def _cycle_through(h: Graph, x: int, y: int, corners: set[int]) -> tuple[int, ...] | None:
     """The cycle containing edge xy whose other vertices have degree two."""
-    if y not in h.adj[x]:
+    if y not in nbrs(h)[x]:
         return None
-    outs = [w for w in h.adj[x] if w not in corners]
+    outs = [w for w in nbrs(h)[x] if w not in corners]
     if len(outs) != 1:
         return None
     chain = _walk_chain(h, x, outs[0], corners | {y})
@@ -460,7 +467,7 @@ def is_handcuff_graph(h: Graph) -> bool:
             if t1 in c1 or t1 in c2 or t2 in c1 or t2 in c2:
                 continue
             # the connecting path from t1 to t2
-            outs = [w for w in h.adj[t1] if w not in (x1, y1)]
+            outs = [w for w in nbrs(h)[t1] if w not in (x1, y1)]
             if len(outs) != 1:
                 continue
             if outs[0] == t2:
@@ -529,8 +536,8 @@ def naive_one_join(g: Graph) -> tuple[bool, bool]:
     for sub in subsets(range(g.n), min_size=1, max_size=g.n - 1):
         v1 = frozenset(sub)
         v2 = full - v1
-        a1 = frozenset(v for v in v1 if g.adj[v] & v2)
-        a2 = frozenset(v for v in v2 if g.adj[v] & v1)
+        a1 = frozenset(v for v in v1 if nbrs(g)[v] & v2)
+        a2 = frozenset(v for v in v2 if nbrs(g)[v] & v1)
         if a1 and a2 and v1 - a1 and v2 - a2 and g.is_clique(a1 | a2):
             exists = True
             rich = rich or (len(v1) > 2 and len(v2) > 2)
@@ -671,7 +678,7 @@ def graph_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     def sig(graph: Graph, v: int) -> tuple:
-        return (graph.degree(v), tuple(sorted(graph.degree(w) for w in graph.adj[v])))
+        return (graph.degree(v), tuple(sorted(graph.degree(w) for w in nbrs(graph)[v])))
 
     gs = {v: sig(g, v) for v in range(g.n)}
     hs = {v: sig(h, v) for v in range(h.n)}
@@ -762,7 +769,7 @@ def attach_anchor_gadgets(g: Graph, z) -> tuple[Graph, tuple[tuple[int, int, int
     for zi in z:
         w, x, y = n, n + 1, n + 2
         n += 3
-        edges.extend((w, nb) for nb in g.adj[zi])
+        edges.extend((w, nb) for nb in nbrs(g)[zi])
         edges.extend([(w, zi), (w, x), (y, zi), (y, x)])
         anchors.append((zi, w, x, y))
     return from_edge_list(n, edges), tuple(anchors)
@@ -887,8 +894,8 @@ def naive_w_join_parts(g: Graph, a, b):
         return None
     parts = ([], [], [], [])
     for v in sorted(g.vertex_set() - a - b):
-        to_a, anti_a = a <= g.adj[v], not (a & g.adj[v])
-        to_b, anti_b = b <= g.adj[v], not (b & g.adj[v])
+        to_a, anti_a = a <= nbrs(g)[v], not (a & nbrs(g)[v])
+        to_b, anti_b = b <= nbrs(g)[v], not (b & nbrs(g)[v])
         if not ((to_a or anti_a) and (to_b or anti_b)):
             return None
         parts[(0 if anti_b else 2) if to_a else (1 if to_b else 3)].append(v)
@@ -901,10 +908,10 @@ def naive_w_join_parts(g: Graph, a, b):
 
 
 def _naive_mixed_square(g: Graph, v: int, s: set[int], t: set[int]):
-    for s1 in sorted(s & g.adj[v]):
-        for s2 in sorted(s - g.adj[v]):
-            for t1 in sorted((t & g.adj[s1]) - g.adj[s2]):
-                for t2 in sorted((t & g.adj[s2]) - g.adj[s1]):
+    for s1 in sorted(s & nbrs(g)[v]):
+        for s2 in sorted(s - nbrs(g)[v]):
+            for t1 in sorted((t & nbrs(g)[s1]) - nbrs(g)[s2]):
+                for t2 in sorted((t & nbrs(g)[s2]) - nbrs(g)[s1]):
                     if t1 != t2:
                         return (s1, s2, t1, t2)
     return None
@@ -936,7 +943,7 @@ def naive_grow_square_connected_pair(g: Graph, square, a_side, b_side) -> WJoin:
                 break
         if absorbed:
             continue
-        e = [v for v in outside if s <= g.adj[v] and t <= g.adj[v]]
+        e = [v for v in outside if s <= nbrs(g)[v] and t <= nbrs(g)[v]]
         pair = next(
             ((e1, e2) for e1, e2 in itertools.combinations(e, 2) if not g.has_edge(e1, e2)),
             None,

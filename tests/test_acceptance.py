@@ -114,20 +114,20 @@ def test_criterion_04_line_graph_correspondences():
     checked = 0
     for _ in range(70):
         lens = tuple(rng.choice((2, 2, 4)) for _ in range(3))
-        lg, _ = line_graph(theta(lens))
+        lg = line_graph(theta(lens))
         w = find_structure(lg, ForbiddenKind.ODD_PRISM)
         assert w is not None and verify_witness(lg, w), lens
         checked += 1
     for _ in range(65):
         c1, c2 = rng.choice((4, 6)), rng.choice((4, 6))
-        lg, _ = line_graph(bicycle(c1, c2, 0))
+        lg = line_graph(bicycle(c1, c2, 0))
         w = find_structure(lg, ForbiddenKind.EYE_MASK)
         assert w is not None and verify_witness(lg, w), (c1, c2)
         checked += 1
     for _ in range(65):
         c1, c2 = rng.choice((4, 6)), rng.choice((4, 6))
         p = rng.choice((2, 4))
-        lg, _ = line_graph(bicycle(c1, c2, p))
+        lg = line_graph(bicycle(c1, c2, p))
         w = find_structure(lg, ForbiddenKind.HANDCUFF)
         assert w is not None and verify_witness(lg, w), (c1, c2, p)
         checked += 1
@@ -142,7 +142,7 @@ def test_criterion_05_matching_pipeline():
         b = random_harmless_bipartite(rng.randint(0, 10**9), rng.randint(4, 14), rng.randint(1, 3))
         if b.m < 2 or b.n > 14:
             continue
-        lg, emap = line_graph(b)
+        lg = line_graph(b)  # vertex e is root edge e
         singular = [
             e
             for e, (u, v) in enumerate(b.edges)
@@ -151,18 +151,17 @@ def test_criterion_05_matching_pipeline():
         forced: list[int] = []
         for e in singular:
             cand = forced + [e]
-            lcand = frozenset(emap[x] for x in cand)
-            if not lg.is_stable(lcand):
+            if not lg.is_stable(cand):
                 continue
-            if not is_safe_vertex(lg, emap[e])[0]:
+            if not is_safe_vertex(lg, e)[0]:
                 continue
-            if not is_consistent_set(lg, lcand)[0]:
+            if not is_consistent_set(lg, cand)[0]:
                 continue
             forced = cand
         m = suitable_matching(b, frozenset(forced))
         assert m is not None, (list(b.edges), forced)
-        s = frozenset(emap[e] for e in m.edges)
-        assert frozenset(emap[e] for e in forced) <= s
+        s = m.edges
+        assert frozenset(forced) <= s
         assert is_strong_stable_set(lg, s), (list(b.edges), sorted(s))
         done += 1
     _report(5, "suitable matchings with forced singular edges", "200 harmless roots")
@@ -267,12 +266,12 @@ def test_criterion_09_root_recovery_roundtrip():
         b = random_connected_bipartite_multigraph(seed, n=n, m=m)
         if b.m > 20:
             continue
-        lg, _ = line_graph(b)
+        lg = line_graph(b)
         if lg.n > 20:
             continue
         rr = recover_root(lg, Budget(max_vertices=24, max_enumerations=2_000_000))
         assert rr is not None, list(b.edges)
-        relg, _ = line_graph(rr.root)
+        relg = line_graph(rr.root)
         assert relg == lg
         assert multigraph_isomorphic(rr.root, b), (list(b.edges), list(rr.root.edges))
         done += 1

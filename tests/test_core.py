@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from strongstable.core import (
     Budget,
     BudgetExceededError,
+    Graph,
     GraphError,
     Multigraph,
     anticomponents,
@@ -38,6 +40,7 @@ from oracles import (
     naive_is_strong_stable_set,
     naive_maximal_cliques,
     naive_two_coloring,
+    nbrs,
     path,
     subsets,
 )
@@ -84,29 +87,44 @@ class TestFromEdgeList:
 
 class TestBits:
     @staticmethod
-    def assert_matches_adj(g):
+    def assert_well_formed(g):
+        """n masks, no bit at n or above, no loop, symmetric."""
         assert len(g.bits) == g.n
         for v in range(g.n):
-            assert {w for w in range(g.n) if g.bits[v] >> w & 1} == g.adj[v]
-            assert g.bits[v] >> g.n == 0
+            assert g.bits[v] >> g.n == 0 and not g.bits[v] >> v & 1
+            assert all(g.bits[v] >> w & 1 == g.bits[w] >> v & 1 for w in range(g.n))
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.data())
-    def test_matches_adj(self, g, data):
+    def test_derived_masks_match_the_edges(self, g, data):
         keep = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
-        self.assert_matches_adj(g)
-        self.assert_matches_adj(complement(g))
-        self.assert_matches_adj(induced(g, keep & set(range(g.n)))[0])
+        edges = set(g.edges())
+        self.assert_well_formed(g)
+        assert all(
+            g.has_edge(u, v) == ((u, v) in edges)
+            for u, v in itertools.combinations(range(g.n), 2)
+        )
+        co = complement(g)
+        self.assert_well_formed(co)
+        assert all(
+            co.has_edge(u, v) != ((u, v) in edges)
+            for u, v in itertools.combinations(range(g.n), 2)
+        )
+        sub, mapping = induced(g, keep & set(range(g.n)))
+        self.assert_well_formed(sub)
+        assert all(
+            sub.has_edge(i, j) == ((mapping[i], mapping[j]) in edges)
+            for i, j in itertools.combinations(range(sub.n), 2)
+        )
 
-    def test_not_a_field(self):
-        # bits is the field; adj is a cache built on first use, and ==, hash
-        # and repr ignore it
+    def test_bits_is_the_only_adjacency(self):
+        # a graph is n and its masks: no second representation, and ==,
+        # hash and repr see exactly these two fields
         g, h = cycle(7), cycle(7)
-        before = (hash(g), repr(g))
-        assert g.adj[0] == {1, 6}
-        assert "adj" in vars(g) and "adj" not in vars(h)
-        assert "bits" in repr(g) and "adj" not in repr(g)
-        assert (hash(g), repr(g)) == before
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "bits"]
+        assert not hasattr(Graph, "adj")
+        assert vars(g) == {"n": 7, "bits": g.bits}
+        assert repr(g) == f"Graph(n=7, bits={g.bits!r})"
         assert g == h and hash(g) == hash(h)
 
 
@@ -181,7 +199,7 @@ class TestComponents:
                     continue
                 comp, queue = {start}, [start]
                 for v in queue:
-                    for w in g.adj[v] & s - comp:
+                    for w in nbrs(g)[v] & s - comp:
                         comp.add(w)
                         queue.append(w)
                 seen |= comp
@@ -397,22 +415,23 @@ class TestInducedCycles:
 
 class TestLineGraph:
     def test_path(self):
-        lg, mapping = line_graph(Multigraph.build(4, [(0, 1), (1, 2), (2, 3)]))
-        assert sorted(lg.edges()) == [(0, 1), (1, 2)]
-        assert mapping == (0, 1, 2)
+        # vertex i is edge i: the middle edge of the path is listed last
+        lg = line_graph(Multigraph.build(4, [(0, 1), (2, 3), (1, 2)]))
+        assert lg.n == 3
+        assert sorted(lg.edges()) == [(0, 2), (1, 2)]
 
     def test_k23_is_prism(self):
         k23 = Multigraph.build(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        lg, _ = line_graph(k23)
+        lg = line_graph(k23)
         prism = from_edge_list(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
         )
         assert graph_isomorphic(lg, prism)
 
     def test_parallel_edges_become_twins(self):
-        lg, _ = line_graph(Multigraph.build(2, [(0, 1), (0, 1)]))
+        lg = line_graph(Multigraph.build(2, [(0, 1), (0, 1)]))
         assert sorted(lg.edges()) == [(0, 1)]
-        assert lg.adj[0] | {0} == lg.adj[1] | {1}
+        assert lg.bits[0] | 1 == lg.bits[1] | 2
 
     def test_triangle_free_gives_claw_and_diamond_free(self):
         import random
@@ -436,7 +455,7 @@ class TestLineGraph:
                 if rng.random() < 0.5
             }
             b = Multigraph.build(nl + nr, sorted(edges))
-            lg, _ = line_graph(b)
+            lg = line_graph(b)
             assert find_claw(lg) is None
             assert not has_diamond(lg)
 

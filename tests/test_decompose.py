@@ -35,6 +35,7 @@ from oracles import (
     naive_has_clique_cutset,
     naive_one_join,
     naive_w_join_parts,
+    nbrs,
     path,
     random_growth_host,
     verify_clique_cutset,
@@ -284,10 +285,11 @@ class TestGrowSquareConnectedPair:
             if parts is not None:
                 c, d, e, f = parts
                 assert c | d | e | f == g.vertex_set() - a - b
-                assert all(a <= g.adj[v] and not b & g.adj[v] for v in c)
-                assert all(b <= g.adj[v] and not a & g.adj[v] for v in d)
-                assert all(a | b <= g.adj[v] for v in e)
-                assert all(not (a | b) & g.adj[v] for v in f)
+                adj = nbrs(g)
+                assert all(a <= adj[v] and not b & adj[v] for v in c)
+                assert all(b <= adj[v] and not a & adj[v] for v in d)
+                assert all(a | b <= adj[v] for v in e)
+                assert all(not (a | b) & adj[v] for v in f)
             else:
                 assert any(g.is_mixed_on(v, a) or g.is_mixed_on(v, b) for v in g.vertex_set() - a - b)
 

@@ -46,6 +46,7 @@ from oracles import (
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
+    nbrs,
     path,
     strip_anchor_gadgets,
     subsets,
@@ -202,11 +203,11 @@ class TestSolveBasics:
             return brute_force(*args)
 
         monkeypatch.setattr(solver, "brute_force", counted)
-        res = solve(cycle(5))
+        res = solve(cycle(7))
         assert res.status == SolveStatus.NONE_EXISTS
         assert [r.branch for r in res.trace] == ["brute-force"]
         assert len(calls) == 1
-        res = solve(cycle(5), budget=Budget(max_vertices=24, max_enumerations=10))
+        res = solve(cycle(7), budget=Budget(max_vertices=24, max_enumerations=10))
         assert res.status == SolveStatus.BUDGET and res.s is None
 
     def test_wrong_branch_answer_caught_at_the_root(self, monkeypatch):
@@ -342,19 +343,22 @@ class TestSolveCobipartite:
         assert solve_cobipartite(g, {0, 2}) == {0, 2}
 
     def test_not_cobipartite(self):
+        # a stable triple puts a graph out of scope; C5 has none, so the
+        # branch decides it: no strong stable set
         with pytest.raises(GraphError):
-            solve_cobipartite(cycle(5))
+            solve_cobipartite(cycle(6))
+        assert solve_cobipartite(cycle(5)) is None
 
     def test_empty_graph(self):
         assert solve_cobipartite(from_edge_list(0, [])) == frozenset()
 
     def test_decides_against_brute_force(self, graphs_by_n):
         # every stable z with at most two vertices, safe or not, on every
-        # cobipartite graph with at most seven vertices
+        # graph with at most seven vertices and no stable triple
         cases = infeasible = 0
-        for n in range(1, 8):
+        for n in range(8):
             for g in graphs_by_n[n]:
-                if recognizers.cobipartite_partition(g) is None:
+                if any(naive_is_stable(g, t) for t in subsets(range(n), 3, 3)):
                     continue
                 for z in map(frozenset, subsets(range(n), max_size=2)):
                     if not naive_is_stable(g, z):
@@ -367,10 +371,12 @@ class TestSolveCobipartite:
                         infeasible += 1
                     else:
                         assert z <= s and naive_is_strong_stable_set(g, s)
-        assert (cases, infeasible) == (1865, 362)
+        assert (cases, infeasible) == (2213, 643)
 
     @pytest.mark.parametrize(
-        "g", [cobipartite_recipe(30), antihole(40)], ids=["recipe-60", "antihole-40"]
+        "g",
+        [cobipartite_recipe(30), antihole(40), antihole(41), antihole(101)],
+        ids=["recipe-60", "antihole-40", "antihole-41", "antihole-101"],
     )
     def test_none_exists_above_the_vertex_cap(self, g):
         # no brute force runs: the branch itself proves that none exists
@@ -650,8 +656,9 @@ class TestAugmentationBranch:
     def _shrink(g, xs, ys):
         """The branch's reduced vertex set: all but one vertex of each side,
         u in xs complete to ys and v in ys complete to xs; None without them."""
-        u = next((x for x in sorted(xs) if ys <= g.adj[x]), None)
-        v = next((y for y in sorted(ys) if xs <= g.adj[y]), None)
+        adj = nbrs(g)
+        u = next((x for x in sorted(xs) if ys <= adj[x]), None)
+        v = next((y for y in sorted(ys) if xs <= adj[y]), None)
         if u is None or v is None:
             return None
         return g.vertex_set() - ((xs - {u}) | (ys - {v}))
