@@ -26,6 +26,7 @@ from .core import (
     Graph,
     GraphError,
     Multigraph,
+    _Meter,
     _meter,
     line_graph,
 )
@@ -73,8 +74,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="strong stable set computation")
     common(sp)
-    sp.add_argument("--budget-vertices", type=int, default=DEFAULT_BUDGET.max_vertices,
-                    help="vertex cap of the brute-force fallback (default %(default)s)")
     sp.add_argument("--require", default="", help="comma-separated prescribed vertices")
     sp.add_argument(
         "--trusted", action="store_true", help="skip validating the prescribed set"
@@ -115,10 +114,9 @@ def _read_input(args) -> Graph:
     return parse_graph(Path(args.input).read_text(), args.format, name=args.input)
 
 
-def _budget(args) -> Budget:
-    # only solve reaches brute force, the one search that reads the vertex cap
-    vcap = args.budget_vertices if args.command == "solve" else DEFAULT_BUDGET.max_vertices
-    return Budget(vcap, args.budget_enum)
+def _meter_of(args) -> _Meter:
+    """The one enumeration meter of the command, passed to every search."""
+    return _meter(Budget(max_enumerations=args.budget_enum))
 
 
 def _emit(args, text: str) -> None:
@@ -128,11 +126,10 @@ def _emit(args, text: str) -> None:
         Path(args.output).write_text(text)
 
 
-def _tool_block(args, budget: Budget) -> dict:
-    caps = {"max_enumerations": budget.max_enumerations}
-    if args.command == "solve":
-        caps["max_vertices"] = budget.max_vertices
-    return {"tool": {"name": "strongstable", "version": __version__}, "budget": caps}
+def _tool_block(meter: _Meter) -> dict:
+    # built after the searches, so ``used`` is final
+    budget = {"max_enumerations": meter.limit, "used": meter.used}
+    return {"tool": {"name": "strongstable", "version": __version__}, "budget": budget}
 
 
 def _witness_block(w) -> dict:
@@ -145,16 +142,16 @@ def _witness_block(w) -> dict:
 
 def _cmd_check(args) -> int:
     g = _read_input(args)
-    budget = _budget(args)
+    meter = _meter_of(args)
     claw = find_claw(g)
-    cert = innocence_certificate(g, budget)
+    cert = innocence_certificate(g, meter)
     innocent = isinstance(cert, Innocent)
     payload = {
         "command": "check",
         "n": g.n,
         "claw_free": claw is None,
         "status": "innocent" if innocent else "not-innocent",
-        **_tool_block(args, budget),
+        **_tool_block(meter),
     }
     if claw is not None:
         payload["claw"] = {"center": claw.center, "leaves": list(claw.leaves)}
@@ -176,9 +173,9 @@ def _cmd_solve(args) -> int:
     from .solver import SolveStatus, solve
 
     g = _read_input(args)
-    budget = _budget(args)
+    meter = _meter_of(args)
     z = frozenset(int(t) for t in args.require.split(",") if t.strip() != "")
-    res = solve(g, z, budget, trusted=args.trusted)
+    res = solve(g, z, meter, trusted=args.trusted)
     payload = {
         "command": "solve",
         "n": g.n,
@@ -188,7 +185,7 @@ def _cmd_solve(args) -> int:
         "trace": [
             {"branch": rec.branch, "detail": rec.detail} for rec in res.trace
         ],
-        **_tool_block(args, budget),
+        **_tool_block(meter),
     }
     if args.json:
         _emit(args, certificate_json(payload))
@@ -255,9 +252,8 @@ def _cmd_decompose(args) -> int:
     from .recognizers import find_twins, simplicial_vertices
 
     g = _read_input(args)
-    budget = _budget(args)
-    meter = _meter(budget)  # one cap for the three searches below
-    report: dict = {"command": "decompose", "n": g.n, **_tool_block(args, budget)}
+    meter = _meter_of(args)
+    report: dict = {"command": "decompose", "n": g.n}
     zj = decompose.find_zero_join(g)
     report["zero_join"] = [sorted(zj[0]), sorted(zj[1])] if zj else None
     tw = find_twins(g)
@@ -298,6 +294,7 @@ def _cmd_decompose(args) -> int:
     )
     wj = decompose.find_w_join(g, meter)
     report["w_join"] = {"a": sorted(wj.a), "b": sorted(wj.b)} if wj else None
+    report.update(_tool_block(meter))
     if args.json:
         _emit(args, certificate_json(report))
     else:
@@ -310,12 +307,12 @@ def _cmd_roundtrip(args) -> int:
     from .linegraph import recover_root
 
     g = _read_input(args)
-    budget = _budget(args)
+    meter = _meter_of(args)
     try:
-        rr = recover_root(g, budget)
+        rr = recover_root(g, meter)
     except GraphError as exc:
         raise CliUsageError(str(exc))
-    payload = {"command": "roundtrip", "n": g.n, **_tool_block(args, budget)}
+    payload = {"command": "roundtrip", "n": g.n, **_tool_block(meter)}
     if rr is None:
         payload["root"] = None
     else:

@@ -26,7 +26,7 @@ class GraphError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive routine hit its vertex or enumeration cap."""
+    """An exhaustive routine hit the enumeration cap of its public call."""
 
     def __init__(self, message: str, *, used: int | None = None):
         super().__init__(message)
@@ -35,12 +35,13 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for exhaustive routines.
+    """The cap of an exhaustive public call.
 
-    ``max_vertices`` bounds only the exponential brute force;
     ``max_enumerations`` bounds the number of enumerated objects
-    (search-tree nodes, paths, cliques, candidate embeddings) in every
-    routine.
+    (search-tree nodes, paths, cliques, candidate embeddings) across every
+    routine the call reaches. ``max_vertices`` is inert: no routine reads
+    it. It stays the first field only so that callers building
+    ``Budget(max_vertices, max_enumerations)`` positionally keep working.
     """
 
     max_vertices: int = 24

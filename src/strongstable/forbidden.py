@@ -437,7 +437,7 @@ def _peel_simplicial(g: Graph) -> Graph:
 
 
 def innocence_certificate(
-    g: Graph, budget: Budget | None = None
+    g: Graph, budget: Budget | _Meter | None = None
 ) -> Innocent | ForbiddenWitness:
     """Innocent, or the first witness in the fixed kind order; the five
     searches share one enumeration budget.

@@ -157,15 +157,6 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def cobipartite_partition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Two cliques (a, b) covering all vertices (a 2-coloring of the complement)."""
-    full = (1 << g.n) - 1
-    a = two_coloring([full ^ b ^ (1 << v) for v, b in enumerate(g.bits)])
-    if a is None:
-        return None
-    return a, frozenset(range(g.n)) - a
-
-
 def linear_interval_order(g: Graph) -> Optional[tuple[int, ...]]:
     """A numbering where every edge's index window is a clique, if one exists.
 

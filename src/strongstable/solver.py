@@ -1,7 +1,9 @@
 """Strong-stable-set computation.
 
-``brute_force`` is the oracle: lexicographically smallest strong stable set
-containing a prescribed set, by exhaustive enumeration. ``solve`` is the
+``brute_force`` is the exact last resort: the lexicographically smallest
+strong stable set containing a prescribed set, by an include/exclude search
+that prunes a branch once some maximal clique it misses can no longer be
+met, bounded by the enumeration meter alone. ``solve`` is the
 structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
 cobipartite, linear interval, line graph of a bipartite multigraph, W-join,
@@ -117,36 +119,42 @@ def brute_force(
 ) -> Optional[frozenset[int]]:
     """Lexicographically smallest strong stable set containing z, or None.
 
-    Stable supersets of z are enumerated in sorted-tuple order and tested
-    against the maximal cliques; absence is therefore verified.
+    An include/exclude search on masks over the maximal cliques, listed
+    once. A frame holds a stable set S, the vertices ``rest`` above its last
+    decision with no neighbour in S, and the ``live`` cliques S misses. With
+    none live it returns S; else it splits on the lowest v in ``rest``, with
+    v first. A frame is pruned when a live clique misses ``rest``, which
+    covers both rules: S + v is dropped when a clique it misses has no
+    vertex above v outside N(S + v), and the sets without v when v was some
+    clique's last candidate. Sorted tuples thus come in the preorder of
+    plain enumeration, less subtrees holding no strong set, so the answer
+    is the same set. A frame ticks once plus once per live clique, the
+    tests it makes; the meter alone bounds the search.
     """
     meter = _meter(budget)
-    cap = meter.budget.max_vertices  # the one search the vertex cap bounds
-    if g.n > cap:
-        raise BudgetExceededError(f"brute force: graph has {g.n} vertices, budget allows {cap}")
     z = frozenset(z)
     if not z <= g.vertex_set():
         raise GraphError("prescribed vertices out of range")
     if not g.is_stable(z):
         return None
-    cliques = [_mask_of(k) for k in iter_maximal_cliques(g, meter)]
     bits = g.bits
-    eligible = sorted(g.vertex_set() - z - g.neighborhood(z))
-
-    def extend(current: int, start: int) -> Optional[frozenset[int]]:
-        meter.tick()
-        if all(current & k for k in cliques):
-            return frozenset(_iter_bits(current))
-        for idx in range(start, len(eligible)):
-            v = eligible[idx]
-            if bits[v] & current:
-                continue
-            res = extend(current | 1 << v, idx + 1)
-            if res is not None:
-                return res
-        return None
-
-    return extend(_mask_of(z), 0)
+    s = _mask_of(z)
+    rest = (1 << g.n) - 1 & ~_mask_of(z | g.neighborhood(z))
+    live = [k for k in map(_mask_of, iter_maximal_cliques(g, meter)) if not k & s]
+    stack = [(s, rest, live)]
+    while stack:
+        s, rest, live = stack.pop()
+        meter.tick(1 + len(live))
+        if not live:
+            return frozenset(_iter_bits(s))
+        if not all(k & rest for k in live):
+            continue
+        low = rest & -rest
+        rest ^= low
+        stack.append((s, rest, live))  # without v: popped after every set with v
+        near = bits[low.bit_length() - 1]
+        stack.append((s | low, rest & ~near, [k for k in live if not k & low]))
+    return None
 
 
 # -- the gadgets -------------------------------------------------------------------
@@ -571,7 +579,7 @@ def validate_prescribed(
 def solve(
     g: Graph,
     z: Iterable[int] = (),
-    budget: Budget | None = None,
+    budget: Budget | _Meter | None = None,
     trusted: bool = False,
 ) -> SolveResult:
     """Structure-guided strong-stable-set search; see the module docstring.

@@ -15,12 +15,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from strongstable.core import (
+    Budget,
     Graph,
     GraphError,
     Multigraph,
+    _iter_bits,
+    _Meter,
+    _mask_of,
+    _meter,
     complement,
     from_edge_list,
     induced,
+    iter_maximal_cliques,
 )
 from strongstable.decompose import HypothesisViolationError, WJoin, _square_sides
 
@@ -89,6 +95,44 @@ def naive_has_strong_stable_set(g: Graph, z=frozenset()) -> bool:
         if naive_is_strong_stable_set(g, s):
             return True
     return False
+
+
+def naive_brute_force(
+    g: Graph, z=(), budget: Budget | _Meter | None = None
+) -> Optional[frozenset[int]]:
+    """Lexicographically smallest strong stable set containing z, or None.
+
+    Stable supersets of z are enumerated in sorted-tuple order and tested
+    against the maximal cliques; absence is therefore verified. This is the
+    unpruned, recursive search ``solver.brute_force`` replaced, kept as the
+    reference its answers are compared against; it lists the cliques with
+    the library's enumerator, which ``test_core`` checks against
+    :func:`naive_maximal_cliques`.
+    """
+    meter = _meter(budget)
+    z = frozenset(z)
+    if not z <= g.vertex_set():
+        raise GraphError("prescribed vertices out of range")
+    if not g.is_stable(z):
+        return None
+    cliques = [_mask_of(k) for k in iter_maximal_cliques(g, meter)]
+    bits = g.bits
+    eligible = sorted(g.vertex_set() - z - g.neighborhood(z))
+
+    def extend(current: int, start: int) -> Optional[frozenset[int]]:
+        meter.tick()
+        if all(current & k for k in cliques):
+            return frozenset(_iter_bits(current))
+        for idx in range(start, len(eligible)):
+            v = eligible[idx]
+            if bits[v] & current:
+                continue
+            res = extend(current | 1 << v, idx + 1)
+            if res is not None:
+                return res
+        return None
+
+    return extend(_mask_of(z), 0)
 
 
 # -- exact-graph recognizers for the five families ----------------------------------

@@ -13,7 +13,13 @@ from collections import Counter
 import pytest
 
 from strongstable import cli, core
-from strongstable.core import Budget, complement, is_strong_stable_set, line_graph
+from strongstable.core import (
+    Budget,
+    Multigraph,
+    complement,
+    is_strong_stable_set,
+    line_graph,
+)
 from strongstable.forbidden import innocence_certificate
 from strongstable.forbidden import ForbiddenKind, find_structure, is_innocent, verify_witness
 from strongstable.generators import (
@@ -30,7 +36,6 @@ from strongstable.generators import (
 )
 from strongstable.linegraph import recover_root, suitable_matching
 from strongstable.recognizers import (
-    cobipartite_partition,
     find_claw,
     is_consistent_set,
     is_safe_vertex,
@@ -51,7 +56,9 @@ from oracles import (
     cycle,
     graph_isomorphic,
     multigraph_isomorphic,
+    naive_brute_force,
     naive_is_innocent,
+    naive_is_stable,
     path,
     random_growth_host,
     strip_anchor_gadgets,
@@ -69,7 +76,7 @@ def test_criterion_01_exhaustive_soundness_completeness(graphs_by_n):
         for g in graphs_by_n[n]:
             total += 1
             res = solve(g)
-            bf = brute_force(g)
+            bf = naive_brute_force(g)
             assert (res.s is None) == (bf is None), sorted(g.edges())
             if res.s is not None:
                 assert is_strong_stable_set(g, res.s), sorted(g.edges())
@@ -79,7 +86,34 @@ def test_criterion_01_exhaustive_soundness_completeness(graphs_by_n):
                     SolveStatus.FOUND,
                     SolveStatus.FALLBACK_FOUND,
                 ), sorted(g.edges())
-    _report(1, "exhaustive n<=7 soundness/completeness", f"{total} graphs, {innocent} claw-free innocent")
+    # past n = 7: line graphs of seeded random graphs with 8-16 edges, which
+    # are claw-free and, where the root has an odd cycle, may have no
+    # strong stable set
+    rng = random.Random(101)
+    lines = infeasible = 0
+    while lines < 150:
+        n, m = rng.randint(5, 9), rng.randint(8, 16)
+        pairs = list(itertools.combinations(range(n), 2))
+        if m > len(pairs):
+            continue
+        g = line_graph(Multigraph.build(n, rng.sample(pairs, m)))
+        assert find_claw(g) is None
+        res = solve(g)
+        bf = naive_brute_force(g, budget=Budget(max_enumerations=10**7))
+        if bf is None:
+            assert res.status == SolveStatus.NONE_EXISTS, sorted(g.edges())
+            infeasible += 1
+        else:
+            assert res.status in (SolveStatus.FOUND, SolveStatus.FALLBACK_FOUND)
+            assert is_strong_stable_set(g, res.s), sorted(g.edges())
+        lines += 1
+    assert 0 < infeasible < lines
+    _report(
+        1,
+        "exhaustive n<=7 and random claw-free n<=16 soundness/completeness",
+        f"{total} graphs, {innocent} claw-free innocent; "
+        f"{lines} line graphs, {infeasible} with none",
+    )
 
 
 def test_criterion_02_forbidden_families_not_strongly_perfect():
@@ -215,7 +249,9 @@ def test_criterion_08_cobipartite_and_peculiar_closed_forms():
             g = complement(bip)
             if not is_innocent(g):
                 continue
-            assert cobipartite_partition(g) is not None
+            assert not any(
+                naive_is_stable(g, t) for t in itertools.combinations(range(g.n), 3)
+            )
             z_options = [frozenset()]
             singles = [
                 v for v in range(g.n) if is_safe_vertex(g, v)[0]
@@ -301,9 +337,9 @@ def test_criterion_10_fallback_telemetry():
 
 
 def test_default_budget_solves_innocent_graphs_above_the_vertex_cap():
-    # the vertex cap bounds brute force only, so with Budget() the cascade
-    # answers innocent graphs of 30-300 vertices by structure; generation
-    # runs the detectors and gets a raised budget of its own
+    # Budget() caps enumerations only, and the cascade answers innocent
+    # graphs of 30-300 vertices by structure well inside it; generation runs
+    # the detectors and gets a raised budget of its own
     graphs = [cycle(n) for n in range(30, 301, 30)] + [path(n) for n in range(30, 301, 27)]
     innocent = []
     rng = random.Random(4321)

@@ -227,7 +227,7 @@ class TestMaximalCliques:
         ]
 
     def test_budget_vertices(self):
-        # the vertex cap bounds only exponential searches; the meter bounds this one
+        # max_vertices is read by nothing: the meter alone bounds the search
         assert maximal_cliques(complete(5), Budget(max_vertices=4)) == [frozenset(range(5))]
         with pytest.raises(BudgetExceededError):
             maximal_cliques(complete(5), Budget(max_vertices=4, max_enumerations=5))

@@ -426,7 +426,7 @@ class TestLongStructures:
 
 class TestBudgets:
     def test_size_gate(self):
-        # the vertex cap bounds only exponential searches; the meter bounds a detector
+        # max_vertices is read by nothing: the meter alone bounds a detector
         assert find_structure(cycle(30), ForbiddenKind.ODD_HOLE, Budget(max_vertices=24)) is None
         with pytest.raises(BudgetExceededError):
             find_structure(

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongstable import core, recognizers
 from strongstable.core import (
     Budget,
     GraphError,
@@ -16,7 +15,6 @@ from strongstable.core import (
 from strongstable.recognizers import (
     Clown,
     check_linear_interval_order,
-    cobipartite_partition,
     find_claw,
     find_clowns,
     find_cosimplicial_nonedge,
@@ -202,29 +200,6 @@ class TestTwins:
         b = Multigraph.build(3, [(0, 1), (0, 1), (1, 2)])
         lg = line_graph(b)
         assert find_twins(lg) == (0, 1)
-
-
-class TestCobipartite:
-    def test_c4(self):
-        a, b = cobipartite_partition(cycle(4))
-        assert {a, b} == {frozenset({0, 1}), frozenset({2, 3})}
-
-    def test_c5_none(self):
-        assert cobipartite_partition(cycle(5)) is None
-
-    def test_k5_any(self):
-        a, b = cobipartite_partition(complete(5))
-        assert complete(5).is_clique(a) and complete(5).is_clique(b)
-
-    def test_builds_no_complement_graph(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("complement graph built")
-
-        monkeypatch.setattr(core, "complement", refuse)
-        monkeypatch.setattr(recognizers, "complement", refuse, raising=False)
-        assert cobipartite_partition(path(2401)) is None
-        a, b = cobipartite_partition(cycle(4))
-        assert {a, b} == {frozenset({0, 1}), frozenset({2, 3})}
 
 
 class TestLinearInterval:

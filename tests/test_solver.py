@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from strongstable import recognizers, solver
+from strongstable import core, recognizers, solver
 from strongstable.core import (
     Budget,
     BudgetExceededError,
@@ -43,6 +43,7 @@ from oracles import (
     attach_anchor_gadgets,
     complete,
     cycle,
+    naive_brute_force,
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
@@ -81,26 +82,66 @@ class TestBruteForce:
         assert brute_force(path(3), {0, 1}) is None
 
     def test_budget_gate(self):
-        with pytest.raises(Exception):
-            brute_force(complete(20), budget=Budget(max_vertices=16))
+        # the enumeration meter is the one bound
+        with pytest.raises(BudgetExceededError):
+            brute_force(complete(20), budget=Budget(max_enumerations=5))
 
     def test_lexicographic_tie_break(self):
         # K2: both {0} and {1} work; lexicographically smallest wins
         assert brute_force(from_edge_list(2, [(0, 1)])) == {0}
 
+    def test_same_set_as_the_exhaustive_oracle(self):
+        # the pruned search returns the very set plain enumeration returns,
+        # not just the same verdict
+        rng = random.Random(7)
+        calls = infeasible = 0
+        for n in range(12):
+            for _ in range(120):
+                p = rng.random()
+                g = from_edge_list(
+                    n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+                )
+                for k in range(3):
+                    z = rng.sample(range(n), min(k, n))
+                    s = brute_force(g, z)
+                    assert s == naive_brute_force(g, z), (n, sorted(g.edges()), z)
+                    calls += 1
+                    infeasible += s is None
+        assert calls == 4320 and 0 < infeasible < calls
+
+    def test_max_vertices_is_inert(self):
+        # Budget(max_vertices, max_enumerations) still builds positionally,
+        # and its first field bounds nothing
+        budget = Budget(1, 5_000_000)
+        assert brute_force(cycle(6), budget=budget) == {0, 2, 4}
+        assert solve(cycle(25), budget=budget).status == SolveStatus.NONE_EXISTS
+
+    def test_long_path_does_not_recurse(self):
+        # one frame per decision on an explicit stack: a recursive search
+        # would raise RecursionError two thousand levels down
+        n = 2001
+        s = brute_force(path(n), budget=Budget(max_enumerations=10**7))
+        assert s == frozenset(range(0, n, 2))
+
 
 class TestDefaultBudget:
-    # the vertex cap bounds brute force only, so the polynomial layers take
-    # graphs above it and brute force refuses them
-    def test_direct_brute_force_uses_the_default_cap(self):
+    # Budget() bounds enumerations only, so brute force takes graphs of any
+    # size and stops only when the meter runs out
+    def test_direct_brute_force_uses_the_default_cap(self, monkeypatch):
         assert brute_force(path(20)) == frozenset(range(0, 20, 2))
+        assert brute_force(complete(25)) == {0}
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", Budget(max_enumerations=5))
         with pytest.raises(BudgetExceededError):
             brute_force(complete(25))
 
-    def test_odd_hole_above_the_cap_is_budget(self):
-        # not cobipartite, so none-exists needs a completed brute force
-        res = solve(cycle(61))
-        assert res.status == SolveStatus.BUDGET and res.s is None
+    def test_odd_hole_above_24_vertices_is_none_exists(self):
+        # not cobipartite, so none-exists needs a completed brute force on
+        # the whole hole; pruning finishes it well inside the default meter
+        for k in (25, 61, 301):
+            res = solve(cycle(k))
+            assert res.status == SolveStatus.NONE_EXISTS and res.s is None
+            last = res.trace[-1]
+            assert (last.branch, last.detail) == ("brute-force", {"result": "none-exists", "n": k})
 
 
 class TestSolveBasics:

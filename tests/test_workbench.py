@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import strongstable
+from strongstable import core
 from strongstable.cli import main
 from strongstable.core import GraphError, Multigraph, from_edge_list
 from strongstable.forbidden import ForbiddenKind, Innocent, find_structure, innocence_certificate
@@ -38,7 +39,7 @@ from strongstable.graphio import (
 )
 from strongstable.linegraph import recover_root
 from strongstable.recognizers import find_claw, find_clowns
-from strongstable.solver import brute_force
+from strongstable.solver import brute_force, solve
 from oracles import cycle, naive_decode_graph6, naive_is_harmless
 
 
@@ -264,23 +265,43 @@ class TestCli:
         p = tmp_path / "big.txt"
         p.write_text(format_edgelist(cycle(30)))
         code, out, _ = self._run(["check", str(p), "--json"], capsys)
-        assert code == 0 and json.loads(out)["status"] == "innocent"  # no vertex cap here
+        assert code == 0 and json.loads(out)["status"] == "innocent"  # no vertex cap
         code, _, err = self._run(["check", str(p), "--budget-enum", "30"], capsys)
         assert code == 2 and "enumeration budget exceeded" in err
 
-    def test_vertex_cap_only_on_solve(self, capsys, tmp_path):
+    def test_no_command_reads_a_vertex_cap(self, capsys, tmp_path):
         p = tmp_path / "c6.txt"
         p.write_text(format_edgelist(cycle(6)))
-        for cmd in ("decompose", "roundtrip"):
+        for cmd in ("solve", "decompose", "roundtrip"):
             code, _, err = self._run([cmd, str(p), "--budget-vertices", "5"], capsys)
             assert code == 1 and "--budget-vertices" in err
         code, _, _ = self._run(["generate", "--kind", "hole", "--n", "5", "--budget-enum", "9"], capsys)
         assert code == 1
-        # check takes the flag and ignores it, and echoes only the cap it reads
+        # check takes the flag and ignores it; every command echoes its one
+        # cap and what the command used of it
         code, out, _ = self._run(["check", str(p), "--budget-vertices", "5", "--json"], capsys)
-        assert code == 0 and json.loads(out)["budget"] == {"max_enumerations": 1_000_000}
-        code, out, _ = self._run(["solve", str(p), "--budget-vertices", "5", "--json"], capsys)
-        assert json.loads(out)["budget"] == {"max_vertices": 5, "max_enumerations": 1_000_000}
+        budget = json.loads(out)["budget"]
+        assert code == 0 and budget.keys() == {"max_enumerations", "used"}
+        assert budget["max_enumerations"] == 1_000_000 and 0 < budget["used"] < 1_000_000
+        for cmd in ("solve", "decompose", "roundtrip"):
+            code, out, _ = self._run([cmd, str(p), "--budget-enum", "500", "--json"], capsys)
+            budget = json.loads(out)["budget"]
+            assert code == 0 and budget["max_enumerations"] == 500, cmd
+            assert budget.keys() == {"max_enumerations", "used"} and budget["used"] <= 500, cmd
+
+    def test_used_is_the_whole_call(self, capsys, tmp_path):
+        # the meter the command builds is the one every layer draws on, so
+        # `used` is what the library call would have used on its own
+        p = tmp_path / "c30.txt"
+        p.write_text(format_edgelist(cycle(30)))
+        meter = core._meter(None)
+        innocence_certificate(cycle(30), meter)
+        code, out, _ = self._run(["check", str(p), "--json"], capsys)
+        assert code == 0 and json.loads(out)["budget"]["used"] == meter.used
+        meter = core._meter(None)
+        solve(cycle(30), budget=meter)
+        code, out, _ = self._run(["solve", str(p), "--json"], capsys)
+        assert code == 0 and json.loads(out)["budget"]["used"] == meter.used
 
     def test_generate_has_no_json(self, capsys):
         # generate prints a graph, never a certificate
@@ -390,7 +411,8 @@ class TestCli:
         assert code == 0 and out == ""
         payload = json.loads(dst.read_text())
         assert payload["status"] == "found"
-        assert payload["budget"]["max_vertices"] == 24
+        assert payload["budget"]["max_enumerations"] == 1_000_000
+        assert "max_vertices" not in payload["budget"]
 
 
 SRC = str(Path(strongstable.__file__).resolve().parent.parent)
