@@ -144,17 +144,19 @@ def _cmd_check(args) -> int:
     g = _read_input(args)
     meter = _meter_of(args)
     claw = find_claw(g)
-    cert = innocence_certificate(g, meter)
-    innocent = isinstance(cert, Innocent)
-    payload = {
-        "command": "check",
-        "n": g.n,
-        "claw_free": claw is None,
-        "status": "innocent" if innocent else "not-innocent",
-        **_tool_block(meter),
-    }
+    payload = {"command": "check", "n": g.n, "claw_free": claw is None}
     if claw is not None:
         payload["claw"] = {"center": claw.center, "leaves": list(claw.leaves)}
+    try:
+        cert = innocence_certificate(g, meter)
+    except BudgetExceededError:
+        # the meter raised it, so its count is the error's ``used``; main exits 2
+        if args.json:
+            payload.update(status="budget", **_tool_block(meter))
+            _emit(args, certificate_json(payload))
+        raise
+    innocent = isinstance(cert, Innocent)
+    payload.update(status="innocent" if innocent else "not-innocent", **_tool_block(meter))
     if not innocent:
         payload["witness"] = _witness_block(cert)
     if args.json:

@@ -89,6 +89,38 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _mask_in(vertices: Iterable[int], n: int) -> Optional[int]:
+    """The int mask of vertices, or None when some id lies outside 0 .. n-1."""
+    m = 0
+    for v in vertices:
+        if v < 0:
+            return None
+        m |= 1 << v
+    return None if m >> n else m
+
+
+def _is_clique_mask(bits: Sequence[int], m: int) -> bool:
+    """Every two vertices of the mask m are adjacent under adjacency masks bits."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if m & ~bits[low.bit_length() - 1] != low:
+            return False
+    return True
+
+
+def _is_stable_mask(bits: Sequence[int], m: int) -> bool:
+    """No two vertices of the mask m are adjacent under adjacency masks bits."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if bits[low.bit_length() - 1] & m:
+            return False
+    return True
+
+
 def _above(v: int) -> int:
     """The mask of every vertex greater than v."""
     return ~((2 << v) - 1)
@@ -146,14 +178,10 @@ class Graph:
         return frozenset(_iter_bits(out & ~m))
 
     def is_clique(self, s: Iterable[int]) -> bool:
-        m = _mask_of(s)
-        bits = self.bits
-        return all(m & ~bits[v] == 1 << v for v in _iter_bits(m))
+        return _is_clique_mask(self.bits, _mask_of(s))
 
     def is_stable(self, s: Iterable[int]) -> bool:
-        m = _mask_of(s)
-        bits = self.bits
-        return not any(bits[v] & m for v in _iter_bits(m))
+        return _is_stable_mask(self.bits, _mask_of(s))
 
     def is_complete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
         """True when disjoint sets x, y have every cross pair adjacent."""
@@ -209,18 +237,33 @@ def induced(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 
     The mapping lets witnesses found in the subgraph be translated back.
     """
-    order = tuple(sorted(frozenset(x)))
-    if order and not (0 <= order[0] and order[-1] < g.n):
+    keep = _mask_in(x, g.n)
+    if keep is None:
         raise GraphError("induced set out of range")
-    keep = _mask_of(order)
-    pos = {old: 1 << new for new, old in enumerate(order)}
-    bits = []
-    for old in order:
+    return _induced(g, keep)
+
+
+def _induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
+    """:func:`induced` on the mask keep of g's vertices."""
+    bits = g.bits
+    pos = {}  # the bit of a kept vertex -> its bit in the subgraph
+    order = []
+    m = keep
+    while m:
+        low = m & -m
+        m ^= low
+        pos[low] = 1 << len(order)
+        order.append(low.bit_length() - 1)
+    sub = []
+    for v in order:
         b = 0
-        for w in _iter_bits(g.bits[old] & keep):
-            b |= pos[w]
-        bits.append(b)
-    return Graph(len(order), tuple(bits)), order
+        m = bits[v] & keep
+        while m:
+            low = m & -m
+            m ^= low
+            b |= pos[low]
+        sub.append(b)
+    return Graph(len(order), tuple(sub)), tuple(order)
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -248,8 +291,10 @@ def _flood(bits: Sequence[int], seed: int, room: int) -> int:
     reach = new = seed
     while new:
         step = 0
-        for v in _iter_bits(new):
-            step |= bits[v]
+        while new:
+            low = new & -new
+            new ^= low
+            step |= bits[low.bit_length() - 1]
         new = step & room & ~reach
         reach |= new
     return reach
@@ -340,11 +385,15 @@ def _expand_cliques(
             yield r
         return
     best = -1
-    for u in _iter_bits(p | x):
-        c = (p & bits[u]).bit_count()
+    m = p | x
+    while m:
+        low = m & -m
+        m ^= low
+        near = bits[low.bit_length() - 1]
+        c = (p & near).bit_count()
         if c > best:
-            best, pivot = c, u
-    m = p & ~bits[pivot]
+            best, pivot_nb = c, near
+    m = p & ~pivot_nb
     while m:
         low = m & -m
         m ^= low
@@ -391,14 +440,11 @@ def is_strong_stable_set(
     S is strong, a vertex of S is usually the pivot and most subtrees close
     at once.
     """
-    s = frozenset(s)
-    if not s <= g.vertex_set():
-        return False
-    if not g.is_stable(s):
+    sm = _mask_in(s, g.n)
+    if sm is None or not _is_stable_mask(g.bits, sm):
         return False
     if g.n == 0:
         return True  # no maximal clique; the search would report the empty one
-    sm = _mask_of(s)
     for _ in _expand_cliques(g.bits, _meter(budget), 0, ((1 << g.n) - 1) ^ sm, sm):
         return False
     return True

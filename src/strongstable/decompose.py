@@ -15,6 +15,7 @@ from .core import (
     GraphError,
     _Meter,
     _flood,
+    _is_clique_mask,
     _iter_bits,
     _mask_components,
     _mask_of,
@@ -160,10 +161,6 @@ def find_zero_join(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
 
 
 # -- 1-joins --------------------------------------------------------------------
-
-
-def _is_clique_mask(bits: tuple[int, ...], m: int) -> bool:
-    return all(m & ~bits[v] == 1 << v for v in _iter_bits(m))
 
 
 def find_one_join(g: Graph) -> Optional[OneJoin]:

@@ -22,11 +22,12 @@ from .core import (
     Multigraph,
     _Meter,
     _flood,
+    _is_clique_mask,
     _iter_bits,
     _meter,
     iter_maximal_cliques,
 )
-from .decompose import _is_clique_mask, _partition_masks
+from .decompose import _partition_masks
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,12 @@ def suitable_matching(
             raise GraphError("forced edges do not form a matching")
         match[u] = e
         match[v] = e
-    required = sorted({v for v in range(b.n) if b.degree(v) >= 2} | set(match))
+    incident: list[list[int]] = [[] for _ in range(b.n)]  # ascending edge ids
+    for e, (u, v) in enumerate(b.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    required = sorted({v for v in range(b.n) if len(incident[v]) >= 2} | set(match))
     committed: set[int] = set(match)
-    incident = [b.incident(v) for v in range(b.n)]
 
     def apply_path(parent: dict[int, tuple[int, int]], end: int, t: int) -> None:
         hops: list[tuple[int, int, int]] = []  # (parent, child, edge), end first

@@ -27,7 +27,6 @@ triple, finds none on the whole instance.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -39,10 +38,13 @@ from .core import (
     GraphError,
     _Meter,
     _flood,
+    _induced,
+    _is_clique_mask,
     _iter_bits,
+    _mask_components,
+    _mask_in,
     _mask_of,
     _meter,
-    components,
     components_within,
     from_edge_list,
     induced,
@@ -55,7 +57,6 @@ from .core import (
 from .decompose import (
     OneJoin,
     WJoin,
-    _is_clique_mask,
     _w_join_parts,
     find_one_join,
     find_w_join,
@@ -311,7 +312,7 @@ def solve_linear_interval(
     if len(runs) > 1:
         meter.tick()
         runs.sort(key=min)
-    res: frozenset[int] = frozenset()
+    chosen = 0  # a mask
     for active in runs:
         zz = z & frozenset(active)
         # (v, forced) in chain order, replayed in reverse once the rest is
@@ -348,30 +349,19 @@ def solve_linear_interval(
                 raise CaseNotApplicable("prescribed vertex inside the cut prefix; host out of scope")
             lifts.append((first, True))
             active, zz = active[idx:], (zz - {first}) | {v_i}
+        # N[v] is the only maximal clique through a simplicial v, so the
+        # rest needs v exactly when it misses N(v)
+        sm = _mask_of(s)
         for v, forced in reversed(lifts):
-            s = s | {v} if forced else _lift_simplicial(g, v, s)
-        res |= s
+            if forced or not g.bits[v] & sm:
+                sm |= 1 << v
+        chosen |= sm
+    res = frozenset(_iter_bits(chosen))
     if not is_strong_stable_set(g, res, meter):
         raise CaseNotApplicable("construction failed; host out of scope")
     if not z <= res:
         raise CaseNotApplicable("construction lost a prescribed vertex; host out of scope")
     return res
-
-
-def _lift_simplicial(g: Graph, v: int, s: frozenset[int]) -> frozenset[int]:
-    """Lift a strong stable set s of G - v, for a simplicial v, to G.
-
-    N[v] is the only maximal clique of G containing v, and every other
-    maximal clique of G is one of G - v; so s needs v exactly when it
-    misses N(v).
-    """
-    near = g.bits[v]
-    while near:
-        low = near & -near
-        if low.bit_length() - 1 in s:
-            return s
-        near ^= low
-    return s | {v}
 
 
 # -- recombination cases ----------------------------------------------------------
@@ -381,13 +371,17 @@ SubSolver = Callable[[Graph, frozenset[int]], frozenset[int]]
 
 
 def _solve_on(
-    g: Graph, keep: Iterable[int], z: frozenset[int], subsolver: SubSolver
+    g: Graph, keep: int, z: frozenset[int], subsolver: SubSolver
 ) -> frozenset[int]:
-    """Solve G[keep] with z (a subset of keep) prescribed; g's ids in and out."""
-    sub, mapping = induced(g, keep)
-    pos = {old: new for new, old in enumerate(mapping)}
-    s = subsolver(sub, frozenset(pos[v] for v in z))
-    return frozenset(mapping[v] for v in s)
+    """Solve G[keep] for a mask keep, z's members in it prescribed; g's ids in and out."""
+    sub, mapping = _induced(g, keep)
+    s = subsolver(sub, _ids_within(keep, z))
+    return frozenset([mapping[v] for v in s])
+
+
+def _ids_within(keep: int, z: Iterable[int]) -> frozenset[int]:
+    """The ids in G[keep] of z's members in the mask keep: their ranks."""
+    return frozenset([(keep & (1 << v) - 1).bit_count() for v in z if keep >> v & 1])
 
 
 def _solve_with_apex(
@@ -404,15 +398,15 @@ def _solve_with_apex(
     off the apex is prescribed in its place. The answer is in g's ids,
     without the apex and the pendant.
     """
-    sub, mapping = induced(g, keep)
+    km = _mask_of(keep)
+    sub, mapping = _induced(g, km)
     apex = sub.n
-    pos = {old: new for new, old in enumerate(mapping)}
-    at = _mask_of(pos[v] for v in complete_to)
+    at = _mask_of(_ids_within(km, complete_to))
     bits = [b | 1 << apex if at >> v & 1 else b for v, b in enumerate(sub.bits)]
     bits.append(at | 1 << apex + 1 if pendant else at)
     if pendant:
         bits.append(1 << apex)
-    s = subsolver(Graph(len(bits), tuple(bits)), frozenset(pos[v] for v in z) | {len(bits) - 1})
+    s = subsolver(Graph(len(bits), tuple(bits)), _ids_within(km, z) | {len(bits) - 1})
     return frozenset(mapping[v] for v in s if v < apex)
 
 
@@ -498,7 +492,7 @@ def combine_one_join(
         big_b = big - big_a
         for a2 in sorted(big_a):
             try:
-                s = _solve_on(g, big_b | {a2}, (z & big_b) | {a2}, subsolver)
+                s = _solve_on(g, _mask_of(big_b) | 1 << a2, z | {a2}, subsolver)
             except CaseNotApplicable:
                 continue
             cand = s | {b1}
@@ -590,7 +584,7 @@ def solve(
     """
     meter = _meter(budget)
     z = frozenset(z)
-    if not z <= g.vertex_set():
+    if _mask_in(z, g.n) is None:
         raise GraphError("prescribed vertices out of range")
     if not trusted and z:
         validate_prescribed(g, z, meter)
@@ -667,25 +661,39 @@ def _branch_components(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]
     if _flood(g.bits, full & -full, full) == full:
         raise CaseNotApplicable
     return frozenset().union(
-        *(_solve_on(g, comp, z & comp, ctx.subsolver) for comp in components(g))
+        *[_solve_on(g, comp, z, ctx.subsolver) for comp in _mask_components(g.bits, full)]
     )
 
 
 @_branch("peel")
 def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    """Drop free true twins and free simplicial vertices until none is left,
-    solve what remains once, and lift the simplicial ones back in reverse.
-
-    A dropped twin needs no lift: every maximal clique through it holds its
-    twin too. A vertex becomes a twin or simplicial only when a neighbor of
-    it or of its twin is dropped, so only those neighbors are looked at
-    again. The remainder then has nothing left to peel, so it is solved
-    without this branch.
-    """
+    """Solve what :func:`_peel` keeps once, without this branch, and lift
+    its simplicial vertices back in reverse."""
     bits = g.bits
-    full = keep = (1 << g.n) - 1
-    zm = _mask_of(z)
-    todo = list(reversed(range(g.n)))  # popped smallest first
+    keep, lifts = _peel(bits, g.n, _mask_of(z))
+    if keep == (1 << g.n) - 1:
+        raise CaseNotApplicable
+    sub, mapping = _induced(g, keep)
+    s = [mapping[v] for v in _solve(ctx, sub, _ids_within(keep, z), "peel")]
+    sm = _mask_of(s)
+    for v in reversed(lifts):
+        if not bits[v] & sm:
+            sm |= 1 << v
+            s.append(v)
+    return frozenset(s)
+
+
+def _peel(bits: tuple[int, ...], n: int, zm: int) -> tuple[int, list[int]]:
+    """Drop true twins and simplicial vertices outside the mask zm until
+    none is left: the mask kept, and the simplicial vertices in drop order.
+
+    A twin needs no lift, as its twin meets every clique through it; a
+    simplicial v is lifted when the rest misses N(v), its only maximal
+    clique being N[v]. Only neighbours of a dropped vertex can newly
+    qualify, so only they are visited again, smallest first.
+    """
+    keep = (1 << n) - 1
+    todo = list(range(n - 1, -1, -1))  # popped smallest first
     lifts: list[int] = []
     while todo:
         v = todo.pop()
@@ -696,30 +704,32 @@ def _branch_peel(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
         closed = near | bv
         twins = 0
         clique = True  # near is a clique: each u in it sees all of closed
-        for u in _iter_bits(near):
-            seen = (bits[u] & keep) | 1 << u
+        m = near
+        while m:
+            low = m & -m
+            m ^= low
+            seen = bits[low.bit_length() - 1] & keep | low
             if seen == closed:
-                twins |= 1 << u
+                twins |= low
             elif closed & ~seen:
                 clique = False
         if twins:
             free = (twins | bv) & ~zm
             if not free:
                 continue
-            drop = (free & -free).bit_length() - 1
+            drop = free & -free
         elif clique and not zm & bv:
-            drop = v
+            drop = bv
             lifts.append(v)
         else:
             continue
-        keep &= ~(1 << drop)
-        todo.extend(reversed(list(_iter_bits(bits[drop] & keep))))
-    if keep == full:
-        raise CaseNotApplicable
-    s = _solve_on(g, _iter_bits(keep), z, functools.partial(_solve, ctx, skip="peel"))
-    for v in reversed(lifts):
-        s = _lift_simplicial(g, v, s)
-    return s
+        keep ^= drop
+        m = bits[drop.bit_length() - 1] & keep
+        while m:  # its neighbours, highest first
+            top = m.bit_length() - 1
+            todo.append(top)
+            m ^= 1 << top
+    return keep, lifts
 
 
 @_branch("cobipartite")
@@ -795,8 +805,8 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
         v = next((y for y in sorted(ys) if g.is_complete_between({y}, xs)), None)
         if u is None or v is None:
             continue
-        drop = (xs - {u}) | (ys - {v})
-        return _solve_on(g, g.vertex_set() - drop, z, ctx.subsolver)
+        drop = _mask_of((xs - {u}) | (ys - {v}))
+        return _solve_on(g, (1 << g.n) - 1 ^ drop, z, ctx.subsolver)
     raise CaseNotApplicable
 
 

@@ -71,6 +71,42 @@ def naive_is_strong_stable_set(g: Graph, s) -> bool:
     return all(s & k for k in naive_maximal_cliques(g))
 
 
+def naive_peel(g: Graph, z=frozenset()) -> tuple[frozenset[int], list[int]]:
+    """Set-based replay of the solver's peel: the vertices kept and the
+    simplicial vertices dropped, in the order they went.
+
+    A worklist visits vertices smallest first. A vertex with a true twin
+    among the kept ones drops the smallest vertex of its class outside z
+    (none, when z holds the whole class); otherwise a vertex outside z whose
+    kept neighbours form a clique drops itself. A drop puts its kept
+    neighbours back on the list.
+    """
+    nb = nbrs(g)
+    z = frozenset(z)
+    keep = set(range(g.n))
+    todo = list(range(g.n - 1, -1, -1))  # popped smallest first
+    lifts = []
+    while todo:
+        v = todo.pop()
+        if v not in keep:
+            continue
+        near = nb[v] & keep
+        twins = {u for u in near if (nb[u] & keep) | {u} == near | {v}}
+        if twins:
+            free = (twins | {v}) - z
+            if not free:
+                continue
+            drop = min(free)
+        elif v not in z and naive_is_clique(g, near):
+            drop = v
+            lifts.append(v)
+        else:
+            continue
+        keep.discard(drop)
+        todo.extend(sorted(nb[drop] & keep, reverse=True))
+    return frozenset(keep), lifts
+
+
 def naive_degeneracy_order(g: Graph) -> list[int]:
     """Repeatedly remove the alive vertex of least remaining degree,
     smallest id on ties, by a scan over all alive vertices."""

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongstable import core
 from strongstable.core import (
     Budget,
     BudgetExceededError,
@@ -160,6 +161,28 @@ class TestInduced:
         sub, _ = induced(cycle(6), {0, 2, 4})
         assert sub.edge_count() == 0
 
+    def test_mask_path_matches_a_set_rebuild(self):
+        # the masks of G[x] and its mapping, against a rebuild from edge
+        # pairs; any iterable of ids, repeats and order included, will do
+        rng = random.Random(3)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+            x = [v for v in range(g.n) if rng.random() < 0.6]
+            order = tuple(sorted(x))
+            pos = {v: i for i, v in enumerate(order)}
+            expected = from_edge_list(
+                len(order), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+            )
+            rng.shuffle(x)
+            for xs in (x, iter(x + x[:2]), frozenset(x)):
+                assert induced(g, xs) == (expected, order)
+            assert core._induced(g, core._mask_of(x)) == (expected, order)
+
+    @pytest.mark.parametrize("bad", [[-1], [0, -3], [6], [2, 7], [-1, 6]])
+    def test_out_of_range_ids(self, bad):
+        with pytest.raises(GraphError, match="out of range"):
+            induced(cycle(6), bad)
+
 
 class TestComponents:
     def test_two_triangles(self):
@@ -298,6 +321,15 @@ class TestStrongStableSet:
 
     def test_single_vertex_of_k3(self):
         assert is_strong_stable_set(complete(3), {0})
+
+    def test_out_of_range_ids_are_not_strong(self):
+        # negative ids included: the set is never shifted by one
+        g = cycle(6)
+        for s in ({0, 2, 4, 6}, {0, 2, 4, -1}, {-2}, {6}, {-1, 6}):
+            assert is_strong_stable_set(g, s) is False
+            assert is_strong_stable_set(g, iter(sorted(s))) is False
+        assert is_strong_stable_set(from_edge_list(0, []), {0}) is False
+        assert is_strong_stable_set(from_edge_list(0, []), ()) is True
 
     def test_every_subset_of_every_small_graph(self, graphs_by_n):
         for n in range(7):

@@ -186,6 +186,15 @@ class TestSuitableMatching:
         assert suitable_matching(b, forced={6}) is None
         assert suitable_matching(b) is not None
 
+    def test_lowest_edge_ids_first(self):
+        # each vertex tries its incident edges in ascending id order, which
+        # fixes the matching, and so the set the line-graph branch returns
+        assert suitable_matching(M(2, [(0, 1), (0, 1)])).edges == {0}
+        assert suitable_matching(M(3, [(0, 1), (1, 2)])).edges == {0}
+        assert suitable_matching(M(6, [(i, (i + 1) % 6) for i in range(6)])).edges == {0, 2, 4}
+        k33 = M(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        assert suitable_matching(k33).edges == {0, 4, 8}
+
     def test_forced_must_be_matching(self):
         b = M(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):

@@ -47,6 +47,7 @@ from oracles import (
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
+    naive_peel,
     nbrs,
     path,
     strip_anchor_gadgets,
@@ -284,8 +285,10 @@ class TestSolveBasics:
         res = solve(cycle(4), {0, 1}, trusted=True)
         assert res.status == SolveStatus.NONE_EXISTS
         assert [r.branch for r in res.trace] == ["brute-force"]
-        with pytest.raises(GraphError, match="out of range"):
-            solve(cycle(6), {99}, trusted=True)
+        for z in ({99}, {6}, {-1}, {0, -2}):
+            for trusted in (True, False):
+                with pytest.raises(GraphError, match="out of range"):
+                    solve(cycle(6), z, trusted=trusted)
 
     def test_one_strong_set_check_per_solve(self, monkeypatch):
         calls = []
@@ -668,6 +671,81 @@ class TestExtendAtSimplicial:
     def test_non_simplicial_rejected(self):
         with pytest.raises(GraphError):
             extend_at_simplicial(path(3), 1, 2, 2)
+
+
+def twinned_graph(rng):
+    """A random graph on at most 12 vertices, grown from a random base by
+    adding true twins of old vertices and pendants at them."""
+    n = rng.randint(1, 8)
+    density = rng.random()
+    nb = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            nb[u].add(v)
+            nb[v].add(u)
+    for _ in range(rng.randint(0, 12 - n)):
+        v = rng.randrange(n)
+        new = {v} | nb[v] if rng.random() < 0.7 else {v}
+        nb.append(set(new))
+        for w in new:
+            nb[w].add(n)
+        n += 1
+    return from_edge_list(n, [(u, v) for u in range(n) for v in nb[u] if u < v])
+
+
+class TestPeel:
+    def test_same_remainder_and_lift_order_as_the_set_oracle(self, monkeypatch):
+        # the mask kernel against a set-based replay, on stable z of up to
+        # two vertices and on z holding a whole twin class; the branch
+        # solves exactly G[remainder] and lifts in reverse drop order
+        rng = random.Random(29)
+        seen = {"twin drop": 0, "lift": 0, "class in z": 0, "branch": 0}
+        calls = []
+
+        def fake_solve(ctx, h, zz, skip=None):
+            assert skip == "peel"
+            calls.append((h, zz))
+            s = brute_force(h, zz)
+            if s is None:
+                raise CaseNotApplicable("no strong set of the remainder")
+            return s
+
+        monkeypatch.setattr(solver, "_solve", fake_solve)
+        for trial in range(2000):
+            g = twinned_graph(rng)
+            twins = [(u, v) for u, v in g.edges() if g.bits[u] | 1 << u == g.bits[v] | 1 << v]
+            if trial % 4 == 0 and twins:
+                z = frozenset(rng.choice(twins))
+                seen["class in z"] += 1
+            else:
+                z = frozenset(rng.sample(range(g.n), rng.randint(0, min(2, g.n))))
+                if not g.is_stable(z):
+                    z = frozenset(sorted(z)[:1])
+            keep, lifts = solver._peel(g.bits, g.n, core._mask_of(z))
+            expected = naive_peel(g, z)
+            assert (frozenset(core._iter_bits(keep)), lifts) == expected, (sorted(g.edges()), sorted(z))
+            assert keep & core._mask_of(z) == core._mask_of(z)
+            dropped = g.n - len(expected[0])
+            seen["twin drop"] += dropped > len(lifts)
+            seen["lift"] += bool(lifts)
+            if not dropped or not g.is_stable(z):
+                continue
+            calls.clear()
+            try:
+                s = solver._branch_peel(solver._Ctx(_meter(None)), g, z)
+            except CaseNotApplicable:
+                s = None
+            sub, mapping = induced(g, expected[0])
+            assert calls == [(sub, frozenset(mapping.index(v) for v in z))]
+            if s is None:
+                continue
+            seen["branch"] += 1
+            lifted = {mapping[v] for v in brute_force(sub, calls[0][1])}
+            for v in reversed(lifts):
+                if not nbrs(g)[v] & lifted:
+                    lifted.add(v)
+            assert s == lifted and is_strong_stable_set(g, s) and z <= s
+        assert min(seen.values()) > 100, seen
 
 
 class TestSimplicialRemovalInvariant:

@@ -266,8 +266,22 @@ class TestCli:
         p.write_text(format_edgelist(cycle(30)))
         code, out, _ = self._run(["check", str(p), "--json"], capsys)
         assert code == 0 and json.loads(out)["status"] == "innocent"  # no vertex cap
-        code, _, err = self._run(["check", str(p), "--budget-enum", "30"], capsys)
-        assert code == 2 and "enumeration budget exceeded" in err
+        code, out, err = self._run(["check", str(p), "--budget-enum", "30"], capsys)
+        assert code == 2 and "enumeration budget exceeded" in err and out == ""
+
+    def test_check_budget_certificate(self, capsys, tmp_path):
+        # an overrun still prints the certificate with what was spent
+        p = tmp_path / "c30.txt"
+        p.write_text(format_edgelist(cycle(30)))
+        meter = core._meter(core.Budget(max_enumerations=30))
+        with pytest.raises(core.BudgetExceededError) as info:
+            innocence_certificate(cycle(30), meter)
+        code, out, err = self._run(["check", str(p), "--json", "--budget-enum", "30"], capsys)
+        assert code == 2 and "enumeration budget exceeded (30)" in err
+        payload = json.loads(out)
+        assert payload["status"] == "budget" and payload["n"] == 30 and payload["claw_free"]
+        assert payload["budget"] == {"max_enumerations": 30, "used": info.value.used}
+        assert info.value.used > 30 and "witness" not in payload
 
     def test_no_command_reads_a_vertex_cap(self, capsys, tmp_path):
         p = tmp_path / "c6.txt"
