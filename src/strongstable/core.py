@@ -181,7 +181,10 @@ class Graph:
         return _is_clique_mask(self.bits, _mask_of(s))
 
     def is_stable(self, s: Iterable[int]) -> bool:
-        return _is_stable_mask(self.bits, _mask_of(s))
+        m = _mask_in(s, self.n)
+        if m is None:
+            raise GraphError("vertices out of range")
+        return _is_stable_mask(self.bits, m)
 
     def is_complete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
         """True when disjoint sets x, y have every cross pair adjacent."""
@@ -700,6 +703,15 @@ class Multigraph:
 
     def incident(self, v: int) -> tuple[int, ...]:
         return tuple(i for i, (a, b) in enumerate(self.edges) if v in (a, b))
+
+    def incidence(self) -> list[list[int]]:
+        """The ids of the edges at each vertex, ascending, from one pass
+        over the edges."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (a, b) in enumerate(self.edges):
+            inc[a].append(i)
+            inc[b].append(i)
+        return inc
 
     def degree(self, v: int) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))

@@ -131,17 +131,36 @@ def bicycle(c1: int, c2: int, path_len: int) -> Multigraph:
     return Multigraph.build(base + path_len - 1, edges)
 
 
+# part indices: 0..2 = a1..a3, 3..5 = b1..b3, 6..8 = k1..k3
+_FREE_PAIRS = {(0, 4), (1, 5), (2, 3)}  # (a_i, b_{i+1})
+
+
+def _part_relation(p: int, q: int) -> str:
+    """Required adjacency between members of parts p and q: edge/non/free."""
+    if p == q:
+        return "edge"
+    lo, hi = min(p, q), max(p, q)
+    if (lo, hi) in _FREE_PAIRS:
+        return "free"
+    if hi >= 6:
+        if lo >= 6:  # two distinct K parts never see each other
+            return "non"
+        # K_i is anticomplete to a_i and b_i, complete to the other a/b parts
+        side_index = lo if lo < 3 else lo - 3
+        return "non" if side_index == hi - 6 else "edge"
+    return "edge"
+
+
 def peculiar(
     sizes: tuple[int, ...] = (1, 1, 1, 1, 1, 1, 0, 0, 0),
     seed: Optional[int] = None,
-) -> tuple[Graph, "PeculiarParts"]:
-    """A peculiar graph with the given part sizes (a1..a3, b1..b3, k1..k3).
+) -> Graph:
+    """A peculiar graph with the given part sizes (a1..a3, b1..b3, k1..k3),
+    numbered part by part in that order.
 
     The three cobipartite pairs get all cross edges except one (or, with a
     seed, a random non-complete bipartite complement).
     """
-    from .recognizers import PeculiarParts
-
     if len(sizes) != 9 or any(s < 1 for s in sizes[:6]) or any(s < 0 for s in sizes[6:]):
         raise GraphError("need a1..b3 of size >= 1 and k1..k3 of size >= 0")
     rng = random.Random(seed)
@@ -150,9 +169,6 @@ def peculiar(
     for s in sizes:
         groups.append(frozenset(range(nxt, nxt + s)))
         nxt += s
-    parts = PeculiarParts(*groups)
-    from .recognizers import _part_relation
-
     edges = []
     for p in range(9):
         for q in range(p, 9):
@@ -171,8 +187,7 @@ def peculiar(
                     if len(keep) == len(pairs):
                         keep = pairs[1:]
                     edges.extend(keep)
-    g = from_edge_list(nxt, edges)
-    return g, parts
+    return from_edge_list(nxt, edges)
 
 
 def gadget_extension(
@@ -255,20 +270,19 @@ def random_harmless_bipartite(
     return b
 
 
-def _flat_specials(b: Multigraph) -> list[int]:
-    """Degree-two vertices with non-adjacent distinct neighbors: the flat
-    edges of the line graph, one per such vertex."""
+def _flat_specials(b: Multigraph) -> list[tuple[int, int]]:
+    """The flat edges of the line graph: the two root edges at each
+    degree-two vertex whose two distinct neighbours are non-adjacent."""
     simple = b.underlying_simple()
     out = []
-    for v in range(b.n):
-        if b.degree(v) != 2:
+    for v, inc in enumerate(b.incidence()):
+        if len(inc) != 2:
             continue
-        inc = b.incident(v)
         ends = {x for e in inc for x in b.edges[e]} - {v}
         if len(ends) == 2:
             x, y = sorted(ends)
             if not simple.has_edge(x, y):
-                out.append(v)
+                out.append((inc[0], inc[1]))
     return out
 
 
@@ -314,22 +328,19 @@ def _augment_some_flats(
     g: Graph, b: Multigraph, rng: random.Random, rate: float
 ) -> Graph:
     """Replace some disjoint flat edges of L(b) with small smooth augments."""
-    specials = _flat_specials(b)
-    rng.shuffle(specials)
-    chosen: list[int] = []
+    flats = _flat_specials(b)
+    rng.shuffle(flats)
+    chosen: list[tuple[int, int]] = []
     used_edges: set[int] = set()
-    for v in specials:
-        inc = set(b.incident(v))
-        if inc & used_edges:
+    for flat in flats:
+        if used_edges.intersection(flat):
             continue
         if rng.random() < rate:
-            chosen.append(v)
-            used_edges |= inc
+            chosen.append(flat)
+            used_edges.update(flat)
     edges = list(g.edges())
     n = g.n
-    for v in chosen:
-        e1, e2 = b.incident(v)
-        x_old, y_old = e1, e2  # line-graph vertex ids
+    for x_old, y_old in chosen:  # root edges, so line-graph vertex ids
         c = g.neighborhood({x_old}) - {y_old}
         d = g.neighborhood({y_old}) - {x_old}
         pattern = rng.choice(("pair-single", "nested"))
@@ -408,7 +419,7 @@ _GRAPH_KINDS = {
     "clown": lambda p, s: clown(p["k"]),
     "handcuff": lambda p, s: handcuff(p["c1"], p["c2"], p["path"]),
     "eye-mask": lambda p, s: eye_mask(p["c1"], p["c2"]),
-    "peculiar": lambda p, s: peculiar(tuple(p.get("sizes", (1,) * 6 + (0,) * 3)), s)[0],
+    "peculiar": lambda p, s: peculiar(tuple(p.get("sizes", (1,) * 6 + (0,) * 3)), s),
     "line-of-harmless": lambda p, s: line_graph(
         random_harmless_bipartite(s, p.get("size", 10), p.get("extra", 2))
     ),

@@ -93,7 +93,7 @@ def recover_root(
 
 def _root_ambiguous(root: Multigraph) -> bool:
     """Patterns under which other roots produce the same line graph."""
-    deg = [root.degree(v) for v in range(root.n)]
+    deg = [len(inc) for inc in root.incidence()]
     if root.m >= 3:
         shared = set(root.edges[0])
         for e in root.edges:
@@ -148,10 +148,7 @@ def suitable_matching(
             raise GraphError("forced edges do not form a matching")
         match[u] = e
         match[v] = e
-    incident: list[list[int]] = [[] for _ in range(b.n)]  # ascending edge ids
-    for e, (u, v) in enumerate(b.edges):
-        incident[u].append(e)
-        incident[v].append(e)
+    incident = b.incidence()
     required = sorted({v for v in range(b.n) if len(incident[v]) >= 2} | set(match))
     committed: set[int] = set(match)
 

@@ -1,6 +1,6 @@
-"""Local-structure recognizers: claws, simplicial objects, twins, cobipartite
-and linear-interval structure, clowns, consistent sets, safe vertices, and
-peculiar structure.
+"""Local-structure recognizers: claws, simplicial vertices, strong stable
+pairs, twins, linear-interval structure, clowns, consistent sets and safe
+vertices.
 
 Path-parity checks (even pairs, safe vertices) quantify over chordless
 paths, the definition used everywhere else in this package.
@@ -19,13 +19,11 @@ from .core import (
     _Meter,
     _above,
     _anchored_paths,
-    _flood,
     _iter_bits,
-    _mask_components,
+    _mask_in,
     _mask_of,
     _meter,
     induced_cycles,
-    two_coloring,
 )
 
 
@@ -52,31 +50,6 @@ class Clown:
 
     def vertices(self) -> frozenset[int]:
         return frozenset((self.hat,) + self.cycle)
-
-
-@dataclass(frozen=True)
-class PeculiarParts:
-    """The nine parts of a peculiar graph.
-
-    The cobipartite pairs are (a1, b2), (a2, b3), (a3, b1); each k_i may be
-    empty (the definition only says "take three cliques", and the empty clique
-    satisfies every condition placed on the k_i, so both readings agree on
-    verification; we accept empty).
-    """
-
-    a1: frozenset[int]
-    a2: frozenset[int]
-    a3: frozenset[int]
-    b1: frozenset[int]
-    b2: frozenset[int]
-    b3: frozenset[int]
-    k1: frozenset[int]
-    k2: frozenset[int]
-    k3: frozenset[int]
-
-    def groups(self) -> tuple[frozenset[int], ...]:
-        return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3,
-                self.k1, self.k2, self.k3)
 
 
 def find_claw(g: Graph) -> Optional[ClawWitness]:
@@ -110,41 +83,47 @@ def is_simplicial_vertex(g: Graph, v: int) -> bool:
     return all(near & ~bits[u] == 1 << u for u in _iter_bits(near))
 
 
-def is_cosimplicial_nonedge(g: Graph, u: int, v: int) -> bool:
-    if u == v or g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not a non-edge")
-    return _cosimplicial(g.bits, u, v)
+def find_strong_pair(g: Graph, z: Iterable[int] = ()) -> Optional[tuple[int, int]]:
+    """Lex-first stable pair u < v containing z (at most two vertices) that
+    is a strong stable set, or None.
 
-
-def _cosimplicial(bits: tuple[int, ...], u: int, v: int) -> bool:
-    """Non-edge uv is a simplicial edge of the complement: no edge joins two
-    distinct vertices of V - N[u] - v and V - N[v] - u."""
-    rest = ((1 << len(bits)) - 1) ^ (1 << u) ^ (1 << v)
-    return not any(bits[x] & rest & ~bits[v] for x in _iter_bits(rest & ~bits[u]))
-
-
-def find_cosimplicial_nonedge(
-    g: Graph, must_contain: Iterable[int] | None = None
-) -> Optional[tuple[int, int]]:
-    """Lex-first non-adjacent pair that is a simplicial edge of the complement.
-
-    ``must_contain`` (at most two vertices) restricts the search to pairs
-    containing those vertices.
+    A stable pair {u, v} is strong exactly when N[u] | N[v] = V and
+    N(u) - N(v) is anticomplete to N(v) - N(u). If: a maximal clique missing
+    both holds some x not in N[u] and some y not in N[v]; domination puts x
+    in N(v) - N(u) and y in N(u) - N(v), so xy would be an edge between
+    them. Only if: a vertex seeing neither, or such an edge, lies in a
+    maximal clique that misses both. The scan stops at the first hit.
     """
-    need = tuple(sorted(frozenset(must_contain or ())))
-    if len(need) > 2:
-        raise GraphError("must_contain has more than two vertices")
-    bits = g.bits
-    co = [((1 << g.n) - 1) ^ b ^ (1 << w) for w, b in enumerate(bits)]  # complement masks
-    if len(need) == 2:
-        u, v = need
-        return (u, v) if co[u] >> v & 1 and _cosimplicial(bits, u, v) else None
-    if len(need) == 1:
-        (w,) = need
-        pairs = ((min(w, x), max(w, x)) for x in _iter_bits(co[w]))
+    n, bits = g.n, g.bits
+    zm = _mask_in(z, n)
+    if zm is None:
+        raise GraphError("prescribed vertices out of range")
+    if zm.bit_count() > 2:
+        raise GraphError("a pair cannot hold more than two prescribed vertices")
+    full = (1 << n) - 1
+    if zm.bit_count() == 2:
+        u, v = _iter_bits(zm)
+        pairs = [] if bits[u] >> v & 1 else [(u, v)]
+    elif zm:
+        w = zm.bit_length() - 1
+        pairs = ((min(w, x), max(w, x)) for x in _iter_bits(full ^ bits[w] ^ zm))
     else:
-        pairs = ((u, v) for u in range(g.n) for v in _iter_bits(co[u] >> u << u))
-    return next(((u, v) for u, v in pairs if _cosimplicial(bits, u, v)), None)
+        pairs = ((u, v) for u in range(n) for v in _iter_bits(full & ~bits[u] & _above(u)))
+    return next((p for p in pairs if _is_strong_pair(bits, full, *p)), None)
+
+
+def _is_strong_pair(bits: tuple[int, ...], full: int, u: int, v: int) -> bool:
+    """The lemma of :func:`find_strong_pair` for a stable pair {u, v}."""
+    bu, bv = bits[u], bits[v]
+    if bu | bv | 1 << u | 1 << v != full:
+        return False
+    only_u, only_v = bu & ~bv, bv & ~bu
+    while only_v:
+        low = only_v & -only_v
+        if bits[low.bit_length() - 1] & only_u:
+            return False
+        only_v ^= low
+    return True
 
 
 def find_twins(g: Graph) -> Optional[tuple[int, int]]:
@@ -329,127 +308,3 @@ def _clown_witness(
         for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
             return clown, p
     return None
-
-
-# -- peculiar structure ------------------------------------------------------
-
-# part indices: 0..2 = a1..a3, 3..5 = b1..b3, 6..8 = k1..k3
-_FREE_PAIRS = {(0, 4), (1, 5), (2, 3)}  # (a_i, b_{i+1})
-
-
-def _part_relation(p: int, q: int) -> str:
-    """Required adjacency between members of parts p and q: edge/non/free."""
-    if p == q:
-        return "edge"
-    lo, hi = min(p, q), max(p, q)
-    if (lo, hi) in _FREE_PAIRS:
-        return "free"
-    if hi >= 6:
-        if lo >= 6:  # two distinct K parts never see each other
-            return "non"
-        # K_i is anticomplete to a_i and b_i, complete to the other a/b parts
-        side_index = lo if lo < 3 else lo - 3
-        return "non" if side_index == hi - 6 else "edge"
-    return "edge"
-
-
-_RELATION = [[_part_relation(p, q) for q in range(9)] for p in range(9)]
-
-
-def verify_peculiar(g: Graph, parts: PeculiarParts) -> bool:
-    """Literal definition check, including the 'no other edge' clause."""
-    groups = parts.groups()
-    if sum(map(len, groups)) != g.n or set().union(*groups) != set(range(g.n)):
-        return False  # not a partition of V(g)
-    bits, masks = g.bits, [_mask_of(grp) for grp in groups]
-    for p, q in itertools.product(range(9), repeat=2):
-        rel = _RELATION[p][q]
-        for v in groups[p]:
-            others = masks[q] & ~(1 << v)
-            if rel == "edge" and others & ~bits[v] or rel == "non" and others & bits[v]:
-                return False
-    # a1..b3 are non-empty, and a free pair a_i, b_{i+1} is anything but complete
-    return all(groups[:6]) and all(
-        any(masks[q] & ~bits[u] for u in groups[p]) for p, q in _FREE_PAIRS
-    )
-
-
-def peculiar_structure(
-    g: Graph, budget: Budget | _Meter | None = None
-) -> Optional[PeculiarParts]:
-    """The nine parts of g when g is peculiar, else None, read off the
-    complement H. By ``_RELATION`` the only edges of H are k_i-k_j (i != j),
-    k_i-(a_i | b_i) and the free pairs a_i-b_{i+1}, indices mod 3. Hence:
-
-    - every non-empty k_i is one class of true twins of g;
-    - every triangle of H has one vertex in each k_i, so the first one fixes
-      K; with none, at most two k_i are non-empty and H is bipartite;
-    - S3 acts on the indices (a reflection also swaps a_i with b_{-i}), so
-      the guesses at K are that triangle's three twin classes, or else the
-      empty K, each twin class and each anticomplete pair of them that
-      split their component of H, as a k part then does;
-    - a vertex outside K lies in a_i | b_i for the i whose k_i it misses, or
-      for an empty k_i when it sees every non-empty one;
-    - the components of H - K are the free pairs' bipartite graphs.
-
-    Each guess ticks the meter once, and a labelling is returned only if
-    ``verify_peculiar`` passes.
-    """
-    meter, n, bits = _meter(budget), g.n, g.bits
-    full = (1 << n) - 1
-    co = [full ^ b ^ (1 << v) for v, b in enumerate(bits)]
-    twins: dict[int, int] = {}  # closed neighbourhood -> its class mask
-    for v, b in enumerate(bits):
-        twins[b | 1 << v] = twins.get(b | 1 << v, 0) | 1 << v
-    triangle = next(((u, v, w) for u in range(n) for v in _iter_bits(co[u] & _above(u))
-                     for w in _iter_bits(co[u] & co[v] & _above(v))), None)
-    if triangle is not None:
-        guesses = [tuple(twins[bits[v] | 1 << v] for v in triangle)]
-    elif two_coloring(co) is None:
-        return None
-    else:  # a k part splits its component of H into two with an edge
-        ks = [c for c in twins.values() if sum(
-            m & m - 1 > 0 for m in _mask_components(co, _flood(co, c, full) & ~c)) >= 2]
-        guesses = [(), *((c,) for c in ks), *(
-            (c, d) for c, d in itertools.combinations(ks, 2) if co[c.bit_length() - 1] & d)]
-    for k in guesses:
-        meter.tick()
-        parts = _peculiar_around(co, k + (0,) * (3 - len(k)))
-        if parts is not None and verify_peculiar(g, parts):
-            return parts
-    return None
-
-
-def _peculiar_around(co: list[int], k: tuple[int, ...]) -> Optional[PeculiarParts]:
-    """Unverified parts around the k parts k, from the complement masks co.
-
-    Each component of H - K with an edge goes to a free pair a_p, b_{p+1}
-    that its sides' indices allow, the most constrained first, to a pair not
-    yet taken when it can (the allowed pair sets are nested or disjoint). A
-    lone vertex goes to a_i for its smallest allowed i."""
-    rest = ((1 << len(co)) - 1) & ~(k[0] | k[1] | k[2])
-    sub = [m & rest if rest >> v & 1 else 0 for v, m in enumerate(co)]
-    zero = two_coloring(sub)
-    if zero is None:
-        return None
-    zero, empty = _mask_of(zero), sum(1 << i for i in range(3) if not k[i])
-    ab, placements = [0] * 6, []  # a1..a3, b1..b3; options per component with an edge
-    for comp in _mask_components(sub, rest):
-        sides, idx = (comp & zero, comp & ~zero), [7, 7]
-        for s, side in enumerate(sides):
-            for v in _iter_bits(side):
-                idx[s] &= sum(1 << i for i in range(3) if co[v] & k[i]) or empty
-        if not sides[1] and idx[0]:
-            ab[(idx[0] & -idx[0]).bit_length() - 1] |= comp
-            continue
-        placements.append([(p, sides[s], sides[1 - s]) for s in range(2) for p in range(3)
-                           if idx[s] >> p & 1 and idx[1 - s] >> (p + 1) % 3 & 1])
-    taken: set[int] = set()
-    for options in sorted(placements, key=lambda o: len({p for p, _, _ in o})):
-        if not options:
-            return None
-        p, x, y = next((o for o in options if o[0] not in taken), options[0])
-        taken.add(p)
-        ab[p] |= x
-        ab[3 + (p + 1) % 3] |= y
-    return PeculiarParts(*(frozenset(_iter_bits(m)) for m in ab + list(k)))

@@ -7,10 +7,10 @@ met, bounded by the enumeration meter alone. ``solve`` is the
 structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
 cobipartite, linear interval, line graph of a bipartite multigraph, W-join,
-1-join, smooth augmentation, peculiar), each recursing on strictly smaller
-instances, with brute force as the flagged last resort. Each branch builds
-its answer from its sub-answers, so the cascade takes the first branch that
-applies; the structure theory makes it hit a structural branch on
+1-join, smooth augmentation, strong stable pair), each recursing on strictly
+smaller instances, with brute force as the flagged last resort. Each branch
+builds its answer from its sub-answers, so the cascade takes the first
+branch that applies; the structure theory makes it hit a structural branch on
 claw-free innocent inputs of the shapes it recognizes. The line-graph
 branch comes before the join searches because it rejects cheapest: root
 recovery stops at the first vertex in a third maximal clique, while a join
@@ -63,16 +63,13 @@ from .decompose import (
 )
 from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
-    PeculiarParts,
     _clown_witness,
     check_linear_interval_order,
     find_clowns,
-    find_cosimplicial_nonedge,
+    find_strong_pair,
     is_consistent_set,
     is_simplicial_vertex,
     linear_interval_order,
-    peculiar_structure,
-    verify_peculiar,
 )
 
 
@@ -134,9 +131,7 @@ def brute_force(
     """
     meter = _meter(budget)
     z = frozenset(z)
-    if not z <= g.vertex_set():
-        raise GraphError("prescribed vertices out of range")
-    if not g.is_stable(z):
+    if not g.is_stable(z):  # GraphError when z is out of range
         return None
     bits = g.bits
     s = _mask_of(z)
@@ -245,11 +240,9 @@ def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> Optional[frozenset[int
 
     Every stable set has at most two vertices. The empty set is strong only
     in the empty graph, and {w} exactly when w is universal. A non-edge
-    {u, v} is strong exactly when it is cosimplicial: a maximal clique
-    missing both holds some x not in N[u] and some y not in N[v]; x != y,
-    since otherwise x, u, v would be a stable triple, so xy is an edge. So
-    the lex-first cosimplicial non-edge through z, else the lowest universal
-    vertex that z allows, covers every stable set containing z.
+    {u, v} is strong by the lemma of :func:`find_strong_pair`, as no vertex
+    misses both. So the lex-first strong pair through z, else the lowest
+    universal vertex that z allows, covers every stable set containing z.
     """
     z = frozenset(z)
     full = (1 << g.n) - 1
@@ -259,23 +252,11 @@ def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> Optional[frozenset[int
         raise GraphError("prescribed set is not stable")
     if g.n == 0:
         return frozenset()
-    pair = find_cosimplicial_nonedge(g, z)
+    pair = find_strong_pair(g, z)
     if pair is not None:
         return frozenset(pair)
     universal = (w for w in sorted(z) or range(g.n) if g.degree(w) == g.n - 1)
     return next((frozenset({w}) for w in universal), None)
-
-
-def solve_peculiar(g: Graph, parts: PeculiarParts) -> frozenset[int]:
-    """A two-vertex strong stable set of a peculiar graph with no long
-    antihole: a cosimplicial non-edge across the first cobipartite pair."""
-    if not verify_peculiar(g, parts):
-        raise GraphError("parts do not describe a peculiar structure of g")
-    sub, mapping = induced(g, parts.a1 | parts.b2)
-    pair = find_cosimplicial_nonedge(sub)
-    if pair is None:
-        raise CaseNotApplicable("no cosimplicial non-edge across the pair; host out of scope")
-    return frozenset({mapping[pair[0]], mapping[pair[1]]})
 
 
 def solve_linear_interval(
@@ -415,10 +396,10 @@ def combine_w_join(
 ) -> frozenset[int]:
     """Strong stable set through a W-join.
 
-    The two mixed cliques are covered by a cosimplicial non-edge across
-    them; the attachment sides are solved independently with an apex vertex
-    standing in for the join, and the far side is split by the absence of
-    attachment-to-attachment paths.
+    The two mixed cliques are covered by a strong stable pair of the graph
+    they induce; the attachment sides are solved independently with an apex
+    vertex standing in for the join, and the far side is split by the
+    absence of attachment-to-attachment paths.
     """
     z = frozenset(z)
     parts = _w_join_parts(g, w.a, w.b)
@@ -445,9 +426,9 @@ def combine_w_join(
     s_c = _solve_with_apex(g, frozenset(f_c) | c, c, z & frozenset(f_c), subsolver)
     s_d = _solve_with_apex(g, frozenset(f_d) | d, d, z & frozenset(f_d), subsolver)
     sub, mapping = induced(g, w.a | w.b)
-    pair = find_cosimplicial_nonedge(sub)
+    pair = find_strong_pair(sub)
     if pair is None:
-        raise CaseNotApplicable("no cosimplicial non-edge across the join")
+        raise CaseNotApplicable("no strong pair across the join")
     return s_c | s_d | {mapping[pair[0]], mapping[pair[1]]}
 
 
@@ -553,9 +534,7 @@ def validate_prescribed(
 ) -> None:
     """Raise unless z is a consistent set of safe vertices."""
     meter = _meter(budget)
-    if not z <= g.vertex_set():
-        raise GraphError("prescribed vertices out of range")
-    if not g.is_stable(z):
+    if not g.is_stable(z):  # GraphError as well when z is out of range
         raise GraphError("prescribed set is not stable")
     clowns = None  # listed once, when the first simplicial vertex needs them
     for v in sorted(z):
@@ -810,11 +789,11 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
     raise CaseNotApplicable
 
 
-@_branch("peculiar")
-def _branch_peculiar(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    if z:
-        raise CaseNotApplicable("peculiar graphs have no simplicial vertices")
-    parts = peculiar_structure(g, ctx.meter)
-    if parts is None:
+@_branch("pair")
+def _branch_pair(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
+    """A two-vertex strong stable set through z, as in peculiar graphs;
+    finding none proves nothing, since g may have a stable triple."""
+    pair = find_strong_pair(g, z) if len(z) <= 2 else None
+    if pair is None:
         raise CaseNotApplicable
-    return solve_peculiar(g, parts)
+    return frozenset(pair)

@@ -341,6 +341,19 @@ def naive_find_cosimplicial_nonedge(g: Graph, must_contain=()) -> tuple[int, int
     )
 
 
+def naive_find_strong_pair(g: Graph) -> tuple[int, int] | None:
+    """Lex-first non-edge that is a strong stable set, by checking every
+    pair against every maximal clique."""
+    return next(
+        (
+            (u, v)
+            for u, v in itertools.combinations(range(g.n), 2)
+            if not g.has_edge(u, v) and naive_is_strong_stable_set(g, {u, v})
+        ),
+        None,
+    )
+
+
 def naive_two_coloring(g: Graph) -> frozenset[int] | None:
     """Colour 0 of a proper 2-colouring by a dict search from each
     component's smallest vertex, or None if g is not bipartite."""

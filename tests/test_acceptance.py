@@ -48,7 +48,6 @@ from strongstable.solver import (
     extend_at_simplicial,
     solve,
     solve_cobipartite,
-    solve_peculiar,
 )
 from oracles import (
     attach_anchor_gadgets,
@@ -276,13 +275,13 @@ def test_criterion_08_cobipartite_and_peculiar_closed_forms():
     ]
     for sizes in size_choices:
         for seed in (None, 5, 11):
-            g, parts = peculiar(sizes, seed)
+            g = peculiar(sizes, seed)
             if g.n > 12:
                 continue
-            s = solve_peculiar(g, parts)
-            assert is_strong_stable_set(g, s), (sizes, seed)
-            bf = brute_force(g)
-            assert bf is not None
+            res = solve(g)
+            assert res.status == SolveStatus.FOUND, (sizes, seed)
+            assert is_strong_stable_set(g, res.s), (sizes, seed)
+            assert brute_force(g) is not None
             pec_count += 1
     _report(
         8,

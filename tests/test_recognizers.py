@@ -5,27 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongstable.core import (
-    Budget,
     GraphError,
     Multigraph,
     from_edge_list,
     induced,
+    is_strong_stable_set,
     line_graph,
 )
+from strongstable.generators import peculiar
 from strongstable.recognizers import (
     Clown,
     check_linear_interval_order,
     find_claw,
     find_clowns,
-    find_cosimplicial_nonedge,
+    find_strong_pair,
     find_twins,
     is_consistent_set,
-    is_cosimplicial_nonedge,
     is_safe_vertex,
     linear_interval_order,
-    peculiar_structure,
     simplicial_vertices,
-    verify_peculiar,
 )
 from oracles import (
     complete,
@@ -36,10 +34,12 @@ from oracles import (
     naive_clowns,
     naive_find_claw,
     naive_find_cosimplicial_nonedge,
-    naive_is_cosimplicial_nonedge,
+    naive_find_strong_pair,
     naive_is_consistent_set,
     naive_is_peculiar,
     naive_is_safe_vertex,
+    naive_is_stable,
+    naive_is_strong_stable_set,
     naive_linear_interval_exists,
     naive_window_order_ok,
     nbrs,
@@ -104,16 +104,16 @@ class TestSimplicial:
         assert simplicial_vertices(path(4)) == {0, 3}
 
     def test_c4_cosimplicial_nonedge(self):
-        assert find_cosimplicial_nonedge(cycle(4)) == (0, 2)
+        assert find_strong_pair(cycle(4)) == (0, 2)
 
     def test_k4_minus_edge(self):
         g = from_edge_list(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
-        assert find_cosimplicial_nonedge(g) == (0, 2)
+        assert find_strong_pair(g) == (0, 2)
 
     def test_must_contain_pair(self):
         g = cycle(4)
-        assert find_cosimplicial_nonedge(g, {1, 3}) == (1, 3)
-        assert find_cosimplicial_nonedge(g, {0, 1}) is None  # adjacent
+        assert find_strong_pair(g, {1, 3}) == (1, 3)
+        assert find_strong_pair(g, {0, 1}) is None  # adjacent
 
     def test_is_simplicial_edge_requires_edge(self):
         with pytest.raises(GraphError):
@@ -141,28 +141,49 @@ class TestSimplicial:
 
 class TestCosimplicialOracle:
     def test_every_nonedge_up_to_7(self, graphs_by_n):
-        """Masks against the complement-graph definition, every non-edge and
-        every must_contain of at most two vertices."""
-        for graphs in graphs_by_n.values():
+        """With no stable triple no vertex misses both ends of a non-edge, so
+        the strong pairs are the complement-graph cosimplicial non-edges:
+        every graph up to seven vertices with no stable triple, every
+        must_contain of at most two vertices."""
+        for n, graphs in graphs_by_n.items():
             for g in graphs:
-                assert find_cosimplicial_nonedge(g) == naive_find_cosimplicial_nonedge(g)
-                for w in range(g.n):
-                    assert find_cosimplicial_nonedge(g, {w}) == (
-                        naive_find_cosimplicial_nonedge(g, {w})
-                    )
-                for u, v in itertools.combinations(range(g.n), 2):
+                if any(naive_is_stable(g, t) for t in itertools.combinations(range(n), 3)):
+                    continue
+                assert find_strong_pair(g) == naive_find_cosimplicial_nonedge(g)
+                for w in range(n):
+                    assert find_strong_pair(g, {w}) == naive_find_cosimplicial_nonedge(g, {w})
+                for u, v in itertools.combinations(range(n), 2):
                     expect = naive_find_cosimplicial_nonedge(g, {u, v})
-                    assert find_cosimplicial_nonedge(g, {u, v}) == expect
-                    if not g.has_edge(u, v):
-                        assert is_cosimplicial_nonedge(g, u, v) == (
-                            naive_is_cosimplicial_nonedge(g, u, v)
-                        )
+                    assert find_strong_pair(g, {u, v}) == expect
 
-    def test_rejects_edges_and_equal_ends(self):
+
+class TestStrongPair:
+    def test_differential_against_strong_stable_set(self):
+        """Seeded random graphs: a non-edge is accepted exactly when it is a
+        strong stable set, and the search returns the lex-first one."""
+        rng = random.Random(30)
+        accepted = 0
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            p = rng.random()
+            g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < p])
+            for u, v in itertools.combinations(range(n), 2):
+                if not g.has_edge(u, v):
+                    strong = is_strong_stable_set(g, {u, v})
+                    assert (find_strong_pair(g, {u, v}) is not None) == strong, (
+                        sorted(g.edges()), u, v)
+                    accepted += strong
+            assert find_strong_pair(g) == naive_find_strong_pair(g)
+        assert accepted >= 100
+
+    def test_out_of_range_and_too_many(self):
+        g = cycle(4)
+        for z in ({-1}, {4}, {0, 4}, {-1, 2}):
+            with pytest.raises(GraphError):
+                find_strong_pair(g, z)
         with pytest.raises(GraphError):
-            is_cosimplicial_nonedge(cycle(4), 0, 1)
-        with pytest.raises(GraphError):
-            is_cosimplicial_nonedge(cycle(4), 2, 2)
+            find_strong_pair(from_edge_list(5, []), {0, 1, 2})
 
 
 class TestSimplicialStableProperty:
@@ -365,18 +386,10 @@ class TestSafeVertices:
                     assert v not in hats
 
 
-def _peculiar(sizes, seed=None):
-    from strongstable.generators import peculiar
-
-    return peculiar(sizes, seed)[0]
-
-
-def _edited(g, drop=None, add=None):
-    """g with the edge drop removed and the non-edge add put in."""
-    return from_edge_list(g.n, [e for e in g.edges() if e != drop] + ([add] if add else []))
-
-
 class TestPeculiar:
+    """Every peculiar graph has a two-vertex strong stable set, which
+    ``find_strong_pair`` finds."""
+
     def _minimal(self):
         edges = [
             (u, v)
@@ -387,27 +400,20 @@ class TestPeculiar:
 
     def test_minimal_found(self):
         g = self._minimal()
-        parts = peculiar_structure(g)
-        assert parts is not None and verify_peculiar(g, parts)
+        assert find_strong_pair(g) == (0, 4)
+        assert naive_is_strong_stable_set(g, {0, 4})
 
     def test_c6_absent(self):
-        assert peculiar_structure(cycle(6)) is None
-
-    def test_missing_cross_edge_fails_verify(self):
-        g = self._minimal()
-        parts = peculiar_structure(g)
-        broken = from_edge_list(6, [e for e in g.edges() if e != (0, 1)])
-        assert not verify_peculiar(broken, parts)
+        # opposite vertices dominate C6, but their private neighbours meet
+        assert find_strong_pair(cycle(6)) is None
 
     def test_against_oracle(self, graphs_by_n):
-        from strongstable.generators import peculiar
-
         rng = random.Random(4)
         graphs = [g for n in range(7) for g in graphs_by_n[n]]
         for seed in range(10):
             # relabelled, then one edge dropped, then one non-edge added
             sizes = (1,) * 6 + tuple(rng.randint(0, 1) for _ in range(3))
-            g, _ = peculiar(sizes, seed)
+            g = peculiar(sizes, seed)
             perm = list(range(g.n))
             rng.shuffle(perm)
             edges = [(perm[u], perm[v]) for u, v in g.edges()]
@@ -418,56 +424,24 @@ class TestPeculiar:
             graphs.append(from_edge_list(g.n, edges + [rng.choice(non)]))
         found = 0
         for g in graphs:
-            parts = peculiar_structure(g)
-            assert (parts is not None) == naive_is_peculiar(g)
-            if parts is not None:
+            pair = find_strong_pair(g)
+            assert pair == naive_find_strong_pair(g), sorted(g.edges())
+            if naive_is_peculiar(g):
                 found += 1
-                assert verify_peculiar(g, parts)
+                assert pair is not None
         assert found >= 10
 
-    @pytest.mark.parametrize(
-        "build, found",
-        [
-            pytest.param(lambda: _edited(complete(9), drop=(7, 8)), False, id="K9-e"),
-            pytest.param(lambda: _edited(complete(10), drop=(0, 1)), False, id="K10-e"),
-            pytest.param(lambda: complete(1100), False, id="K1100"),
-            pytest.param(lambda: _peculiar((2,) * 9), True, id="2x9"),
-            # the first edge (0, 1) lies inside a1; the first non-edge is the
-            # one cross edge the generator leaves out of the free pair a1, b2
-            pytest.param(lambda: _edited(_peculiar((2,) * 9), drop=(0, 1)), False,
-                         id="2x9-drop"),
-            pytest.param(lambda: _edited(_peculiar((2,) * 9), add=(0, 8)), False,
-                         id="2x9-add"),
-            pytest.param(lambda: _peculiar((3,) * 6 + (2, 2, 2)), True, id="3x6"),
-            pytest.param(lambda: _edited(_peculiar((3,) * 6 + (2, 2, 2)), drop=(0, 1)),
-                         False, id="3x6-drop"),
-            pytest.param(lambda: _edited(_peculiar((3,) * 6 + (2, 2, 2)), add=(0, 12)),
-                         False, id="3x6-add"),
-        ],
-    )
-    def test_answers_in_a_few_guesses(self, build, found):
-        # one guess per K; a search cliffs on the near misses and on K9 - e
-        g = build()
-        parts = peculiar_structure(g, Budget(max_enumerations=5))
-        assert (parts is not None) == found
-        assert parts is None or verify_peculiar(g, parts)
-
     def test_every_k_pattern_found(self):
-        # each of k1..k3 empty or not; with two or fewer non-empty the
-        # complement has no triangle and K is guessed from the twin classes
+        # each of k1..k3 empty or not, relabelled
         rng = random.Random(5)
         for seed, ks in enumerate(itertools.product((0, 2), repeat=3)):
-            g = _peculiar((1, 2, 2, 1, 2, 1) + ks, seed)
+            g = peculiar((1, 2, 2, 1, 2, 1) + ks, seed)
             perm = list(range(g.n))
             rng.shuffle(perm)
             g = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-            parts = peculiar_structure(g)
-            assert parts is not None and verify_peculiar(g, parts), ks
+            pair = find_strong_pair(g)
+            assert pair is not None and naive_is_strong_stable_set(g, pair), ks
 
     def test_empty_k_parts_accepted(self):
-        from strongstable.generators import peculiar
-
-        g, parts = peculiar((1, 1, 1, 1, 1, 1, 0, 0, 0))
-        assert verify_peculiar(g, parts)
-        g2, parts2 = peculiar((1, 1, 1, 1, 1, 1, 1, 1, 1))
-        assert verify_peculiar(g2, parts2)
+        assert naive_is_peculiar(peculiar((1, 1, 1, 1, 1, 1, 0, 0, 0)))
+        assert naive_is_peculiar(peculiar((1, 1, 1, 1, 1, 1, 1, 1, 1)))

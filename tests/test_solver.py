@@ -36,7 +36,6 @@ from strongstable.solver import (
     solve,
     solve_cobipartite,
     solve_linear_interval,
-    solve_peculiar,
     validate_prescribed,
 )
 from oracles import (
@@ -44,6 +43,7 @@ from oracles import (
     complete,
     cycle,
     naive_brute_force,
+    naive_is_cosimplicial_nonedge,
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
@@ -81,6 +81,13 @@ class TestBruteForce:
 
     def test_unstable_prescription(self):
         assert brute_force(path(3), {0, 1}) is None
+
+    @pytest.mark.parametrize("z", [{-1}, {5}, {0, 5}])
+    def test_out_of_range_ids(self, z):
+        with pytest.raises(GraphError, match="out of range"):
+            brute_force(cycle(5), z)
+        with pytest.raises(GraphError, match="out of range"):
+            validate_prescribed(cycle(5), frozenset(z))
 
     def test_budget_gate(self):
         # the enumeration meter is the one bound
@@ -329,11 +336,20 @@ class TestSolveBasics:
         assert len(calls) == 1
 
     def test_peculiar_through_solve(self):
-        g, _ = peculiar((1,) * 9)
+        g = peculiar((1,) * 9)
         res = solve(g)
         assert res.status == SolveStatus.FOUND
-        assert [r.branch for r in res.trace] == ["peculiar"]
+        assert [r.branch for r in res.trace] == ["pair"]
         assert is_strong_stable_set(g, res.s)
+
+    def test_odd_hole_graph_through_pair(self):
+        # claw-free, with the odd hole 0-1-7-4-3: no branch before pair applies
+        edges = "01 03 05 15 16 17 24 26 27 34 35 45 47 67".split()
+        g = from_edge_list(8, [(int(a), int(b)) for a, b in edges])
+        assert find_claw(g) is None
+        res = solve(g)
+        assert res.status == SolveStatus.FOUND and res.s == {5, 7}
+        assert [r.branch for r in res.trace] == ["pair"]
 
 
 def test_prescribed_exhaustive_against_brute_force(graphs_by_n):
@@ -376,15 +392,18 @@ class TestSolveCobipartite:
         validate_prescribed(g, frozenset({0}))
         s = solve_cobipartite(g, {0})
         assert 0 in s and is_strong_stable_set(g, s)
-        # cross-check: the answer is one of the cosimplicial non-edges at 0
-        from strongstable.recognizers import is_cosimplicial_nonedge
-
+        # cross-check: the answer is a cosimplicial non-edge at 0
         others = sorted(s - {0})
-        assert len(others) == 1 and is_cosimplicial_nonedge(g, 0, others[0])
+        assert len(others) == 1 and naive_is_cosimplicial_nonedge(g, 0, others[0])
 
     def test_two_vertex_z(self):
         g = cycle(4)
         assert solve_cobipartite(g, {0, 2}) == {0, 2}
+
+    @pytest.mark.parametrize("z", [{-1}, {4}, {0, -1}, {1, 4}])
+    def test_out_of_range_ids(self, z):
+        with pytest.raises(GraphError):
+            solve_cobipartite(cycle(4), z)
 
     def test_not_cobipartite(self):
         # a stable triple puts a graph out of scope; C5 has none, so the
@@ -439,33 +458,14 @@ class TestSolveCobipartite:
         assert res.trace[-1].branch == "brute-force"
 
 
-class TestSolvePeculiar:
-    def test_minimal(self):
-        from strongstable.generators import peculiar
-
-        g, parts = peculiar()
-        s = solve_peculiar(g, parts)
-        assert is_strong_stable_set(g, s)
-        assert brute_force(g) is not None
-
-    def test_larger_first_pair(self):
-        from strongstable.generators import peculiar
-
-        g, parts = peculiar((2, 1, 1, 1, 2, 1, 0, 1, 0))
-        s = solve_peculiar(g, parts)
-        assert is_strong_stable_set(g, s)
-
-    def test_non_peculiar_rejected(self):
-        from strongstable.generators import peculiar
-
-        g, parts = peculiar()
-        with pytest.raises(GraphError):
-            solve_peculiar(cycle(6), parts)
-
-
 class TestSolveLinearInterval:
     def test_p5_both_ends(self):
         assert solve_linear_interval(path(5), {0, 4}, (0, 1, 2, 3, 4)) == {0, 2, 4}
+
+    @pytest.mark.parametrize("z", [{0, -1}, {0, 5}])
+    def test_out_of_range_ids(self, z):
+        with pytest.raises(GraphError):
+            solve_linear_interval(path(5), z, range(5))
 
     def test_p4_one_end(self):
         s = solve_linear_interval(path(4), {0}, (0, 1, 2, 3))

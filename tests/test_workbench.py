@@ -40,7 +40,7 @@ from strongstable.graphio import (
 from strongstable.linegraph import recover_root
 from strongstable.recognizers import find_claw, find_clowns
 from strongstable.solver import brute_force, solve
-from oracles import cycle, naive_decode_graph6, naive_is_harmless
+from oracles import cycle, naive_decode_graph6, naive_is_harmless, naive_is_peculiar
 
 
 class TestGenerators:
@@ -118,11 +118,9 @@ class TestGenerators:
         assert recover_root(g) is not None
 
     def test_peculiar_sizes(self):
-        g, parts = peculiar((2, 1, 1, 1, 1, 2, 1, 0, 0))
+        g = peculiar((2, 1, 1, 1, 1, 2, 1, 0, 0))
         assert g.n == 9
-        from strongstable.recognizers import verify_peculiar
-
-        assert verify_peculiar(g, parts)
+        assert naive_is_peculiar(g)
 
 
 class TestGraph6:
