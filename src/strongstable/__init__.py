@@ -4,10 +4,10 @@ A stable set is *strong* when it meets every maximal clique. This package
 detects the five forbidden families whose absence characterizes the
 claw-free graphs in which strong stable sets always exist (odd holes, long
 antiholes, odd prisms, handcuffs, eye masks), finds the decompositions the
-characterization routes through (clique cutsets, 1-joins, W-joins, linear
-interval orders, line graphs of bipartite multigraphs and their smooth
-augmentations), and computes strong stable sets constructively, with a
-brute-force oracle for verification.
+characterization routes through (clique cutsets, 1-joins, W-joins, line
+graphs of bipartite multigraphs and their smooth augmentations), and
+computes strong stable sets constructively, with a brute-force oracle for
+verification.
 
 Importing the package loads none of its modules: each public name is
 imported from its home module on first access (PEP 562), so a caller pays

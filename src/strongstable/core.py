@@ -149,11 +149,24 @@ class Graph:
 
     # -- elementary predicates -------------------------------------------
 
+    def _vertex(self, v: int) -> int:
+        """v itself; GraphError when it lies outside 0 .. n-1."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range")
+        return v
+
+    def _mask(self, s: Iterable[int]) -> int:
+        """The mask of s; GraphError when some id lies outside 0 .. n-1."""
+        m = _mask_in(s, self.n)
+        if m is None:
+            raise GraphError("vertices out of range")
+        return m
+
     def has_edge(self, u: int, v: int) -> bool:
-        return self.bits[u] >> v & 1 == 1
+        return self.bits[self._vertex(u)] >> self._vertex(v) & 1 == 1
 
     def degree(self, v: int) -> int:
-        return self.bits[v].bit_count()
+        return self.bits[self._vertex(v)].bit_count()
 
     def vertices(self) -> range:
         return range(self.n)
@@ -171,38 +184,35 @@ class Graph:
 
     def neighborhood(self, s: Iterable[int]) -> frozenset[int]:
         """N(S): vertices outside S with a neighbor in S."""
-        m = _mask_of(s)
+        m = self._mask(s)
         out = 0
         for v in _iter_bits(m):
             out |= self.bits[v]
         return frozenset(_iter_bits(out & ~m))
 
     def is_clique(self, s: Iterable[int]) -> bool:
-        return _is_clique_mask(self.bits, _mask_of(s))
+        return _is_clique_mask(self.bits, self._mask(s))
 
     def is_stable(self, s: Iterable[int]) -> bool:
-        m = _mask_in(s, self.n)
-        if m is None:
-            raise GraphError("vertices out of range")
-        return _is_stable_mask(self.bits, m)
+        return _is_stable_mask(self.bits, self._mask(s))
 
     def is_complete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
         """True when disjoint sets x, y have every cross pair adjacent."""
-        xm, ym = _mask_of(x), _mask_of(y)
+        xm, ym = self._mask(x), self._mask(y)
         if xm & ym:
             return False
         return all(not ym & ~self.bits[u] for u in _iter_bits(xm))
 
     def is_anticomplete_between(self, x: Iterable[int], y: Iterable[int]) -> bool:
-        xm, ym = _mask_of(x), _mask_of(y)
+        xm, ym = self._mask(x), self._mask(y)
         if xm & ym:
             return False
         return all(not ym & self.bits[u] for u in _iter_bits(xm))
 
     def is_mixed_on(self, v: int, x: Iterable[int]) -> bool:
         """v not in x is mixed on x: neither complete nor anticomplete to it."""
-        xm = _mask_of(x)
-        if xm >> v & 1 or not xm:
+        xm = self._mask(x)
+        if xm >> self._vertex(v) & 1 or not xm:
             return False
         return 0 != self.bits[v] & xm != xm
 
@@ -267,6 +277,37 @@ def _induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
             b |= pos[low]
         sub.append(b)
     return Graph(len(order), tuple(sub)), tuple(order)
+
+
+def _peel_simplicial(g: Graph) -> Graph:
+    """g with its simplicial vertices deleted again and again, each left in
+    place as an isolated vertex; g itself when none is simplicial.
+
+    Deleting a vertex keeps every other simplicial vertex simplicial, so the
+    peeled set does not depend on the order, and a vertex becomes simplicial
+    only when a neighbour is deleted: only those are looked at again.
+    """
+    bits = g.bits
+    full = keep = (1 << g.n) - 1
+    todo = list(range(g.n))
+    while todo:
+        v = todo.pop()
+        if not keep >> v & 1:
+            continue
+        near = bits[v] & keep
+        # near is a clique when each u in it sees the rest of near
+        rest = near
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            if near & ~bits[u] != 1 << u:
+                break
+            rest ^= 1 << u
+        if not rest:
+            keep ^= 1 << v
+            todo.extend(_iter_bits(near))
+    if keep == full:
+        return g
+    return Graph(g.n, tuple(b & keep if keep >> v & 1 else 0 for v, b in enumerate(bits)))
 
 
 def components(g: Graph) -> list[frozenset[int]]:

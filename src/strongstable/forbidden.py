@@ -55,6 +55,7 @@ from .core import (
     _iter_bits,
     _mask_of,
     _meter,
+    _peel_simplicial,
     complement,
     induced,
     induced_cycles,
@@ -403,37 +404,6 @@ def find_structure(
 ) -> Optional[ForbiddenWitness]:
     """First witness of the requested kind, or None when none is induced in g."""
     return _DETECTORS[ForbiddenKind(kind)](g, _meter(budget))
-
-
-def _peel_simplicial(g: Graph) -> Graph:
-    """g with its simplicial vertices deleted again and again, each left in
-    place as an isolated vertex; g itself when none is simplicial.
-
-    Deleting a vertex keeps every other simplicial vertex simplicial, so the
-    peeled set does not depend on the order, and a vertex becomes simplicial
-    only when a neighbour is deleted: only those are looked at again.
-    """
-    bits = g.bits
-    full = keep = (1 << g.n) - 1
-    todo = list(range(g.n))
-    while todo:
-        v = todo.pop()
-        if not keep >> v & 1:
-            continue
-        near = bits[v] & keep
-        # near is a clique when each u in it sees the rest of near
-        rest = near
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            if near & ~bits[u] != 1 << u:
-                break
-            rest ^= 1 << u
-        if not rest:
-            keep ^= 1 << v
-            todo.extend(_iter_bits(near))
-    if keep == full:
-        return g
-    return Graph(g.n, tuple(b & keep if keep >> v & 1 else 0 for v, b in enumerate(bits)))
 
 
 def innocence_certificate(

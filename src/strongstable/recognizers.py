@@ -1,6 +1,5 @@
 """Local-structure recognizers: claws, simplicial vertices, strong stable
-pairs, twins, linear-interval structure, clowns, consistent sets and safe
-vertices.
+pairs, twins, clowns, consistent sets and safe vertices.
 
 Path-parity checks (even pairs, safe vertices) quantify over chordless
 paths, the definition used everywhere else in this package.
@@ -23,6 +22,7 @@ from .core import (
     _mask_in,
     _mask_of,
     _meter,
+    _peel_simplicial,
     induced_cycles,
 )
 
@@ -136,102 +136,16 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def linear_interval_order(g: Graph) -> Optional[tuple[int, ...]]:
-    """A numbering where every edge's index window is a clique, if one exists.
-
-    Such a numbering is a proper interval ordering, so Corneil's 3-sweep
-    LexBFS finds one: LBFS with ties to the smallest id, then LBFS+ twice,
-    each tie going to the vertex latest in the previous sweep. The last
-    sweep is returned exactly when ``check_linear_interval_order`` accepts
-    it, which decides the answer.
-    """
-    order = _lbfs(g, range(g.n))
-    for _ in range(2):
-        order = _lbfs(g, order[::-1])
-    if not check_linear_interval_order(g, order):
-        return None
-    return tuple(order)
-
-
-def _lbfs(g: Graph, prefer: Iterable[int]) -> list[int]:
-    """Lexicographic BFS; among equal labels the vertex earliest in ``prefer``
-    goes first.
-
-    Partition refinement: classes of equal label sit in a linked list, best
-    label first, each class in ``prefer`` order. Visiting v moves its
-    unvisited neighbors of every class into a new class just before it;
-    a moved vertex stays behind in its old class list and is skipped there.
-    """
-    prefer = list(prefer)
-    rank = {v: i for i, v in enumerate(prefer)}
-    members = [prefer]  # per class id; stale entries are skipped
-    head = [0]  # per class id: first entry not yet skipped
-    after = [-1]  # per class id: the next class, -1 at the end
-    before = [-1]
-    where = [0] * g.n  # class id of each unvisited vertex, -1 once visited
-    first = 0
-    order = []
-    while len(order) < g.n:
-        c = first
-        while True:
-            lst, h = members[c], head[c]
-            while h < len(lst) and where[lst[h]] != c:
-                h += 1
-            head[c] = h
-            if h < len(lst):
-                break
-            c = first = after[c]
-            before[c] = -1
-        v = lst[h]
-        where[v] = -1
-        order.append(v)
-        split: dict[int, int] = {}
-        for w in sorted(_iter_bits(g.bits[v]), key=rank.__getitem__):
-            old = where[w]
-            if old < 0:
-                continue
-            new = split.get(old)
-            if new is None:
-                new = split[old] = len(members)
-                members.append([])
-                head.append(0)
-                after.append(old)
-                before.append(before[old])
-                if before[old] < 0:
-                    first = new
-                else:
-                    after[before[old]] = new
-                before[old] = new
-            members[new].append(w)
-            where[w] = new
-    return order
-
-
-def check_linear_interval_order(g: Graph, order: Iterable[int]) -> bool:
-    """Direct definition check of a candidate numbering: every edge's index
-    window is a clique.
-
-    Checked as the equivalent umbrella property in O(n + m): each vertex's
-    later neighbors are exactly the next positions and its earlier
-    neighbors exactly the previous ones.
-    """
-    order = tuple(order)
-    if sorted(order) != list(range(g.n)):
-        return False
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [pos[w] for w in _iter_bits(g.bits[v]) if pos[w] > i]
-        earlier = [pos[w] for w in _iter_bits(g.bits[v]) if pos[w] < i]
-        if later and max(later) != i + len(later):
-            return False
-        if earlier and min(earlier) != i - len(earlier):
-            return False
-    return True
-
-
 def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clown]:
-    """All clowns: even holes plus a hat seeing exactly two consecutive vertices."""
-    for hole in induced_cycles(g, budget, min_len=4, parity=0):
+    """All clowns: even holes plus a hat seeing exactly two consecutive vertices.
+
+    The holes are listed on g with its simplicial vertices peeled, ids kept.
+    A hole vertex has two non-adjacent neighbours on the hole, so the first
+    vertex of a hole that the iterated peel reached would not be simplicial:
+    no hole passes through a peeled vertex. The hats, which may be
+    simplicial, are read from g.
+    """
+    for hole in induced_cycles(_peel_simplicial(g), budget, min_len=4, parity=0):
         k = len(hole)
         members = _mask_of(hole)
         for hat in _iter_bits(((1 << g.n) - 1) & ~members):

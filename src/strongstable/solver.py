@@ -6,15 +6,15 @@ that prunes a branch once some maximal clique it misses can no longer be
 met, bounded by the enumeration meter alone. ``solve`` is the
 structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
-cobipartite, linear interval, line graph of a bipartite multigraph, W-join,
-1-join, smooth augmentation, strong stable pair), each recursing on strictly
-smaller instances, with brute force as the flagged last resort. Each branch
-builds its answer from its sub-answers, so the cascade takes the first
-branch that applies; the structure theory makes it hit a structural branch on
-claw-free innocent inputs of the shapes it recognizes. The line-graph
-branch comes before the join searches because it rejects cheapest: root
-recovery stops at the first vertex in a third maximal clique, while a join
-search fails only after trying every square or every edge.
+cobipartite, line graph of a bipartite multigraph, W-join, smooth
+augmentation, strong stable pair), each recursing on strictly smaller
+instances, with brute force as the flagged last resort. Each branch builds
+its answer from its sub-answers, so the cascade takes the first branch that
+applies; the structure theory makes it hit a structural branch on claw-free
+innocent inputs of the shapes it recognizes. The line-graph branch comes
+before the W-join search because it rejects cheapest: root recovery stops
+at the first vertex in a third maximal clique, while the W-join search
+fails only after growing from every square.
 
 ``solve`` checks the root answer once with ``is_strong_stable_set``; when
 that fails it records ``verify-failed`` and brute-forces the whole instance,
@@ -48,28 +48,18 @@ from .core import (
     components_within,
     from_edge_list,
     induced,
-    induced_cycles,
     is_strong_stable_set,
     iter_maximal_cliques,
-    shortest_path,
     squares,
 )
-from .decompose import (
-    OneJoin,
-    WJoin,
-    _w_join_parts,
-    find_one_join,
-    find_w_join,
-)
+from .decompose import WJoin, _w_join_parts, find_w_join
 from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
     _clown_witness,
-    check_linear_interval_order,
     find_clowns,
     find_strong_pair,
     is_consistent_set,
     is_simplicial_vertex,
-    linear_interval_order,
 )
 
 
@@ -259,92 +249,6 @@ def solve_cobipartite(g: Graph, z: Iterable[int] = ()) -> Optional[frozenset[int
     return next((frozenset({w}) for w in universal), None)
 
 
-def solve_linear_interval(
-    g: Graph,
-    z: Iterable[int],
-    order: Iterable[int],
-    budget: Budget | _Meter | None = None,
-) -> frozenset[int]:
-    """Strong stable set containing z for a linear interval graph.
-
-    Follows the ordering: ends outside z are peeled off one at a time; with
-    both ends prescribed, the prefix up to the last neighbor of the second
-    vertex is cut away, the prescribed end is transplanted onto the cut
-    point, and the first vertex rejoins the solution of the remaining suffix.
-    """
-    meter = _meter(budget)
-    seq = tuple(order)
-    if not check_linear_interval_order(g, seq):
-        raise GraphError("not a valid linear interval order")
-    z = frozenset(z)
-    if not g.is_stable(z):
-        raise GraphError("prescribed set is not stable")
-
-    edge = g.has_edge
-    # Every subsequence of the order has the umbrella property, so its
-    # components are its runs of consecutive adjacent vertices, and a
-    # connected one is a clique when its ends are adjacent. Each step below
-    # keeps a connected subsequence connected (it drops an end, keeps a
-    # suffix, or drops the second vertex while the first sees the third),
-    # so only the whole order is ever split, and each run is one chain of
-    # steps.
-    cuts = [i for i in range(1, len(seq)) if not edge(seq[i - 1], seq[i])]
-    runs = [seq[i:j] for i, j in zip([0, *cuts], [*cuts, len(seq)])]
-    if len(runs) > 1:
-        meter.tick()
-        runs.sort(key=min)
-    chosen = 0  # a mask
-    for active in runs:
-        zz = z & frozenset(active)
-        # (v, forced) in chain order, replayed in reverse once the rest is
-        # solved: a forced v is added, any other is lifted
-        lifts: list[tuple[int, bool]] = []
-        while True:
-            meter.tick()
-            if len(active) <= 1:
-                s = frozenset(active)
-                break
-            first, last = active[0], active[-1]
-            if edge(first, last):  # complete
-                s = zz if zz else frozenset({first})
-                break
-            # both ends of the order are simplicial in the active subgraph
-            if first not in zz:
-                lifts.append((first, False))
-                active = active[1:]
-                continue
-            if last not in zz:
-                lifts.append((last, False))
-                active = active[:-1]
-                continue
-            # the neighbours of second after it come right after it
-            second, idx = active[1], 1
-            while idx + 1 < len(active) and edge(second, active[idx + 1]):
-                idx += 1
-            v_i = active[idx]
-            if edge(first, v_i):
-                # first and second are twins within the active set; drop second
-                active = active[:1] + active[2:]
-                continue
-            if zz & set(active[1:idx]):
-                raise CaseNotApplicable("prescribed vertex inside the cut prefix; host out of scope")
-            lifts.append((first, True))
-            active, zz = active[idx:], (zz - {first}) | {v_i}
-        # N[v] is the only maximal clique through a simplicial v, so the
-        # rest needs v exactly when it misses N(v)
-        sm = _mask_of(s)
-        for v, forced in reversed(lifts):
-            if forced or not g.bits[v] & sm:
-                sm |= 1 << v
-        chosen |= sm
-    res = frozenset(_iter_bits(chosen))
-    if not is_strong_stable_set(g, res, meter):
-        raise CaseNotApplicable("construction failed; host out of scope")
-    if not z <= res:
-        raise CaseNotApplicable("construction lost a prescribed vertex; host out of scope")
-    return res
-
-
 # -- recombination cases ----------------------------------------------------------
 
 
@@ -371,23 +275,19 @@ def _solve_with_apex(
     complete_to: frozenset[int],
     z: frozenset[int],
     subsolver: SubSolver,
-    pendant: bool = False,
 ) -> frozenset[int]:
     """Solve G[keep] plus an apex complete to ``complete_to`` (g's ids).
 
-    The apex is prescribed along with z; with ``pendant``, a pendant hanging
-    off the apex is prescribed in its place. The answer is in g's ids,
-    without the apex and the pendant.
+    The apex is prescribed along with z. The answer is in g's ids, without
+    the apex.
     """
     km = _mask_of(keep)
     sub, mapping = _induced(g, km)
     apex = sub.n
     at = _mask_of(_ids_within(km, complete_to))
     bits = [b | 1 << apex if at >> v & 1 else b for v, b in enumerate(sub.bits)]
-    bits.append(at | 1 << apex + 1 if pendant else at)
-    if pendant:
-        bits.append(1 << apex)
-    s = subsolver(Graph(len(bits), tuple(bits)), _ids_within(km, z) | {len(bits) - 1})
+    bits.append(at)
+    s = subsolver(Graph(len(bits), tuple(bits)), _ids_within(km, z) | {apex})
     return frozenset(mapping[v] for v in s if v < apex)
 
 
@@ -430,87 +330,6 @@ def combine_w_join(
     if pair is None:
         raise CaseNotApplicable("no strong pair across the join")
     return s_c | s_d | {mapping[pair[0]], mapping[pair[1]]}
-
-
-def combine_one_join(
-    g: Graph,
-    j: OneJoin,
-    z: Iterable[int],
-    subsolver: SubSolver,
-    budget: Budget | _Meter | None = None,
-) -> frozenset[int]:
-    """Strong stable set through a 1-join.
-
-    Rich joins: parity of the qualifying paths from the opposite interface
-    to each side's anchor object (an even hole or a prescribed-to-be
-    simplicial far vertex) decides which side receives a bare apex in its
-    prescribed set and which receives an apex with a prescribed pendant.
-    Small joins: the two-vertex side contributes its far vertex directly and
-    the big side is solved with an interface vertex prescribed.
-    """
-    meter = _meter(budget)
-    z = frozenset(z)
-    if z & (j.a1 | j.a2):
-        raise CaseNotApplicable("prescribed vertex on the interface")
-    if j.rich:
-        p1 = _side_parity(g, j.v1, j.a1, j.v1 - j.a1, min(j.a2), meter)
-        p2 = _side_parity(g, j.v2, j.a2, j.v2 - j.a2, min(j.a1), meter)
-        if p1 is None or p2 is None or p1 == p2:
-            raise CaseNotApplicable("parity analysis inapplicable")
-        s1 = _solve_with_apex(g, j.v1, j.a1, z & j.v1, subsolver, p1 == 1)
-        s2 = _solve_with_apex(g, j.v2, j.a2, z & j.v2, subsolver, p2 == 1)
-        return s1 | s2
-    # small join: one side is an interface vertex plus a pendant
-    for small, big in ((j.v1, j.v2), (j.v2, j.v1)):
-        if len(small) != 2:
-            continue
-        a_small = small & (j.a1 | j.a2)
-        b_small = small - a_small
-        if len(a_small) != 1 or len(b_small) != 1:
-            continue
-        (b1,) = b_small
-        big_a = (j.a1 | j.a2) & big
-        big_b = big - big_a
-        for a2 in sorted(big_a):
-            try:
-                s = _solve_on(g, _mask_of(big_b) | 1 << a2, z | {a2}, subsolver)
-            except CaseNotApplicable:
-                continue
-            cand = s | {b1}
-            if z <= cand and is_strong_stable_set(g, cand, meter):
-                return cand
-    raise CaseNotApplicable("small-join construction did not verify")
-
-
-def _side_parity(
-    g: Graph,
-    verts: frozenset[int],
-    interface: frozenset[int],
-    far: frozenset[int],
-    anchor: int,
-    meter: _Meter,
-) -> Optional[int]:
-    """Parity of a shortest qualifying path from the opposite anchor into
-    this side, ending at an even hole or a simplicial far vertex."""
-    allowed = verts | {anchor}
-    simp = sorted(v for v in far if is_simplicial_vertex(g, v))
-    if simp:
-        path = shortest_path(g, anchor, {simp[0]}, allowed=allowed)
-        if path is None:
-            return None
-        return (len(path) - 1) % 2
-    sub, mapping = induced(g, verts)
-    for cyc in induced_cycles(sub, meter, min_len=4, parity=0):
-        hole = frozenset(mapping[v] for v in cyc)
-        if g.bits[anchor] & _mask_of(hole):
-            return 1  # zero-length qualifying path, plus the step onto the hole
-        ring = g.neighborhood(hole) & verts
-        inner = (allowed - hole - ring) | {anchor}
-        path = shortest_path(g, anchor, ring, allowed=inner | ring)
-        if path is None:
-            continue
-        return len(path) % 2  # (len - 1) edges plus one step onto the hole
-    return None
 
 
 # -- the cascade -------------------------------------------------------------------
@@ -719,19 +538,6 @@ def _branch_cobipartite(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int
     return s
 
 
-@_branch("linear-interval")
-def _branch_linear_interval(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    if len(z) < 2:
-        # g is connected and not complete here, so the first and last vertex
-        # of such an order are two simplicial vertices; peel dropped nothing,
-        # so every simplicial vertex is prescribed
-        raise CaseNotApplicable("fewer than two prescribed")
-    order = linear_interval_order(g)
-    if order is None:
-        raise CaseNotApplicable
-    return solve_linear_interval(g, z, order, ctx.meter)
-
-
 @_branch("line-graph")
 def _branch_line_graph(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     rr = recover_root(g, ctx.meter)
@@ -749,14 +555,6 @@ def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
     if wj is None:
         raise CaseNotApplicable
     return combine_w_join(g, wj, z, ctx.subsolver)
-
-
-@_branch("one-join")
-def _branch_one_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    j = find_one_join(g)
-    if j is None:
-        raise CaseNotApplicable
-    return combine_one_join(g, j, z, ctx.subsolver, ctx.meter)
 
 
 @_branch("augmentation")

@@ -637,22 +637,6 @@ def naive_one_join(g: Graph) -> tuple[bool, bool]:
     return exists, rich
 
 
-def naive_window_order_ok(g: Graph, order) -> bool:
-    """Every edge's index window in the numbering is a clique."""
-    order = tuple(order)
-    return all(
-        g.is_clique(order[i : j + 1])
-        for i, j in itertools.combinations(range(len(order)), 2)
-        if g.has_edge(order[i], order[j])
-    )
-
-
-def naive_linear_interval_exists(g: Graph) -> bool:
-    return any(
-        naive_window_order_ok(g, perm) for perm in itertools.permutations(range(g.n))
-    )
-
-
 def naive_suitable_matching_exists(b, forced=frozenset()) -> bool:
     forced = frozenset(forced)
     required = {v for v in range(b.n) if b.degree(v) >= 2}

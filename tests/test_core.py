@@ -86,6 +86,32 @@ class TestFromEdgeList:
             from_edge_list(2, [(1, 1)])
 
 
+# each Graph predicate applied with the id v in one argument place
+_PREDICATES = {
+    "has_edge(v, 0)": lambda g, v: g.has_edge(v, 0),
+    "has_edge(0, v)": lambda g, v: g.has_edge(0, v),
+    "degree": lambda g, v: g.degree(v),
+    "neighborhood": lambda g, v: g.neighborhood({0, v}),
+    "is_clique": lambda g, v: g.is_clique({v}),
+    "is_stable": lambda g, v: g.is_stable({v}),
+    "is_complete_between(x)": lambda g, v: g.is_complete_between({v}, {0}),
+    "is_complete_between(y)": lambda g, v: g.is_complete_between({0}, {v}),
+    "is_anticomplete_between(x)": lambda g, v: g.is_anticomplete_between({v}, {0}),
+    "is_anticomplete_between(y)": lambda g, v: g.is_anticomplete_between({0}, {v}),
+    "is_mixed_on(v)": lambda g, v: g.is_mixed_on(v, {0}),
+    "is_mixed_on(x)": lambda g, v: g.is_mixed_on(0, {1, v}),
+}
+
+
+class TestPredicateIds:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("name", sorted(_PREDICATES))
+    def test_ids_outside_the_graph_raise(self, name, bad):
+        # on C4, -1 would index vertex 3 and 4 would read an absent bit
+        with pytest.raises(GraphError, match="out of range"):
+            _PREDICATES[name](cycle(4), bad)
+
+
 class TestBits:
     @staticmethod
     def assert_well_formed(g):

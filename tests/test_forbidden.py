@@ -7,6 +7,7 @@ from strongstable.core import (
     Budget,
     BudgetExceededError,
     _Meter,
+    _peel_simplicial,
     complement,
     from_edge_list,
     induced_cycles,
@@ -187,10 +188,10 @@ class TestSimplicialPeel:
     def test_peel_isolates_exactly_the_attachments(self):
         rng = random.Random(19)
         c6 = cycle(6)
-        assert forbidden._peel_simplicial(c6) is c6
+        assert _peel_simplicial(c6) is c6
         for base in _STRUCTURES:
             g, kept = _with_simplicial_attachments(rng, base)
-            core = forbidden._peel_simplicial(g)
+            core = _peel_simplicial(g)
             assert core.n == g.n
             assert frozenset(v for v in range(g.n) if core.bits[v]) == kept
             assert all(nbrs(core)[v] == nbrs(g)[v] & kept for v in kept)

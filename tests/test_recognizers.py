@@ -15,14 +15,12 @@ from strongstable.core import (
 from strongstable.generators import peculiar
 from strongstable.recognizers import (
     Clown,
-    check_linear_interval_order,
     find_claw,
     find_clowns,
     find_strong_pair,
     find_twins,
     is_consistent_set,
     is_safe_vertex,
-    linear_interval_order,
     simplicial_vertices,
 )
 from oracles import (
@@ -40,8 +38,6 @@ from oracles import (
     naive_is_safe_vertex,
     naive_is_stable,
     naive_is_strong_stable_set,
-    naive_linear_interval_exists,
-    naive_window_order_ok,
     nbrs,
     path,
 )
@@ -221,70 +217,6 @@ class TestTwins:
         b = Multigraph.build(3, [(0, 1), (0, 1), (1, 2)])
         lg = line_graph(b)
         assert find_twins(lg) == (0, 1)
-
-
-class TestLinearInterval:
-    def test_p4(self):
-        assert linear_interval_order(path(4)) == (0, 1, 2, 3)
-
-    def test_c4_none(self):
-        assert linear_interval_order(cycle(4)) is None
-
-    def test_k4(self):
-        order = linear_interval_order(complete(4))
-        assert order is not None and check_linear_interval_order(complete(4), order)
-
-    def test_agrees_with_permutation_search(self, graphs_by_n):
-        for n in range(1, 7):
-            for g in graphs_by_n[n]:
-                found = linear_interval_order(g)
-                if found is not None:
-                    assert check_linear_interval_order(g, found)
-                else:
-                    assert not naive_linear_interval_exists(g), sorted(g.edges())
-
-    def test_random_unit_interval_graphs(self):
-        # unit intervals on a line, vertex ids shuffled; far past the size
-        # an exhaustive order search could handle
-        rng = random.Random(2004)
-        for _ in range(20):
-            n = rng.randint(25, 40)
-            xs = [rng.uniform(0, n / 4) for _ in range(n)]
-            ids = list(range(n))
-            rng.shuffle(ids)
-            edges = [
-                (ids[i], ids[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if abs(xs[i] - xs[j]) <= 1
-            ]
-            g = from_edge_list(n, edges)
-            found = linear_interval_order(g)
-            assert found is not None and check_linear_interval_order(g, found)
-
-    def test_long_cycle_none(self):
-        assert linear_interval_order(cycle(30)) is None
-
-    def test_long_path(self):
-        found = linear_interval_order(path(3000))
-        assert found is not None and check_linear_interval_order(path(3000), found)
-
-    def test_check_matches_window_definition(self, graphs_by_n):
-        # every numbering of every graph up to five vertices, some of six
-        rng = random.Random(6)
-        for n in range(1, 7):
-            for g in graphs_by_n[n]:
-                perms = list(itertools.permutations(range(n)))
-                if n == 6:
-                    perms = rng.sample(perms, 40)
-                for perm in perms:
-                    assert check_linear_interval_order(g, perm) == naive_window_order_ok(
-                        g, perm
-                    ), (sorted(g.edges()), perm)
-
-    def test_check_rejects_non_permutations(self):
-        assert not check_linear_interval_order(path(3), (0, 1))
-        assert not check_linear_interval_order(path(3), (0, 1, 1))
 
 
 class TestClowns:

@@ -16,7 +16,6 @@ from strongstable.core import (
     is_strong_stable_set,
 )
 from strongstable.decompose import (
-    OneJoin,
     WJoin,
     find_one_join,
     find_w_join,
@@ -30,12 +29,10 @@ from strongstable.solver import (
     CaseNotApplicable,
     SolveStatus,
     brute_force,
-    combine_one_join,
     combine_w_join,
     extend_at_simplicial,
     solve,
     solve_cobipartite,
-    solve_linear_interval,
     validate_prescribed,
 )
 from oracles import (
@@ -200,8 +197,8 @@ class TestSolveBasics:
 
     @pytest.mark.parametrize("n", [12, 30])
     def test_even_cycle_within_budget(self, n):
-        # recognizing a long cycle as not linear interval must not use up
-        # the enumeration budget of the whole solve
+        # the line-graph branch answers a long even hole well inside the
+        # enumeration budget of the whole solve
         budget = Budget(n + 1, 100_000)
         res = solve(cycle(n), budget=budget)
         assert res.status == SolveStatus.FOUND
@@ -225,14 +222,24 @@ class TestSolveBasics:
         assert {0, n - 1} <= res.s
         assert is_strong_stable_set(path(n), res.s, budget)
 
+    def test_square_of_a_long_path_validates_within_budget(self):
+        # P_61^2 is chordal, so it has no clown; validation lists holes on
+        # the simplicially peeled graph, which is empty here, while a hole
+        # search on the whole graph walks every chordless path and overruns
+        # the default budget
+        n = 61
+        g = from_edge_list(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
+        res = solve(g, {0}, Budget())
+        assert res.status == SolveStatus.FOUND and 0 in res.s
+
     def test_long_path_linear_interval_without_recursion(self):
-        # no peel applies (the ends are prescribed), so the linear-interval
-        # branch walks the whole path
+        # no peel applies (the ends are prescribed), so the line-graph
+        # branch answers the whole path, a linear interval graph
         n = 2401
         budget = Budget(n + 1, 10_000_000)
         res = solve(path(n), {0, n - 1}, budget)
         assert res.status == SolveStatus.FOUND
-        assert [r.branch for r in res.trace] == ["linear-interval"]
+        assert [r.branch for r in res.trace] == ["line-graph"]
         assert res.s == frozenset(range(0, n, 2))
 
     def test_budget_status(self):
@@ -459,45 +466,41 @@ class TestSolveCobipartite:
 
 
 class TestSolveLinearInterval:
+    """Linear interval graphs with prescribed ends, answered by the cascade
+    (the peel, the line-graph branch) with no branch of their own."""
+
     def test_p5_both_ends(self):
-        assert solve_linear_interval(path(5), {0, 4}, (0, 1, 2, 3, 4)) == {0, 2, 4}
+        assert solve(path(5), {0, 4}).s == {0, 2, 4}
 
     @pytest.mark.parametrize("z", [{0, -1}, {0, 5}])
     def test_out_of_range_ids(self, z):
         with pytest.raises(GraphError):
-            solve_linear_interval(path(5), z, range(5))
+            solve(path(5), z)
 
     def test_p4_one_end(self):
-        s = solve_linear_interval(path(4), {0}, (0, 1, 2, 3))
-        assert s == {0, 2}
+        assert solve(path(4), {0}).s == {0, 2}
 
     def test_k3_any(self):
-        s = solve_linear_interval(complete(3), set(), (0, 1, 2))
-        assert len(s) == 1
-
-    def test_invalid_order(self):
-        with pytest.raises(GraphError):
-            solve_linear_interval(cycle(4), set(), (0, 1, 2, 3))
+        assert len(solve(complete(3)).s) == 1
 
     def test_empty_and_disconnected_orders(self):
-        assert solve_linear_interval(from_edge_list(0, []), set(), ()) == frozenset()
+        assert solve(from_edge_list(0, [])).s == frozenset()
         g = from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        assert solve_linear_interval(g, {0, 5}, (3, 4, 5, 0, 1, 2)) == {0, 2, 3, 5}
+        assert solve(g, {0, 5}).s == {0, 2, 3, 5}
 
     def test_interval_graph_with_twins_and_ends(self):
         # P5 thickened by a twin of the middle vertex; both ends prescribed
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
-        order = (0, 1, 2, 5, 3, 4)
-        validate_prescribed(g, frozenset({0, 4}))
-        s = solve_linear_interval(g, {0, 4}, order)
-        assert {0, 4} <= s and is_strong_stable_set(g, s)
-        assert brute_force(g, {0, 4}) is not None
+        res = solve(g, {0, 4})
+        assert res.status == SolveStatus.FOUND
+        assert {0, 4} <= res.s and is_strong_stable_set(g, res.s)
 
     def test_host_out_of_scope_rejected(self):
-        # valid order, but the prescribed pair is joined by an odd path
+        # the prescribed pair is joined by an odd path, so validation
+        # rejects it before the cascade runs
         g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)])
-        with pytest.raises(GraphError):
-            solve_linear_interval(g, {0, 6}, (0, 1, 2, 3, 4, 5, 6))
+        with pytest.raises(GraphError, match="not consistent"):
+            solve(g, {0, 6})
 
 
 def w_join_host():
@@ -544,59 +547,6 @@ class TestCombineWJoin:
         w = WJoin(frozenset({0, 1}), frozenset({2, 3}))
         with pytest.raises(CaseNotApplicable):
             combine_w_join(g, w, frozenset(), plain_subsolver)
-
-
-def rich_one_join_host():
-    """C4 + hat + connector on one side, apex + C4 on the other; innocent."""
-    edges = (
-        [(0, 1), (1, 2), (2, 3), (3, 0), (10, 0), (10, 1), (4, 10)]
-        + [(4, 5), (5, 6), (5, 7)]
-        + [(6, 7), (7, 8), (8, 9), (9, 6)]
-    )
-    return from_edge_list(11, edges)
-
-
-class TestCombineOneJoin:
-    def test_two_triangles_bridge_solved_by_cascade(self):
-        # a direct rich-parity call does not apply here (the host still has
-        # unprescribed simplicial vertices, which the cascade peels first)
-        g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        j = find_one_join(g)
-        assert j is not None and j.rich
-        with pytest.raises(CaseNotApplicable):
-            combine_one_join(g, j, frozenset(), plain_subsolver)
-        res = solve(g)
-        assert res.status == SolveStatus.FOUND and is_strong_stable_set(g, res.s)
-
-    def test_small_join_triangle_with_path(self):
-        g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-        j = OneJoin(frozenset({3, 4}), frozenset({0, 1, 2}), frozenset({3}), frozenset({2}), False)
-        s = combine_one_join(g, j, frozenset(), plain_subsolver)
-        assert is_strong_stable_set(g, s) and 4 in s
-
-    def test_rich_join_parity_analysis(self):
-        g = rich_one_join_host()
-        assert find_claw(g) is None
-        assert isinstance(innocence_certificate(g), Innocent)
-        j = OneJoin(
-            frozenset({0, 1, 2, 3, 10, 4}),
-            frozenset({5, 6, 7, 8, 9}),
-            frozenset({4}),
-            frozenset({5}),
-            True,
-        )
-        from strongstable.decompose import verify_one_join
-
-        assert verify_one_join(g, j)
-        s = combine_one_join(g, j, frozenset(), plain_subsolver)
-        assert is_strong_stable_set(g, s)
-        assert brute_force(g) is not None
-
-    def test_prescribed_interface_rejected(self):
-        g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        j = find_one_join(g)
-        with pytest.raises(CaseNotApplicable):
-            combine_one_join(g, j, frozenset({min(j.a1)}), plain_subsolver)
 
 
 class TestGadgets:
@@ -671,6 +621,19 @@ class TestExtendAtSimplicial:
     def test_non_simplicial_rejected(self):
         with pytest.raises(GraphError):
             extend_at_simplicial(path(3), 1, 2, 2)
+
+
+def unit_interval_graph(rng, n):
+    """Unit intervals at random points of a line, ids shuffled: a linear
+    interval graph, so claw-free and chordal, and chordal graphs are
+    innocent."""
+    xs = [rng.uniform(0, n / rng.choice((2, 3, 5))) for _ in range(n)]
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return from_edge_list(
+        n,
+        [(ids[i], ids[j]) for i, j in itertools.combinations(range(n), 2) if abs(xs[i] - xs[j]) <= 1],
+    )
 
 
 def twinned_graph(rng):
@@ -836,8 +799,9 @@ class TestAugmentationBranch:
 
 
 class TestCascadeOrder:
-    """The line-graph branch runs before the W-join and 1-join searches;
-    both joins stay reachable on graphs that are not line graphs."""
+    """The line-graph branch runs before the W-join search, which stays
+    reachable on graphs that are not line graphs; a 1-join in such a graph
+    is answered through the augmentation branch."""
 
     @staticmethod
     def branches(g, z):
@@ -863,7 +827,8 @@ class TestCascadeOrder:
              (3, 6), (4, 6), (4, 7), (5, 7), (6, 7)],
         )
         assert find_claw(g) is None and recover_root(g) is None
-        assert self.branches(g, {1})[-1] == "one-join"
+        assert find_one_join(g) is not None
+        assert self.branches(g, {1})[-1] == "augmentation"
 
     def test_line_graph_with_a_w_join_takes_the_line_graph_branch(self):
         g = w_join_host()
@@ -874,7 +839,9 @@ class TestCascadeOrder:
 
     def test_generated_graphs_solve_without_fallback(self):
         # claw-free innocent graphs of 10-60 vertices, with z empty and with
-        # the first simplicial vertex that validates as safe
+        # the first simplicial vertex that validates as safe; then linear
+        # interval graphs with every z of one or two simplicial vertices
+        # that validates
         from strongstable.generators import random_claw_free_innocent
 
         rng = random.Random(2121)
@@ -898,3 +865,16 @@ class TestCascadeOrder:
                 prescribed += 1
                 break
         assert prescribed >= 250
+        interval = 0
+        for _ in range(150):
+            g = unit_interval_graph(rng, rng.randint(4, 16))
+            simp = sorted(simplicial_vertices(g))
+            for z in itertools.chain(itertools.combinations(simp, 1), itertools.combinations(simp, 2)):
+                try:
+                    validate_prescribed(g, frozenset(z))
+                except GraphError:
+                    continue
+                res = solve(g, z, trusted=True)
+                assert res.status is SolveStatus.FOUND and set(z) <= res.s, (sorted(g.edges()), z)
+                interval += 1
+        assert interval >= 1500, interval
