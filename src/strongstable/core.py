@@ -590,38 +590,6 @@ def induced_paths_between(
     yield from _anchored_paths(g, _meter(budget), u, v)
 
 
-def shortest_path(
-    g: Graph, source: int, targets: Iterable[int], allowed: Iterable[int] | None = None
-) -> Optional[tuple[int, ...]]:
-    """BFS shortest path from source to any target through allowed vertices,
-    each vertex's neighbours taken lowest first.
-
-    Shortest paths are chordless, which is what parity arguments need.
-    """
-    tm = _mask_of(targets)
-    room = (1 << g.n) - 1 if allowed is None else _mask_of(allowed)
-    if tm >> source & 1:
-        return (source,)
-    prev: dict[int, int] = {source: -1}
-    seen = 1 << source
-    frontier = [source]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            new = g.bits[v] & room & ~seen
-            seen |= new
-            for w in _iter_bits(new):
-                prev[w] = v
-                if tm >> w & 1:
-                    path = [w]
-                    while path[-1] != source:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
 # -- induced cycle enumeration ----------------------------------------------
 
 

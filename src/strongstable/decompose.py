@@ -274,25 +274,12 @@ def _w_join_masks(
     return parts
 
 
-def _sets(masks: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(_iter_bits(m)) for m in masks)
-
-
 def w_join_partition(
     g: Graph, a: frozenset[int], b: frozenset[int]
 ) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
     """(C, D, E, F) for a homogeneous pair, or None when some vertex is mixed."""
     parts = _partition_masks(g.bits, _mask_of(a), _mask_of(b))
-    return None if parts is None else _sets(parts)
-
-
-def _w_join_parts(
-    g: Graph, a: frozenset[int], b: frozenset[int]
-) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
-    """(C, D, E, F) of :func:`w_join_partition` when the cliques A and B form
-    a proper coherent W-join, else None."""
-    parts = _w_join_masks(g.bits, _mask_of(a), _mask_of(b))
-    return None if parts is None else _sets(parts)
+    return None if parts is None else tuple(frozenset(_iter_bits(m)) for m in parts)
 
 
 def verify_w_join(g: Graph, w: WJoin) -> bool:

@@ -21,13 +21,11 @@ from .core import (
     GraphError,
     Multigraph,
     _Meter,
-    _flood,
     _is_clique_mask,
     _iter_bits,
     _meter,
     iter_maximal_cliques,
 )
-from .decompose import _partition_masks
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,8 @@ def _pattern_pair(
 def _augment_candidates(
     g: Graph, meter: _Meter
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Candidate smooth-augment pairs, seeded from same-side edges."""
+    """Homogeneous clique pairs with no outside vertex complete to both,
+    seeded from same-side edges, in lex order."""
     out: list[tuple[frozenset[int], frozenset[int]]] = []
     seen: set[frozenset[int]] = set()
     for u, v in g.edges():  # lex order
@@ -281,8 +280,6 @@ def _augment_candidates(
         xm, ym = res
         if not 3 <= (xm | ym).bit_count() < g.n:
             continue
-        if not _valid_augment(g, xm, ym):
-            continue
         key = frozenset(res)
         if key in seen:
             continue
@@ -291,21 +288,3 @@ def _augment_candidates(
         out.append((min(xs, ys, key=sorted), max(xs, ys, key=sorted)))
     out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
     return out
-
-
-def _valid_augment(g: Graph, xm: int, ym: int) -> bool:
-    """A pair of masks from :func:`_pattern_pair` (so homogeneous cliques,
-    X holding the seed edge, with no vertex complete to both sides) that is
-    smooth and whose contraction neighborhoods are cliques."""
-    bits = g.bits
-    c, d, _, _ = _partition_masks(bits, xm, ym)
-    if not (_is_clique_mask(bits, c) and _is_clique_mask(bits, d)):
-        return False
-    # smooth: both sides attach to each other everywhere
-    if any(not bits[x] & ym for x in _iter_bits(xm)):
-        return False
-    if any(not bits[y] & xm for y in _iter_bits(ym)):
-        return False
-    # the augment itself is a connected cobipartite graph
-    both = xm | ym
-    return _flood(bits, xm & -xm, both) == both

@@ -8,7 +8,10 @@ structure-guided recursion: a cascade of reductions (complete, components,
 one ``peel`` pass that removes free twins and simplicial vertices,
 cobipartite, line graph of a bipartite multigraph, W-join, smooth
 augmentation, strong stable pair), each recursing on strictly smaller
-instances, with brute force as the flagged last resort. Each branch builds
+instances, with brute force as the flagged last resort. The W-join and
+augmentation branches each keep two vertices of a homogeneous pair of
+cliques and solve the rest once, by a local lemma: every strong stable set
+of the rest is one of the whole graph. Each branch builds
 its answer from its sub-answers, so the cascade takes the first branch that
 applies; the structure theory makes it hit a structural branch on claw-free
 innocent inputs of the shapes it recognizes. The line-graph branch comes
@@ -45,14 +48,11 @@ from .core import (
     _mask_in,
     _mask_of,
     _meter,
-    components_within,
     from_edge_list,
-    induced,
     is_strong_stable_set,
     iter_maximal_cliques,
-    squares,
 )
-from .decompose import WJoin, _w_join_parts, find_w_join
+from .decompose import WJoin, find_w_join, verify_w_join
 from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
     _clown_witness,
@@ -269,67 +269,32 @@ def _ids_within(keep: int, z: Iterable[int]) -> frozenset[int]:
     return frozenset([(keep & (1 << v) - 1).bit_count() for v in z if keep >> v & 1])
 
 
-def _solve_with_apex(
-    g: Graph,
-    keep: frozenset[int],
-    complete_to: frozenset[int],
-    z: frozenset[int],
-    subsolver: SubSolver,
-) -> frozenset[int]:
-    """Solve G[keep] plus an apex complete to ``complete_to`` (g's ids).
-
-    The apex is prescribed along with z. The answer is in g's ids, without
-    the apex.
-    """
-    km = _mask_of(keep)
-    sub, mapping = _induced(g, km)
-    apex = sub.n
-    at = _mask_of(_ids_within(km, complete_to))
-    bits = [b | 1 << apex if at >> v & 1 else b for v, b in enumerate(sub.bits)]
-    bits.append(at)
-    s = subsolver(Graph(len(bits), tuple(bits)), _ids_within(km, z) | {apex})
-    return frozenset(mapping[v] for v in s if v < apex)
-
-
 def combine_w_join(
     g: Graph, w: WJoin, z: Iterable[int], subsolver: SubSolver
 ) -> frozenset[int]:
-    """Strong stable set through a W-join.
+    """Strong stable set through a W-join (A, B), by one local lemma.
 
-    The two mixed cliques are covered by a strong stable pair of the graph
-    they induce; the attachment sides are solved independently with an apex
-    vertex standing in for the join, and the far side is split by the
-    absence of attachment-to-attachment paths.
+    Let {p, q} be a strong stable pair of G[A | B]. Every strong stable set
+    of G' = G - ((A | B) - {p, q}) through p and q is one of G: no vertex
+    outside is mixed on A or on B, so a maximal clique of G that meets
+    A | B holds all of A, all of B, or a maximal clique of G[A | B], and
+    each of these holds p or q; every other maximal clique lies inside G'
+    and is one of G'. The lex-first such pair through z's members in A | B
+    is prescribed along with z, and G' is solved once.
     """
-    z = frozenset(z)
-    parts = _w_join_parts(g, w.a, w.b)
-    if parts is None:
+    if not verify_w_join(g, w):
         raise CaseNotApplicable("not a verified proper coherent W-join")
-    c, d, e, f = parts
-    if not z <= f:
-        raise CaseNotApplicable("prescribed vertices attached to the join")
-    if not (g.is_clique(c) and g.is_clique(d)):
-        raise CaseNotApplicable("attachment sets are not cliques")
-    if e and f and not g.is_anticomplete_between(e, f):
-        raise CaseNotApplicable("common-complete set sees the far side")
-    if c and d and not g.is_anticomplete_between(c, d):
-        raise CaseNotApplicable("attachment sets see each other")
-    f_c: set[int] = set()
-    f_d: set[int] = set()
-    for comp in components_within(g, f):
-        near = g.neighborhood(comp)
-        touches_c, touches_d = bool(near & c), bool(near & d)
-        if touches_c and touches_d:
-            raise CaseNotApplicable("far side not splittable")
-        (f_d if touches_d else f_c).update(comp)
-    # each attachment side is solved with an apex standing in for the join
-    s_c = _solve_with_apex(g, frozenset(f_c) | c, c, z & frozenset(f_c), subsolver)
-    s_d = _solve_with_apex(g, frozenset(f_d) | d, d, z & frozenset(f_d), subsolver)
-    sub, mapping = induced(g, w.a | w.b)
-    pair = find_strong_pair(sub)
+    z = frozenset(z)
+    join = _mask_of(w.a | w.b)
+    sub, mapping = _induced(g, join)
+    z_join = _ids_within(join, z)
+    pair = find_strong_pair(sub, z_join) if len(z_join) <= 2 else None
     if pair is None:
-        raise CaseNotApplicable("no strong pair across the join")
-    return s_c | s_d | {mapping[pair[0]], mapping[pair[1]]}
+        raise CaseNotApplicable("no strong pair across the join through z")
+    zz = z | {mapping[pair[0]], mapping[pair[1]]}
+    if not g.is_stable(zz):
+        raise CaseNotApplicable("the strong pair sees a prescribed vertex")
+    return _solve_on(g, (1 << g.n) - 1 & ~join | _mask_of(zz), zz, subsolver)
 
 
 # -- the cascade -------------------------------------------------------------------
@@ -384,11 +349,11 @@ def solve(
     z = frozenset(z)
     if _mask_in(z, g.n) is None:
         raise GraphError("prescribed vertices out of range")
-    if not trusted and z:
-        validate_prescribed(g, z, meter)
     ctx = _Ctx(meter)
     proof = "brute-force"
     try:
+        if not trusted and z:
+            validate_prescribed(g, z, meter)
         try:
             s = _solve(ctx, g, z)
             if z <= s and is_strong_stable_set(g, s, meter):
@@ -559,10 +524,10 @@ def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("augmentation")
 def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    """Shrink the first candidate clique pair (X, Y) that misses z and has
-    no square to one edge uv, u in X complete to Y and v in Y complete to
-    X, and solve the rest: a strong stable set S' of
-    G' = G - ((X - u) | (Y - v)) is one of G.
+    """Shrink the first candidate clique pair (X, Y) that misses z to one
+    edge uv, u in X complete to Y and v in Y complete to X, and solve the
+    rest: a strong stable set S' of G' = G - ((X - u) | (Y - v)) is one of
+    G.
 
     Each candidate is a homogeneous pair of cliques with no vertex outside
     complete to both, so each outside vertex is complete to X (C), to Y
@@ -575,9 +540,6 @@ def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[in
     for xs, ys in _augment_candidates(g, ctx.meter):
         if z & (xs | ys):
             continue
-        sub, _ = induced(g, xs | ys)
-        if any(True for _ in squares(sub, ctx.meter)):
-            continue  # square case belongs to the W-join branch
         u = next((x for x in sorted(xs) if g.is_complete_between({x}, ys)), None)
         v = next((y for y in sorted(ys) if g.is_complete_between({y}, xs)), None)
         if u is None or v is None:

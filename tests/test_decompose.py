@@ -15,7 +15,6 @@ from strongstable.decompose import (
     HypothesisViolationError,
     OneJoin,
     WJoin,
-    _w_join_parts,
     find_clique_cutset,
     find_w_join,
     find_one_join,
@@ -40,6 +39,11 @@ from oracles import (
     random_growth_host,
     verify_clique_cutset,
 )
+
+
+def w_join_parts(g, a, b):
+    """(C, D, E, F) when A and B form a proper coherent W-join, else None."""
+    return w_join_partition(g, a, b) if verify_w_join(g, WJoin(a, b)) else None
 
 
 def two_triangles_shared_vertex():
@@ -269,7 +273,7 @@ class TestGrowSquareConnectedPair:
                         failed += 1
                         continue
                     assert grow_square_connected_pair(g, cyc, a_side, b_side) == want
-                    assert _w_join_parts(g, want.a, want.b) == naive_w_join_parts(g, want.a, want.b)
+                    assert w_join_parts(g, want.a, want.b) == naive_w_join_parts(g, want.a, want.b)
                     grown += 1
         assert grown >= 500 and failed >= 500
 
@@ -280,7 +284,7 @@ class TestGrowSquareConnectedPair:
             g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
             a = frozenset(rng.sample(range(n), rng.randint(1, 3)))
             b = frozenset(rng.sample(range(n), rng.randint(1, 3))) - a
-            assert _w_join_parts(g, a, b) == naive_w_join_parts(g, a, b)
+            assert w_join_parts(g, a, b) == naive_w_join_parts(g, a, b)
             parts = w_join_partition(g, a, b)
             if parts is not None:
                 c, d, e, f = parts

@@ -20,6 +20,7 @@ from strongstable.decompose import (
     find_one_join,
     find_w_join,
     grow_square_connected_pair,
+    w_join_partition,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
 from strongstable.generators import antihole, peculiar
@@ -40,6 +41,7 @@ from oracles import (
     complete,
     cycle,
     naive_brute_force,
+    naive_is_clique,
     naive_is_cosimplicial_nonedge,
     naive_is_stable,
     naive_is_strong_stable_set,
@@ -250,6 +252,16 @@ class TestSolveBasics:
         # even hole takes 94 ticks in all, and no single layer more than 60
         res = solve(cycle(30), budget=Budget(max_vertices=31, max_enumerations=60))
         assert res.status == SolveStatus.BUDGET and res.s is None
+
+    def test_budget_overrun_during_validation(self):
+        # validation draws on the same meter, and its overrun is a status
+        # like any other; a z that fails validation still raises
+        g = from_edge_list(9, [*cycle(8).edges(), (0, 8)])
+        res = solve(g, {8}, Budget(max_enumerations=3))
+        assert res.status is SolveStatus.BUDGET and res.s is None
+        assert [t.branch for t in res.trace] == ["budget"]
+        with pytest.raises(GraphError, match="not stable"):
+            solve(g, {0, 8}, Budget(max_enumerations=3))
 
     def test_infeasible_root_searched_once(self, monkeypatch):
         calls = []
@@ -538,15 +550,112 @@ class TestCombineWJoin:
         s = combine_w_join(g, w, frozenset(), plain_subsolver)
         assert is_strong_stable_set(g, s) and len(s) == 2
 
-    def test_unsplittable_far_side_rejected(self):
-        # a path from the A-attachment to the B-attachment through F
+    def test_unsplittable_far_side_answered(self):
+        # a path from the A-attachment to the B-attachment through F: the
+        # lemma keeps a strong pair of G[A | B] and needs no split of F
         g = from_edge_list(
             7,
             [(0, 1), (2, 3), (0, 2), (1, 3), (4, 0), (4, 1), (5, 2), (5, 3), (4, 6), (5, 6)],
         )
         w = WJoin(frozenset({0, 1}), frozenset({2, 3}))
-        with pytest.raises(CaseNotApplicable):
-            combine_w_join(g, w, frozenset(), plain_subsolver)
+        s = combine_w_join(g, w, frozenset(), plain_subsolver)
+        assert naive_is_strong_stable_set(g, s)
+        sub, mapping = induced(g, w.a | w.b)
+        kept = [i for i, v in enumerate(mapping) if v in s]
+        assert len(kept) == 2 and naive_is_strong_stable_set(sub, kept)
+
+    def test_w_join_whose_far_side_sees_both_attachments(self):
+        # claw-free, not a line graph past the peel, with the W-join
+        # A = {2, 3}, B = {1, 4, 5}, C = {6}, D = {7} and F = {0} seeing C
+        # and D: no split of F exists, and the lemma answers it
+        g = from_edge_list(
+            8,
+            [(0, 6), (0, 7), (1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (2, 4),
+             (2, 6), (3, 5), (3, 6), (4, 5), (4, 7), (5, 7)],
+        )
+        assert find_claw(g) is None
+        assert find_w_join(g) == WJoin(frozenset({2, 3}), frozenset({1, 4, 5}))
+        res = solve(g)
+        assert res.status is SolveStatus.FOUND
+        assert "w-join" in [t.branch for t in res.trace]
+        assert naive_is_strong_stable_set(g, res.s)
+
+
+def homogeneous_clique_pairs(g):
+    """Every pair (A, B) of disjoint cliques, A before B, with at least three
+    vertices in all and no vertex outside mixed on A or on B."""
+    adj = nbrs(g)
+    cliques = [frozenset(k) for k in subsets(range(g.n), 1) if naive_is_clique(g, k)]
+    for a, b in itertools.combinations(cliques, 2):
+        if a & b or len(a | b) < 3:
+            continue
+        outside = g.vertex_set() - a - b
+        if all(len(adj[v] & a) in (0, len(a)) and len(adj[v] & b) in (0, len(b)) for v in outside):
+            yield a, b
+
+
+def strong_sets_lift(g, cliques, keep, z):
+    """The strong stable sets of G[keep] through z, in G's ids, split into
+    those strong in G and those not; ``cliques`` are G's maximal cliques."""
+    sub, mapping = induced(g, keep)
+    sub_cliques = naive_maximal_cliques(sub)
+    ids = {v: i for i, v in enumerate(mapping)}
+    zs = frozenset(ids[v] for v in z)
+    lifted, failed = [], []
+    for extra in subsets(sorted(frozenset(range(sub.n)) - zs)):
+        s = zs | frozenset(extra)
+        if not (naive_is_stable(sub, s) and all(k & s for k in sub_cliques)):
+            continue
+        back = frozenset(mapping[v] for v in s)
+        (lifted if all(k & back for k in cliques) else failed).append(back)
+    return lifted, failed
+
+
+class TestCliquePairLemmas:
+    """The two local lemmas behind the W-join and augmentation branches, on
+    every homogeneous pair of disjoint cliques of seeded random graphs."""
+
+    def test_every_reduced_strong_set_is_strong(self):
+        rng = random.Random(34)
+        w_sets = aug_sets = 0
+        for _ in range(200):
+            n = rng.randint(4, 9)
+            p = rng.uniform(0.4, 0.8)
+            g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            adj, cliques = nbrs(g), naive_maximal_cliques(g)
+            for a, b in homogeneous_clique_pairs(g):
+                ab = a | b
+                # W-join lemma: keep a strong pair {p, q} of G[A | B]
+                sub, mapping = induced(g, ab)
+                for x, y in itertools.combinations(range(sub.n), 2):
+                    if not naive_is_strong_stable_set(sub, {x, y}):
+                        continue
+                    pq = {mapping[x], mapping[y]}
+                    lifted, failed = strong_sets_lift(g, cliques, g.vertex_set() - ab | pq, pq)
+                    assert not failed, (sorted(g.edges()), sorted(a), sorted(b), failed)
+                    w_sets += len(lifted)
+                # augmentation lemma: no vertex outside complete to both,
+                # u in A complete to B and v in B complete to A
+                if any(ab <= adj[v] for v in g.vertex_set() - ab):
+                    continue
+                u = next((x for x in sorted(a) if b <= adj[x]), None)
+                v = next((y for y in sorted(b) if a <= adj[y]), None)
+                if u is None or v is None:
+                    continue
+                lifted, failed = strong_sets_lift(g, cliques, g.vertex_set() - ab | {u, v}, ())
+                assert not failed, (sorted(g.edges()), sorted(a), sorted(b), failed)
+                aug_sets += len(lifted)
+        assert w_sets >= 2000 and aug_sets >= 500, (w_sets, aug_sets)
+
+    def test_a_mixed_outside_vertex_breaks_the_w_join_lemma(self):
+        # C4 on A = {0, 1} and B = {2, 3}; 5 sees 1 but not 0, with pendant 4
+        g = from_edge_list(6, [(0, 1), (2, 3), (0, 2), (1, 3), (1, 5), (4, 5)])
+        a, b = frozenset({0, 1}), frozenset({2, 3})
+        assert w_join_partition(g, a, b) is None
+        assert naive_is_strong_stable_set(induced(g, a | b)[0], {0, 3})  # ids kept
+        reduced, back = induced(g, {0, 3, 4, 5})
+        s = frozenset(back[v] for v in brute_force(reduced, {0, 1}))
+        assert s == {0, 3, 4} and not naive_is_strong_stable_set(g, s)  # misses {1, 5}
 
 
 class TestGadgets:
@@ -759,16 +868,9 @@ class TestAugmentationBranch:
                 if keep is None:
                     continue
                 pairs += 1
-                sub, mapping = induced(g, keep)
-                sub_cliques = naive_maximal_cliques(sub)
-                for s in subsets(range(sub.n)):
-                    if not (naive_is_stable(sub, s) and all(k & set(s) for k in sub_cliques)):
-                        continue
-                    lifted += 1
-                    back = {mapping[x] for x in s}
-                    assert naive_is_stable(g, back) and all(k & back for k in cliques), (
-                        sorted(g.edges()), sorted(xs), sorted(ys), sorted(back)
-                    )
+                ok, failed = strong_sets_lift(g, cliques, keep, ())
+                assert not failed, (sorted(g.edges()), sorted(xs), sorted(ys), failed)
+                lifted += len(ok)
         assert pairs >= 300 and lifted >= 600
 
     def test_non_line_graph_reduced_by_one_pair(self):
@@ -866,7 +968,7 @@ class TestCascadeOrder:
                 break
         assert prescribed >= 250
         interval = 0
-        for _ in range(150):
+        for _ in range(200):
             g = unit_interval_graph(rng, rng.randint(4, 16))
             simp = sorted(simplicial_vertices(g))
             for z in itertools.chain(itertools.combinations(simp, 1), itertools.combinations(simp, 2)):

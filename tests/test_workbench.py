@@ -329,6 +329,17 @@ class TestCli:
         assert code == 2
         assert json.loads(out)["status"] == "budget"
 
+    def test_solve_budget_during_validation(self, capsys, tmp_path):
+        # C8 with a pendant at 0: validating the pendant overruns the cap
+        p = tmp_path / "c8p.txt"
+        p.write_text(format_edgelist(from_edge_list(9, [*cycle(8).edges(), (0, 8)])))
+        code, out, _ = self._run(
+            ["solve", str(p), "--require", "8", "--budget-enum", "3", "--json"], capsys
+        )
+        payload = json.loads(out)
+        assert code == 2 and payload["status"] == "budget"
+        assert [t["branch"] for t in payload["trace"]] == ["budget"]
+
     def test_decompose_report(self, capsys, tmp_path):
         p = tmp_path / "p5.txt"
         p.write_text("0 1\n1 2\n2 3\n3 4\n")
