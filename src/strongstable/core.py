@@ -298,13 +298,16 @@ def _peel_simplicial(g: Graph) -> Graph:
         # near is a clique when each u in it sees the rest of near
         rest = near
         while rest:
-            u = (rest & -rest).bit_length() - 1
-            if near & ~bits[u] != 1 << u:
+            low = rest & -rest
+            if near & ~bits[low.bit_length() - 1] != low:
                 break
-            rest ^= 1 << u
+            rest ^= low
         if not rest:
             keep ^= 1 << v
-            todo.extend(_iter_bits(near))
+            while near:
+                low = near & -near
+                todo.append(low.bit_length() - 1)
+                near ^= low
     if keep == full:
         return g
     return Graph(g.n, tuple(b & keep if keep >> v & 1 else 0 for v, b in enumerate(bits)))
@@ -628,15 +631,18 @@ def induced_cycles(
     ]
     tick = meter.tick
     for base in range(g.n):
-        low = ~_above(base)  # the base and every vertex below it
+        low = (2 << base) - 1  # the base and every vertex below it
         nb = bits[base]
         above = nb & ~low
         if not above & (above - 1):
             continue  # a hole needs two base neighbours above the base
-        for second in _iter_bits(above):
+        while above:
+            sbit = above & -above
+            above ^= sbit
+            second = sbit.bit_length() - 1
             tick()
             # yieldable closers: base neighbours above the second vertex
-            closers = nb & _above(second)
+            closers = nb & ~((sbit << 1) - 1)
             path = [base, second]
             # forb: what no candidate at this level may be (the base and
             # below, the inner vertices path[1:-1] and their neighbours)
@@ -669,8 +675,10 @@ def induced_cycles(
                     path.append(w)
                     m, forb = ext | clo, wforb
                 else:
-                    for c in _iter_bits(clo):
-                        yield (*path, w, c)
+                    while clo:
+                        cbit = clo & -clo
+                        clo ^= cbit
+                        yield (*path, w, cbit.bit_length() - 1)
 
 
 def squares(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[tuple[int, ...]]:

@@ -18,6 +18,7 @@ from .core import (
     _Meter,
     _above,
     _anchored_paths,
+    _flood,
     _iter_bits,
     _mask_in,
     _mask_of,
@@ -77,9 +78,10 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 
 def is_simplicial_vertex(g: Graph, v: int) -> bool:
-    """N(v) is a clique: each u in it sees the rest of N(v)."""
+    """N(v) is a clique: each u in it sees the rest of N(v); GraphError for v
+    out of range."""
     bits = g.bits
-    near = bits[v]
+    near = bits[g._vertex(v)]
     return all(near & ~bits[u] == 1 << u for u in _iter_bits(near))
 
 
@@ -136,32 +138,53 @@ def find_twins(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clown]:
-    """All clowns: even holes plus a hat seeing exactly two consecutive vertices.
+# an even hole H of the clown kernel: (H, its mask, N[H], the mask of its hats)
+_Hole = tuple[tuple[int, ...], int, int, int]
 
-    The holes are listed on g with its simplicial vertices peeled, ids kept.
-    A hole vertex has two non-adjacent neighbours on the hole, so the first
-    vertex of a hole that the iterated peel reached would not be simplicial:
-    no hole passes through a peeled vertex. The hats, which may be
-    simplicial, are read from g.
+
+def _clown_holes(g: Graph, meter: _Meter) -> Iterator[_Hole]:
+    """The clown kernel, read by :func:`find_clowns`, :func:`is_safe_vertex`
+    and ``solver.validate_prescribed``: the even holes of g with its
+    simplicial vertices peeled, ids kept (the first vertex of a hole that
+    the peel reached would have two non-adjacent neighbours left). Hats,
+    which may be simplicial, are read from g: three masks collect the
+    vertices seeing one, two, and three or more hole vertices, and a hat is
+    seen exactly twice, by consecutive ones (a hole vertex's two are not).
     """
-    for hole in induced_cycles(_peel_simplicial(g), budget, min_len=4, parity=0):
-        k = len(hole)
-        members = _mask_of(hole)
-        for hat in _iter_bits(((1 << g.n) - 1) & ~members):
-            hits = g.bits[hat] & members
-            if hits.bit_count() != 2:
-                continue
-            idx = sorted(hole.index(x) for x in _iter_bits(hits))
-            if idx[1] - idx[0] == 1 or (idx[0] == 0 and idx[1] == k - 1):
-                if idx[1] - idx[0] == 1:
-                    i = idx[0]
-                else:
-                    i = k - 1
-                rotated = hole[i:] + hole[:i]
-                if rotated[0] > rotated[1]:
-                    rotated = (rotated[1], rotated[0]) + tuple(reversed(rotated[2:]))
-                yield Clown(hat, rotated)
+    bits = g.bits
+    for hole in induced_cycles(_peel_simplicial(g), meter, min_len=4, parity=0):
+        once = twice = more = hats = 0
+        prev = bits[hole[-1]]
+        for x in hole:
+            near = bits[x]
+            more |= twice & near
+            twice |= once & near
+            once |= near
+            hats |= prev & near
+            prev = near
+        hmask = _mask_of(hole)
+        yield hole, hmask, once | hmask, hats & twice & ~more
+
+
+def _clown(bits: tuple[int, ...], hole: tuple[int, ...], hmask: int, hat: int) -> Clown:
+    """The clown of ``hole`` and its hat, the cycle walked from the smaller
+    of the hat's two neighbours through the other."""
+    i, j = sorted(hole.index(x) for x in _iter_bits(bits[hat] & hmask))
+    start = i if j - i == 1 else j
+    cycle = hole[start:] + hole[:start]
+    if cycle[0] > cycle[1]:
+        cycle = (cycle[1], cycle[0]) + cycle[:1:-1]
+    return Clown(hat, cycle)
+
+
+def find_clowns(g: Graph, budget: Budget | _Meter | None = None) -> Iterator[Clown]:
+    """All clowns: even holes plus a hat seeing exactly two consecutive
+    vertices, hole by hole (in :func:`induced_cycles` order on g with its
+    simplicial vertices peeled) and hats ascending."""
+    bits = g.bits
+    for hole, hmask, _, hats in _clown_holes(g, _meter(budget)):
+        for hat in _iter_bits(hats):
+            yield _clown(bits, hole, hmask, hat)
 
 
 def _odd_pair_witness(
@@ -196,29 +219,48 @@ def is_safe_vertex(
 
     A path P to hat h qualifies when no vertex of P other than h lies in or
     has a neighbor in the clown's hole. The zero-length path counts as even,
-    so a hat is never safe. Non-simplicial vertices fail with witness None.
-    The paths are enumerated on g itself, their interiors kept off the hole
-    and its neighbours.
+    so a hat is never safe. Non-simplicial vertices fail with witness None;
+    an id outside 0 .. n-1 raises GraphError. The paths are enumerated on g
+    itself, after the exact prunes of :func:`_unsafe_witness`.
     """
     if not is_simplicial_vertex(g, v):
         return False, None
     meter = _meter(budget)
-    witness = _clown_witness(g, v, find_clowns(g, meter), meter)
+    witness = _unsafe_witness(g, v, _clown_holes(g, meter), meter)
     return witness is None, witness
 
 
-def _clown_witness(
-    g: Graph, v: int, clowns: Iterable[Clown], meter: _Meter
+def _unsafe_witness(
+    g: Graph, v: int, holes: Iterable[_Hole], meter: _Meter
 ) -> Optional[tuple[Clown, tuple[int, ...]]]:
-    """The first of ``clowns`` with an even qualifying path from v to its
-    hat, and that path, or None: the clown test of :func:`is_safe_vertex`."""
-    for clown in clowns:
-        h = clown.hat
-        if v == h:
-            return clown, (v,)
-        hole = frozenset(clown.cycle)
-        if v in hole or g.bits[v] & _mask_of(hole):
-            continue  # no path from v qualifies
-        for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
-            return clown, p
+    """The first clown of ``holes``, hats ascending, with an even qualifying
+    path from v, and the first such path; None when v is safe (v simplicial).
+
+    Such a path runs, up to the hat, inside C, the component of v in
+    g - N[H]. So a hat v is its own even path; H is skipped when v is in
+    N[H] or C = {v} (the edge to the hat is odd); a hat with no neighbour in
+    C is skipped; and each (C, hat) is searched once: its paths depend on
+    nothing else.
+    """
+    bits = g.bits
+    vbit = 1 << v
+    room = (1 << g.n) - 1
+    searched = set()  # (C, h) pairs with no even qualifying path
+    for hole, hmask, closed, hats in holes:
+        if hats & vbit:
+            return _clown(bits, hole, hmask, v), (v,)
+        if closed & vbit or not hats:
+            continue
+        comp = _flood(bits, vbit, room & ~closed)
+        if comp == vbit:
+            continue
+        while hats:
+            low = hats & -hats
+            hats ^= low
+            h = low.bit_length() - 1
+            if not bits[h] & comp or (comp, h) in searched:
+                continue
+            for p in _anchored_paths(g, meter, v, h, hole, hole, parity=0):
+                return _clown(bits, hole, hmask, h), p
+            searched.add((comp, h))
     return None

@@ -55,8 +55,8 @@ from .core import (
 from .decompose import WJoin, find_w_join, verify_w_join
 from .linegraph import _augment_candidates, recover_root, suitable_matching
 from .recognizers import (
-    _clown_witness,
-    find_clowns,
+    _clown_holes,
+    _unsafe_witness,
     find_strong_pair,
     is_consistent_set,
     is_simplicial_vertex,
@@ -320,13 +320,14 @@ def validate_prescribed(
     meter = _meter(budget)
     if not g.is_stable(z):  # GraphError as well when z is out of range
         raise GraphError("prescribed set is not stable")
-    clowns = None  # listed once, when the first simplicial vertex needs them
+    holes = None  # the clown kernel's, listed once, when the first member needs them
     for v in sorted(z):
-        simplicial = is_simplicial_vertex(g, v)
-        if simplicial and clowns is None:
-            clowns = list(find_clowns(g, meter))
-        witness = _clown_witness(g, v, clowns, meter) if simplicial else None
-        if not simplicial or witness is not None:
+        if not is_simplicial_vertex(g, v):
+            raise GraphError(f"prescribed vertex {v} is not simplicial")
+        if holes is None:
+            holes = list(_clown_holes(g, meter))
+        witness = _unsafe_witness(g, v, holes, meter)
+        if witness is not None:
             raise GraphError(f"prescribed vertex {v} is not safe ({witness})")
     ok, witness = is_consistent_set(g, z, meter)
     if not ok:

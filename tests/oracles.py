@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's search machinery: maximal
 cliques by subset scan, forbidden structures by degree profiles and
-deterministic walks on whole subsets, exhaustive permutation and subset
-searches. Slow and dumb on purpose.
+deterministic walks on whole subsets, exhaustive subset searches. Slow and
+dumb on purpose.
 """
 
 from __future__ import annotations
@@ -217,25 +217,42 @@ def naive_anchored_paths(
 ) -> list[tuple[int, ...]]:
     """Every vertex sequence start..end that is an induced path (start-end
     chord allowed when asked) with interior off blocked and off N(quiet),
-    of length >= min_len and the given parity, sorted."""
+    of length >= min_len and the given parity, sorted.
+
+    An induced path is fixed by its ends and its vertex set, so each subset
+    of the allowed interior vertices is walked from start, always to the one
+    unvisited neighbour in the subset, and the walk kept when it ends at end
+    with every vertex used and passes the definition check."""
     if start == end:
         return []
-    others = [v for v in range(g.n) if v not in (start, end)]
+    allowed = [
+        v for v in range(g.n)
+        if v not in (start, end) and v not in blocked and not nbrs(g)[v] & quiet
+    ]
     out = []
-    for k in range(len(others) + 1):
+    for mid in subsets(allowed):
+        k = len(mid)
         if k + 1 < min_len or (parity is not None and (k + 1) % 2 != parity):
             continue
-        for mid in itertools.permutations(others, k):
-            if any(v in blocked or nbrs(g)[v] & quiet for v in mid):
-                continue
-            p = (start, *mid, end)
-            last = len(p) - 1
-            if all(
-                g.has_edge(p[i], p[j]) == (j - i == 1)
-                for i, j in itertools.combinations(range(len(p)), 2)
-                if not (allow_end_chord and last > 1 and (i, j) == (0, last))
-            ):
-                out.append(p)
+        left = set(mid) | {end}
+        p = [start]
+        while p[-1] != end:
+            step = nbrs(g)[p[-1]] & left
+            if allow_end_chord and k and len(p) == 1:
+                step -= {end}
+            if len(step) != 1:
+                break
+            p.extend(step)
+            left -= step
+        if left:
+            continue
+        last = len(p) - 1
+        if all(
+            g.has_edge(p[i], p[j]) == (j - i == 1)
+            for i, j in itertools.combinations(range(len(p)), 2)
+            if not (allow_end_chord and last > 1 and (i, j) == (0, last))
+        ):
+            out.append(tuple(p))
     return sorted(out)
 
 

@@ -21,6 +21,7 @@ from strongstable.recognizers import (
     find_twins,
     is_consistent_set,
     is_safe_vertex,
+    is_simplicial_vertex,
     simplicial_vertices,
 )
 from oracles import (
@@ -284,6 +285,24 @@ class TestSafeVertices:
     def test_hat_never_safe(self):
         ok, (clown, p) = is_safe_vertex(clown_graph(4), 4)
         assert not ok and p == (4,)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("check", [is_safe_vertex, is_simplicial_vertex])
+    def test_ids_outside_the_graph_raise(self, check, bad):
+        # on the path 0-1-2, -1 would read vertex 2 and 3 would not index
+        with pytest.raises(GraphError, match="out of range"):
+            check(path(3), bad)
+
+    def test_same_hat_searched_again_in_another_component(self):
+        # hat 6 on the 4-holes 0-1-2-3 and 0-1-4-5; the even path
+        # 11-9-8-7-6 passes 7, a neighbour of the first hole (through 2) but
+        # not of the second, so a search for (C, 6) with C off the first
+        # hole finds only the odd 11-9-10-6, and C off the second differs
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0), (6, 0), (6, 1)]
+        edges += [(7, 2), (7, 6), (8, 7), (9, 8), (11, 9), (10, 9), (10, 6)]
+        g = from_edge_list(12, edges)
+        assert not naive_is_safe_vertex(g, 11)
+        assert is_safe_vertex(g, 11) == (False, (Clown(6, (0, 1, 4, 5)), (11, 9, 8, 7, 6)))
 
     def test_vacuous_when_clown_free(self):
         for v in simplicial_vertices(path(5)):

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import re
 
 import pytest
 
@@ -23,9 +25,10 @@ from strongstable.decompose import (
     w_join_partition,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
-from strongstable.generators import antihole, peculiar
+from strongstable.generators import antihole, clown, peculiar
+from strongstable.graphio import decode_graph6
 from strongstable.linegraph import _augment_candidates, recover_root
-from strongstable.recognizers import find_claw, simplicial_vertices
+from strongstable.recognizers import find_claw, find_clowns, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
     SolveStatus,
@@ -41,8 +44,11 @@ from oracles import (
     complete,
     cycle,
     naive_brute_force,
+    naive_clowns,
     naive_is_clique,
+    naive_is_consistent_set,
     naive_is_cosimplicial_nonedge,
+    naive_is_safe_vertex,
     naive_is_stable,
     naive_is_strong_stable_set,
     naive_maximal_cliques,
@@ -392,6 +398,103 @@ def test_prescribed_exhaustive_against_brute_force(graphs_by_n):
                     if res.s is not None:
                         assert z <= res.s and is_strong_stable_set(g, res.s)
     assert cases == 5070
+
+
+def validation_oracle(g, z):
+    """The start of the message validate_prescribed must raise for z, by the
+    oracles and in the order it checks, or None when z must pass."""
+    if not naive_is_stable(g, z):
+        return "prescribed set is not stable"
+    for v in sorted(z):
+        if not naive_is_clique(g, nbrs(g)[v]):
+            return f"prescribed vertex {v} is not simplicial"
+        if not naive_is_safe_vertex(g, v):
+            return f"prescribed vertex {v} is not safe ("
+    if not naive_is_consistent_set(g, z):
+        return "prescribed set is not consistent (odd path "
+    return None
+
+
+class TestValidatePrescribed:
+    def test_seeded_random_graphs_against_the_oracles(self):
+        # z: one simplicial vertex, two simplicial pairs, one random vertex
+        rng = random.Random(35)
+        reasons = collections.Counter()
+        for _ in range(600):
+            n = rng.randint(5, 11)
+            p = rng.choice((0.25, 0.35, 0.5))
+            g = from_edge_list(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            simp = [v for v in range(n) if naive_is_clique(g, nbrs(g)[v])]
+            pairs = list(itertools.combinations(simp, 2))
+            zs = [{rng.choice(simp)}] if simp else []
+            zs += rng.sample(pairs, min(2, len(pairs))) + [{rng.randrange(n)}]
+            for z in map(frozenset, zs):
+                want = validation_oracle(g, z)
+                try:
+                    validate_prescribed(g, z)
+                    got = None
+                except GraphError as e:
+                    got = str(e)
+                assert (got is None) == (want is None), (sorted(g.edges()), z, got)
+                assert want is None or got.startswith(want), (sorted(g.edges()), z, got)
+                # a hat fails on its own zero-length path (v,)
+                even_path = got is not None and "safe" in got and not got.endswith(",)))")
+                reasons["even path" if even_path else want] += 1
+            found = list(find_clowns(g))
+            assert {(c.hat, frozenset(c.cycle)) for c in found} == {
+                (hat, frozenset(hole)) for hat, hole in naive_clowns(g)
+            }
+            assert len(found) == len(set(found))
+            for c in found:
+                # walked from the smaller of the hat's two neighbours
+                k = len(c.cycle)
+                assert c.cycle[0] < c.cycle[1]
+                assert {w for w in c.cycle if g.has_edge(c.hat, w)} == set(c.cycle[:2])
+                assert all(g.has_edge(c.cycle[i - 1], c.cycle[i]) for i in range(k))
+        assert reasons[None] and reasons["even path"] >= 10, reasons
+
+    def test_hat_message(self):
+        with pytest.raises(GraphError) as e:
+            validate_prescribed(clown(4), frozenset({4}))
+        assert str(e.value) == (
+            "prescribed vertex 4 is not safe ((Clown(hat=4, cycle=(0, 1, 2, 3)), (4,)))"
+        )
+
+    def test_non_simplicial_named(self):
+        with pytest.raises(GraphError, match=re.escape("prescribed vertex 1 is not simplicial")):
+            validate_prescribed(clown(4), frozenset({1}))
+
+    def test_one_search_per_component_and_hat(self, monkeypatch):
+        # three 4-holes with the same N[H] = {0, 1, 2, 3, 4, 7, 10, 11}; the
+        # component of 6 off it is {5, 6, 8, 9}, and of the hats only 7 sees
+        # it, so three clowns share one search, which finds no even path
+        g = decode_graph6("KyK?IkC@IqD@")
+        searched = []
+
+        def counted(g, meter, start, end, *args, **kwargs):
+            searched.append((start, end))
+            return core._anchored_paths(g, meter, start, end, *args, **kwargs)
+
+        monkeypatch.setattr(recognizers, "_anchored_paths", counted)
+        assert sum(c.hat == 7 for c in find_clowns(g)) == 3
+        validate_prescribed(g, frozenset({6}))
+        assert searched == [(6, 7)]
+        assert solve(g, {6}).status == SolveStatus.FOUND
+
+    def test_even_path_through_the_component(self):
+        # the hat 4 of a 4-hole, then the pendant path 4-5-6-7-8: 8 reaches
+        # the hat through three interior vertices
+        g = from_edge_list(9, list(clown(4).edges()) + [(4, 5), (5, 6), (6, 7), (7, 8)])
+        with pytest.raises(GraphError) as e:
+            validate_prescribed(g, frozenset({8}))
+        assert str(e.value) == (
+            "prescribed vertex 8 is not safe"
+            " ((Clown(hat=4, cycle=(0, 1, 2, 3)), (8, 7, 6, 5, 4)))"
+        )
+        # one step shorter, the path is odd and 7 is safe
+        validate_prescribed(induced(g, range(8))[0], frozenset({7}))
 
 
 class TestSolveCobipartite:
