@@ -108,10 +108,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(args) -> Graph:
+    # bytes: graph6 decodes them as they are, and an edge list decodes once;
+    # a stdin replaced by a text stream has no buffer and gives text
     if args.input == "-":
-        text = sys.stdin.read()
-        return parse_graph(text, args.format)
-    return parse_graph(Path(args.input).read_text(), args.format, name=args.input)
+        return parse_graph(getattr(sys.stdin, "buffer", sys.stdin).read(), args.format)
+    with open(args.input, "rb") as f:
+        data = f.read()
+    return parse_graph(data, args.format, name=args.input)
 
 
 def _meter_of(args) -> _Meter:
@@ -347,10 +350,32 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _command_parsers() -> dict[str, _Parser]:
+    """The subparser of each command, as ``_build_parser`` built it."""
+    (sub,) = (
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace ``_build_parser().parse_args(argv)`` gives, parsed once.
+
+    The top-level parser would hand everything after the command to that
+    command's parser anyway, so a known command goes straight to it.
+    """
+    sub = _command_parsers().get(argv[0]) if argv else None
+    if sub is None:  # --help, --version, or a missing or unknown command
+        return _build_parser().parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -127,7 +127,11 @@ def _three_core(bits: tuple[int, ...]) -> int:
         v = todo.pop()
         if alive >> v & 1 and (bits[v] & alive).bit_count() < 3:
             alive ^= 1 << v
-            todo.extend(_iter_bits(bits[v] & alive))
+            rest = bits[v] & alive
+            while rest:
+                low = rest & -rest
+                todo.append(low.bit_length() - 1)
+                rest ^= low
     return alive
 
 
@@ -135,11 +139,17 @@ def _triangles(g: Graph, meter: _Meter) -> Iterator[tuple[int, int, int]]:
     """Every triangle a < b < c, in lexicographic order, one tick each."""
     bits = g.bits
     for a in range(g.n):
-        na = bits[a] & _above(a)
-        for b in _iter_bits(na):
-            for c in _iter_bits(na & bits[b] & _above(b)):
+        rest = bits[a] & _above(a)
+        while rest:
+            low = rest & -rest
+            rest ^= low  # now the neighbours of a above b
+            b = low.bit_length() - 1
+            cs = rest & bits[b]
+            while cs:
+                low = cs & -cs
+                cs ^= low
                 meter.tick()
-                yield a, b, c
+                yield a, b, low.bit_length() - 1
 
 
 def _has_private_neighbors(g: Graph, tri: tuple[int, int, int]) -> bool:

@@ -3,8 +3,9 @@ certificates.
 
 Edge lists are one ``u v`` pair per line, 0-based, with ``#`` comments; an
 optional ``n <count>`` header pins the vertex count (otherwise it is the
-largest id plus one). Certificates are canonical JSON: sorted keys, newline
-terminated.
+largest id plus one). Certificates are one line of canonical JSON: sorted
+keys, no whitespace, newline terminated (pipe through ``python -m json.tool``
+to read one).
 """
 
 from __future__ import annotations
@@ -166,33 +167,39 @@ def format_edgelist(g: Graph | Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, fmt: str = "auto", name: str = "<input>") -> Graph:
+def parse_graph(text: str | bytes, fmt: str = "auto", name: str = "<input>") -> Graph:
+    """Parse a graph6 line or an edge list, given as text or as raw bytes."""
     if fmt == "auto":
         fmt = "graph6" if name.endswith((".g6", ".graph6")) else _sniff(text)
     if fmt == "graph6":
         return decode_graph6(text)
     if fmt == "edgelist":
-        g = parse_edgelist(text)
+        g = parse_edgelist(text.decode() if isinstance(text, bytes) else text)
         assert isinstance(g, Graph)
         return g
     raise FormatError(f"unknown format {fmt!r}")
 
 
-def _sniff(text: str) -> str:
+def _sniff(text: str | bytes) -> str:
+    """graph6 when the first non-blank line is one word and no ``#`` comment.
+
+    Every edge-list line but a comment holds whitespace, the ``n <count>``
+    header included, and a graph6 line holds none: its size byte may be any
+    letter, ``n`` (47 vertices) too.
+    """
     stripped = text.strip()
-    if stripped.startswith(_HEADER):
-        return "graph6"
-    first = stripped.splitlines()[0].strip() if stripped else ""
-    if first and " " not in first and not first.startswith(("n", "#")):
-        return "graph6"
-    return "edgelist"
+    first = stripped.splitlines()[0] if stripped else stripped
+    if isinstance(first, bytes):
+        first = first.decode("ascii", errors="replace")
+    return "graph6" if first and len(first.split()) == 1 and first[0] != "#" else "edgelist"
 
 
 # -- certificates ---------------------------------------------------------------------
 
 
 def certificate_json(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2, default=_jsonify) + "\n"
+    """One line of canonical JSON, written by the C encoder."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"), default=_jsonify) + "\n"
 
 
 def _jsonify(obj):

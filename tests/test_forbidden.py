@@ -463,3 +463,37 @@ class TestBudgets:
         g = cocktail_party(12)
         with pytest.raises(BudgetExceededError):
             innocence_certificate(g, Budget(max_enumerations=5))
+
+
+def _random_graphs(count: int = 200, max_n: int = 14):
+    rng = random.Random(40)
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        yield from_edge_list(n, edges)
+
+
+class TestMaskLoops:
+    def test_triangles_in_lexicographic_order_one_tick_each(self):
+        for g in _random_graphs():
+            nb = nbrs(g)
+            want = [
+                (a, b, c)
+                for a, b, c in itertools.combinations(range(g.n), 3)
+                if b in nb[a] and c in nb[a] and c in nb[b]
+            ]
+            meter = _Meter(Budget())
+            got = []
+            for t in forbidden._triangles(g, meter):
+                got.append(t)
+                assert meter.used == len(got)  # ticked before it is yielded
+            assert got == want
+
+    def test_three_core_is_repeated_low_degree_deletion(self):
+        for g in _random_graphs():
+            nb = nbrs(g)
+            alive = set(range(g.n))
+            while low := {v for v in alive if len(nb[v] & alive) < 3}:
+                alive -= low
+            assert forbidden._three_core(g.bits) == sum(1 << v for v in alive)

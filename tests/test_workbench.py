@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import strongstable
-from strongstable import core
+from strongstable import cli, core
 from strongstable.cli import main
 from strongstable.core import GraphError, Multigraph, from_edge_list
 from strongstable.forbidden import ForbiddenKind, Innocent, find_structure, innocence_certificate
@@ -31,6 +32,7 @@ from strongstable.generators import (
 )
 from strongstable.graphio import (
     FormatError,
+    certificate_json,
     decode_graph6,
     encode_graph6,
     format_edgelist,
@@ -206,6 +208,75 @@ class TestEdgeList:
     def test_sniff(self):
         assert parse_graph("0 1\n1 2\n") == parse_edgelist("0 1\n1 2\n")
         assert parse_graph(encode_graph6(cycle(4))) == cycle(4)
+        # any whitespace separates an edge, tabs too; bytes parse as text does
+        assert parse_graph("0\t1\n1\t2\n") == parse_edgelist("0 1\n1 2\n")
+        assert parse_graph(b"# a path\nn 3\n0 1\n1 2\n") == parse_edgelist("0 1\n1 2\n")
+        assert parse_graph(encode_graph6(cycle(5)).encode() + b"\n") == cycle(5)
+        # 47 vertices take the size byte "n", and a graph6 line has no space
+        assert encode_graph6(cycle(47))[0] == "n"
+        assert parse_graph(encode_graph6(cycle(47))) == cycle(47)
+
+
+def _canonical(text: str):
+    """The JSON value of one canonical certificate line; fails on any other
+    form: several lines, whitespace outside strings, or unsorted keys."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    in_string = escaped = False
+    for ch in text[:-1]:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = ch == "\\"
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        else:
+            assert not ch.isspace()
+
+    def ordered(pairs):
+        keys = [key for key, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    return json.loads(text, object_pairs_hook=ordered)
+
+
+def _plain(obj):
+    """obj as JSON reads it back: frozensets sorted, tuples as lists."""
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(key): _plain(value) for key, value in obj.items()}
+    return obj
+
+
+# argv of every command, with the options each one takes
+DISPATCH = [
+    ["check", "g.g6"],
+    ["check", "--json", "--budget-enum", "7", "--budget-vertices", "3", "-"],
+    ["check", "--format", "graph6", "--output", "cert.json", "g.txt"],
+    ["solve", "-", "--require", "0,4", "--trusted", "--json"],
+    ["solve", "--require", "1", "--format", "edgelist", "--output", "s.json", "g.txt"],
+    ["generate", "--kind", "hole", "--n", "5"],
+    ["generate", "--kind", "handcuff", "--c1", "4", "--c2", "4", "--path", "1",
+     "--out-format", "graph6"],
+    ["generate", "--kind", "prism", "--paths", "1,1,3", "--output", "p.txt"],
+    ["generate", "--kind", "augmented-line", "--size", "600", "--rate", "0.4", "--seed", "7"],
+    ["generate", "--kind", "peculiar", "--sizes", "2,2,2", "--variant", "1", "--m", "2",
+     "--base-size", "3", "--k", "4"],
+    ["decompose", "g.g6", "--json", "--budget-enum", "99"],
+    ["roundtrip", "--format", "auto", "--output", "-", "g.g6"],
+]
+
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["check", "--bogus"],
+    ["check", "--format", "xx", "-"],
+    ["solve", "--budget-enum", "x", "-"],
+]
 
 
 class TestCli:
@@ -213,6 +284,85 @@ class TestCli:
         code = main(argv)
         out = capsys.readouterr()
         return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", DISPATCH, ids=lambda argv: " ".join(argv))
+    def test_dispatch_parses_as_the_top_level_parser(self, argv, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, argv[0], record)
+        assert main(argv) == 0
+        assert seen == [cli._build_parser().parse_args(argv)]
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "none")
+    def test_usage_errors_as_the_top_level_parser_reports_them(self, argv, capsys):
+        with pytest.raises(cli.CliUsageError) as exc:
+            cli._build_parser().parse_args(argv)
+        assert self._run(argv, capsys) == (1, "", f"usage error: {exc.value}\n")
+
+    def test_version_and_command_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"strongstable {strongstable.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: strongstable check")
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["check", "--help"])
+        assert capsys.readouterr().out == out
+
+    def test_graph6_sniffed_at_every_size_byte(self, capsys, monkeypatch):
+        # the size byte of 47 vertices is "n", as in an edge list's header,
+        # and 63 vertices and up take the four-byte size header
+        for n in range(3, 71):
+            data = (encode_graph6(cycle(n)) + "\n").encode()
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            code, out, err = self._run(["check", "-", "--json", "--format", "auto"], capsys)
+            assert (code, err) == (0, ""), n
+            payload = json.loads(out)
+            odd_hole = n >= 5 and n % 2 == 1
+            assert payload["n"] == n
+            assert payload["status"] == ("not-innocent" if odd_hole else "innocent"), n
+            assert payload.get("witness", {}).get("kind") == ("odd-hole" if odd_hole else None)
+        # a text stream in place of stdin has no byte buffer
+        monkeypatch.setattr(sys, "stdin", io.StringIO(encode_graph6(cycle(47)) + "\n"))
+        code, out, _ = self._run(["check", "-", "--json"], capsys)
+        assert code == 0 and json.loads(out)["witness"]["kind"] == "odd-hole"
+
+    def test_certificate_json_is_one_canonical_line(self):
+        # nested anatomy: an odd prism's triangles and paths are tuples of tuples
+        w = find_structure(prism((1, 1, 3)), ForbiddenKind.ODD_PRISM)
+        payload = {
+            "witness": cli._witness_block(w),
+            "command": "check",
+            "set": frozenset({3, 1, 2}),
+            "pairs": ((1, 2), (3, 4)),
+            "none": None,
+            "flag": True,
+            "text": "two words, \"quoted\"\n",
+        }
+        assert _canonical(certificate_json(payload)) == _plain(payload)
+        assert set(payload["witness"]["anatomy"]) == {"triangles", "paths"}
+
+    def test_every_json_command_prints_one_canonical_line(self, capsys, tmp_path):
+        p = tmp_path / "prism.g6"
+        p.write_text(encode_graph6(prism((1, 1, 3))) + "\n")
+        code, out, _ = self._run(["check", str(p), "--json"], capsys)
+        want = cli._witness_block(innocence_certificate(prism((1, 1, 3))))
+        assert code == 0 and _canonical(out)["witness"] == _plain(want)
+        assert want["kind"] == "odd-prism"
+        p5 = tmp_path / "p5.txt"
+        p5.write_text("0 1\n1 2\n2 3\n3 4\n")
+        for argv in (["check"], ["solve"], ["solve", "--require", "0,4"], ["decompose"],
+                     ["roundtrip"]):
+            code, out, _ = self._run([*argv, str(p5), "--json"], capsys)
+            assert code == 0 and _canonical(out)["command"] == argv[0]
 
     def test_check_not_innocent(self, capsys, tmp_path):
         p = tmp_path / "c5.txt"
