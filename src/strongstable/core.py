@@ -320,7 +320,7 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 def components_within(g: Graph, s: Iterable[int]) -> list[frozenset[int]]:
     """Components of the subgraph induced by s, in original vertex ids."""
-    return [frozenset(_iter_bits(c)) for c in _mask_components(g.bits, _mask_of(s))]
+    return [frozenset(_iter_bits(c)) for c in _mask_components(g.bits, g._mask(s))]
 
 
 def _mask_components(bits: Sequence[int], rest: int) -> Iterator[int]:
@@ -350,7 +350,7 @@ def _flood(bits: Sequence[int], seed: int, room: int) -> int:
 def anticomponents(g: Graph, s: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Anticomponents of s: components in the complement, restricted to s,
     ordered by smallest member."""
-    rest = (1 << g.n) - 1 if s is None else _mask_of(s)
+    rest = (1 << g.n) - 1 if s is None else g._mask(s)
     co = [rest & ~b for b in g.bits]
     return [frozenset(_iter_bits(c)) for c in _mask_components(co, rest)]
 
@@ -586,11 +586,11 @@ def _anchored_paths(
 def induced_paths_between(
     g: Graph, u: int, v: int, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every induced (chordless) path from u to v, each exactly once,
-    in lexicographic order."""
-    if u == v:
+    """Every induced (chordless) path from u to v, each exactly once, in
+    lexicographic order; the endpoints are checked before the first."""
+    if g._vertex(u) == g._vertex(v):
         raise GraphError("endpoints must differ")
-    yield from _anchored_paths(g, _meter(budget), u, v)
+    return _anchored_paths(g, _meter(budget), u, v)
 
 
 # -- induced cycle enumeration ----------------------------------------------

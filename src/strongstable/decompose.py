@@ -18,6 +18,7 @@ from .core import (
     _is_clique_mask,
     _iter_bits,
     _mask_components,
+    _mask_in,
     _mask_of,
     _meter,
     components,
@@ -231,59 +232,35 @@ def verify_one_join(g: Graph, j: OneJoin) -> bool:
 # points convert to and from frozensets.
 
 
-def _partition_masks(
-    bits: tuple[int, ...], am: int, bm: int
-) -> Optional[tuple[int, int, int, int]]:
-    """(C, D, E, F) as masks: the vertices outside A and B complete to A
-    only, to B only, to both, to neither; None when one is mixed on A or B."""
-    c = d = e = f = 0
-    for v in _iter_bits(((1 << len(bits)) - 1) & ~(am | bm)):
-        na, nb = bits[v] & am, bits[v] & bm
-        to_a, to_b = na == am, nb == bm  # an empty side counts as both
-        if na and not to_a or nb and not to_b:
-            return None
-        if to_a and not nb:
-            c |= 1 << v
-        elif to_b and not na:
-            d |= 1 << v
-        elif to_a and to_b:
-            e |= 1 << v
-        else:
-            f |= 1 << v
-    return c, d, e, f
-
-
-def _w_join_masks(
-    bits: tuple[int, ...], am: int, bm: int
-) -> Optional[tuple[int, int, int, int]]:
-    """:func:`_partition_masks` of A and B when they form a proper coherent
-    W-join, else None. Every vertex of A mixed on B (and back) already rules
-    out A complete or anticomplete to B."""
+def _is_w_join(bits: tuple[int, ...], am: int, bm: int) -> bool:
+    """Whether the masks A and B form a proper coherent W-join: disjoint
+    cliques, each vertex of one mixed on the other (so neither side is
+    complete or anticomplete to the other), no outside vertex mixed on
+    either, and the outside vertices complete to both (E) a clique."""
     if not (am and bm) or am & bm:
-        return None
+        return False
     if not (_is_clique_mask(bits, am) and _is_clique_mask(bits, bm)):
-        return None
+        return False
     for x, y in ((am, bm), (bm, am)):
         for v in _iter_bits(x):
             h = bits[v] & y
             if not h or h == y:
-                return None
-    parts = _partition_masks(bits, am, bm)
-    if parts is None or not _is_clique_mask(bits, parts[2]):
-        return None
-    return parts
-
-
-def w_join_partition(
-    g: Graph, a: frozenset[int], b: frozenset[int]
-) -> Optional[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]]:
-    """(C, D, E, F) for a homogeneous pair, or None when some vertex is mixed."""
-    parts = _partition_masks(g.bits, _mask_of(a), _mask_of(b))
-    return None if parts is None else tuple(frozenset(_iter_bits(m)) for m in parts)
+                return False
+    e = 0
+    for v in _iter_bits(((1 << len(bits)) - 1) & ~(am | bm)):
+        na, nb = bits[v] & am, bits[v] & bm
+        if na and na != am or nb and nb != bm:
+            return False
+        if na and nb:
+            e |= 1 << v
+    return _is_clique_mask(bits, e)
 
 
 def verify_w_join(g: Graph, w: WJoin) -> bool:
-    return _w_join_masks(g.bits, _mask_of(w.a), _mask_of(w.b)) is not None
+    """Whether w is a proper coherent W-join of g; False when it names a
+    vertex outside g."""
+    am, bm = _mask_in(w.a, g.n), _mask_in(w.b, g.n)
+    return am is not None and bm is not None and _is_w_join(g.bits, am, bm)
 
 
 def _square_sides(
@@ -385,7 +362,7 @@ def grow_square_connected_pair(
                 break
         else:
             break
-    if _w_join_masks(bits, sm, tm) is None:
+    if not _is_w_join(bits, sm, tm):
         raise HypothesisViolationError(next(_iter_bits(sm | tm)), (a1, a2, b1, b2))
     return WJoin(frozenset(_iter_bits(sm)), frozenset(_iter_bits(tm)))
 

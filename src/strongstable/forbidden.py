@@ -326,9 +326,11 @@ def _find_handcuff(g: Graph, meter: _Meter) -> Optional[ForbiddenWitness]:
     bits = g.bits
     edges = [(x, y, (1 << x) | (1 << y)) for x, y in g.edges()]
     # each cycle of a handcuff is an even hole through xy whose other
-    # vertices miss t and its neighbors; a side without one is dead
+    # vertices miss t and its neighbors; a side without one is dead; one
+    # tick per (edge, apex) flooded
     @functools.cache
     def has_cuff(x: int, y: int, t: int) -> bool:
+        meter.tick()
         if not _links(bits, x, y, ~(bits[t] | 1 << t)):
             return False
         near = frozenset((t,))

@@ -1,6 +1,7 @@
 """Bipartite-multigraph machinery: recovering a bipartite root of a line
-graph, suitable matchings with frozen forced edges, and the candidate clique
-pairs of a smooth augmentation, which the solver reduces one at a time.
+graph, suitable matchings with frozen forced edges, and the pairs of cliques
+of a smooth augmentation, each read off the edge the solver keeps of it in
+one pass over the edges, with no search.
 
 Harmlessness has no search here: a bipartite multigraph B is harmless
 exactly when its line graph L(B) is innocent, so
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Budget,
@@ -219,72 +220,47 @@ def other_end(b: Multigraph, e: int, v: int) -> int:
     return y if x == v else x
 
 
-# -- smooth augmentation candidates --------------------------------------------------
+# -- smooth augmentation pairs -----------------------------------------------------
 
 
-def _pattern_pair(
-    g: Graph, x0: int, y0: int, meter: _Meter
-) -> Optional[tuple[int, int]]:
-    """Close a disjoint seed pair of masks into a homogeneous clique pair
-    with the flat-edge external pattern, branching on vertices complete to
-    both sides; masks in and out."""
+def _augment_edges(g: Graph, meter: _Meter) -> Iterator[tuple[int, int, int]]:
+    """Each edge uv that a smooth augmentation pair keeps, in lex order,
+    with the mask K of the pair: (u, v, K) for 3 <= |K| < n. One tick per
+    edge.
+
+    The pair is a homogeneous pair of cliques (X, Y) with no vertex outside
+    complete to both, u in X complete to Y and v in Y complete to X. Then
+    K = X | Y = N[u] & N[v], since a common neighbour outside would be
+    complete to both sides; each x in X has N(x) - K = N(u) - N[v], and each
+    y in Y has N(y) - K = N(v) - N[u]. Conversely, when every vertex of K
+    has one of these two outside neighbourhoods, not both empty (else K is
+    a whole component), and the vertices with each form a clique, they are
+    such a pair, with u and v on opposite sides.
+
+    The solver keeps uv and drops the rest of K: a strong stable set S' of
+    G' = G - (K - {u, v}) is one of G. Each outside vertex is complete to X
+    (C), to Y (D) or to neither. In G', u sees C + v and v sees D + u, so
+    {u, v} is a maximal clique and S' holds one of them. A maximal clique
+    of G that misses K is one of G'; one inside K holds u and v; any other
+    is X | C' or Y | D', and S' meets it in the maximal clique C' + u, or
+    D' + v, of G'.
+    """
     bits = g.bits
-    full = (1 << g.n) - 1
-
-    def close(xm: int, ym: int, depth: int) -> Optional[tuple[int, int]]:
+    for u, v in g.edges():
         meter.tick()
-        if depth > g.n:
-            return None
-        if not (_is_clique_mask(bits, xm) and _is_clique_mask(bits, ym)):
-            return None
-        both = xm | ym
-        pending = -1  # the first outside vertex complete to both sides
-        for v in _iter_bits(full & ~both):
-            b = bits[v]
-            mixed_x = 0 != b & xm != xm
-            mixed_y = 0 != b & ym != ym
-            if mixed_x and mixed_y:
-                return None
-            if mixed_x:
-                return close(xm, ym | 1 << v, depth + 1)
-            if mixed_y:
-                return close(xm | 1 << v, ym, depth + 1)
-            if pending < 0 and not both & ~b:
-                pending = v
-        if pending >= 0:
-            for xm2, ym2 in ((xm | 1 << pending, ym), (xm, ym | 1 << pending)):
-                res = close(xm2, ym2, depth + 1)
-                if res is not None:
-                    return res
-            return None
-        return xm, ym
-
-    return close(x0, y0, 0)
-
-
-def _augment_candidates(
-    g: Graph, meter: _Meter
-) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Homogeneous clique pairs with no outside vertex complete to both,
-    seeded from same-side edges, in lex order."""
-    out: list[tuple[frozenset[int], frozenset[int]]] = []
-    seen: set[frozenset[int]] = set()
-    for u, v in g.edges():  # lex order
-        x0 = 1 << u | 1 << v
-        y0 = (g.bits[u] ^ g.bits[v]) & ~x0
-        if not y0:
+        k = (bits[u] | 1 << u) & (bits[v] | 1 << v)
+        a, b = bits[u] & ~k, bits[v] & ~k
+        if k.bit_count() < 3 or not a | b:
             continue
-        res = _pattern_pair(g, x0, y0, meter)
-        if res is None:
-            continue
-        xm, ym = res
-        if not 3 <= (xm | ym).bit_count() < g.n:
-            continue
-        key = frozenset(res)
-        if key in seen:
-            continue
-        seen.add(key)
-        xs, ys = frozenset(_iter_bits(xm)), frozenset(_iter_bits(ym))
-        out.append((min(xs, ys, key=sorted), max(xs, ys, key=sorted)))
-    out.sort(key=lambda p: (sorted(p[0]), sorted(p[1])))
-    return out
+        xm = ym = 0
+        for w in _iter_bits(k):
+            out = bits[w] & ~k
+            if out == a:
+                xm |= 1 << w
+            elif out == b:
+                ym |= 1 << w
+            else:
+                break
+        else:
+            if _is_clique_mask(bits, xm) and _is_clique_mask(bits, ym):
+                yield u, v, k

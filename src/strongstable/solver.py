@@ -53,7 +53,7 @@ from .core import (
     iter_maximal_cliques,
 )
 from .decompose import WJoin, find_w_join, verify_w_join
-from .linegraph import _augment_candidates, recover_root, suitable_matching
+from .linegraph import _augment_edges, recover_root, suitable_matching
 from .recognizers import (
     _clown_holes,
     _unsafe_witness,
@@ -525,28 +525,13 @@ def _branch_w_join(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
 
 @_branch("augmentation")
 def _branch_augmentation(ctx: _Ctx, g: Graph, z: frozenset[int]) -> frozenset[int]:
-    """Shrink the first candidate clique pair (X, Y) that misses z to one
-    edge uv, u in X complete to Y and v in Y complete to X, and solve the
-    rest: a strong stable set S' of G' = G - ((X - u) | (Y - v)) is one of
-    G.
-
-    Each candidate is a homogeneous pair of cliques with no vertex outside
-    complete to both, so each outside vertex is complete to X (C), to Y
-    (D) or to neither. In G', u sees C + v and v sees D + u, so {u, v} is a
-    maximal clique and S' holds one of them. A maximal clique K of G that
-    misses X | Y is one of G'; one inside X | Y holds u and v; any other
-    is X | C' or Y | D', and S' meets it in the maximal clique C' + u, or
-    D' + v, of G'.
-    """
-    for xs, ys in _augment_candidates(g, ctx.meter):
-        if z & (xs | ys):
-            continue
-        u = next((x for x in sorted(xs) if g.is_complete_between({x}, ys)), None)
-        v = next((y for y in sorted(ys) if g.is_complete_between({y}, xs)), None)
-        if u is None or v is None:
-            continue
-        drop = _mask_of((xs - {u}) | (ys - {v}))
-        return _solve_on(g, (1 << g.n) - 1 ^ drop, z, ctx.subsolver)
+    """Keep the edge uv of the first smooth augmentation pair K that misses
+    z and solve G - (K - {u, v}) once; by the lemma of
+    :func:`~strongstable.linegraph._augment_edges` its answer is one of G."""
+    zm = _mask_of(z)
+    for u, v, k in _augment_edges(g, ctx.meter):
+        if not k & zm:
+            return _solve_on(g, (1 << g.n) - 1 & ~k | 1 << u | 1 << v, z, ctx.subsolver)
     raise CaseNotApplicable
 
 

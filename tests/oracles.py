@@ -697,6 +697,41 @@ def naive_is_harmless(b: Multigraph) -> bool:
     return True
 
 
+def naive_augment_edges(g: Graph) -> list[tuple[int, int, frozenset[int]]]:
+    """Every (u, v, K), in lex edge order, for which some split of K into
+    cliques X with u and Y with v is a homogeneous pair with no vertex
+    outside complete to both, u complete to Y and v complete to X, and
+    3 <= |K| < n: every split of u's and v's other neighbours tried, by set
+    scans."""
+    adj = nbrs(g)
+    out = []
+    for u, v in sorted(g.edges()):
+        for xs in subsets(sorted(adj[u] - {v})):
+            x = frozenset(xs) | {u}
+            for ys in subsets(sorted(adj[v] - x)):
+                y = frozenset(ys) | {v}
+                k = x | y
+                if not 3 <= len(k) < g.n:
+                    continue
+                if not (naive_is_clique(g, x) and naive_is_clique(g, y)):
+                    continue
+                if not (y <= adj[u] and x <= adj[v]):
+                    continue
+                outside = [adj[w] for w in g.vertex_set() - k]
+                if all(
+                    len(nb & x) in (0, len(x))
+                    and len(nb & y) in (0, len(y))
+                    and not k <= nb
+                    for nb in outside
+                ):
+                    out.append((u, v, k))
+                    break
+            else:
+                continue
+            break
+    return out
+
+
 # -- exhaustive small-graph enumeration ----------------------------------------------
 
 

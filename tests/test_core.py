@@ -100,6 +100,10 @@ _PREDICATES = {
     "is_anticomplete_between(y)": lambda g, v: g.is_anticomplete_between({0}, {v}),
     "is_mixed_on(v)": lambda g, v: g.is_mixed_on(v, {0}),
     "is_mixed_on(x)": lambda g, v: g.is_mixed_on(0, {1, v}),
+    "induced_paths_between(v, 0)": lambda g, v: induced_paths_between(g, v, 0),
+    "induced_paths_between(0, v)": lambda g, v: induced_paths_between(g, 0, v),
+    "anticomponents": lambda g, v: anticomponents(g, [v]),
+    "components_within": lambda g, v: components_within(g, [0, v]),
 }
 
 

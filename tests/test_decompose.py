@@ -24,7 +24,6 @@ from strongstable.decompose import (
     minimal_separators,
     verify_one_join,
     verify_w_join,
-    w_join_partition,
 )
 from strongstable.recognizers import simplicial_vertices
 from oracles import (
@@ -34,16 +33,10 @@ from oracles import (
     naive_has_clique_cutset,
     naive_one_join,
     naive_w_join_parts,
-    nbrs,
     path,
     random_growth_host,
     verify_clique_cutset,
 )
-
-
-def w_join_parts(g, a, b):
-    """(C, D, E, F) when A and B form a proper coherent W-join, else None."""
-    return w_join_partition(g, a, b) if verify_w_join(g, WJoin(a, b)) else None
 
 
 def two_triangles_shared_vertex():
@@ -273,29 +266,33 @@ class TestGrowSquareConnectedPair:
                         failed += 1
                         continue
                     assert grow_square_connected_pair(g, cyc, a_side, b_side) == want
-                    assert w_join_parts(g, want.a, want.b) == naive_w_join_parts(g, want.a, want.b)
+                    assert verify_w_join(g, want) and naive_w_join_parts(g, want.a, want.b) is not None
                     grown += 1
         assert grown >= 500 and failed >= 500
 
     def test_partition_matches_set_scan(self):
         rng = random.Random(22)
+        joins = 0
         for _ in range(2000):
             n = rng.randint(3, 9)
             g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
             a = frozenset(rng.sample(range(n), rng.randint(1, 3)))
             b = frozenset(rng.sample(range(n), rng.randint(1, 3))) - a
-            assert w_join_parts(g, a, b) == naive_w_join_parts(g, a, b)
-            parts = w_join_partition(g, a, b)
-            if parts is not None:
-                c, d, e, f = parts
-                assert c | d | e | f == g.vertex_set() - a - b
-                adj = nbrs(g)
-                assert all(a <= adj[v] and not b & adj[v] for v in c)
-                assert all(b <= adj[v] and not a & adj[v] for v in d)
-                assert all(a | b <= adj[v] for v in e)
-                assert all(not (a | b) & adj[v] for v in f)
-            else:
-                assert any(g.is_mixed_on(v, a) or g.is_mixed_on(v, b) for v in g.vertex_set() - a - b)
+            pairs = [(a, b)]  # and each square of g, split into sides both ways
+            for c0, c1, c2, c3 in squares(g):
+                pairs += [({c0, c1}, {c2, c3}), ({c1, c2}, {c3, c0})]
+            for a, b in pairs:
+                a, b = frozenset(a), frozenset(b)
+                ok = verify_w_join(g, WJoin(a, b))
+                assert ok == (naive_w_join_parts(g, a, b) is not None)
+                if any(g.is_mixed_on(v, a) or g.is_mixed_on(v, b) for v in g.vertex_set() - a - b):
+                    assert not ok
+                joins += ok
+        assert joins >= 100, joins
+
+    @pytest.mark.parametrize("a, b", [({99}, {0}), ({0}, {6}), ({-1}, {0}), ({0, 1}, {2, -3})])
+    def test_ids_outside_the_graph_are_not_a_w_join(self, a, b):
+        assert not verify_w_join(cycle(6), WJoin(frozenset(a), frozenset(b)))
 
     def test_growth_ticks_per_absorbed_vertex(self):
         # the claw-free cobipartite n = 60 graph plus a vertex seeing 0 and

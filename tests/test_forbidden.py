@@ -459,6 +459,16 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             find_structure(nets, ForbiddenKind.ODD_PRISM, Budget(max_enumerations=209))
 
+    def test_handcuff_ticks_each_edge_and_apex_it_floods(self):
+        # K20 minus a perfect matching: 180 edges with 16 common neighbours
+        # each, and no handcuff; every (edge, apex) floods once
+        g = cocktail_party(20)
+        meter = _Meter(Budget())
+        assert find_structure(g, ForbiddenKind.HANDCUFF, meter) is None
+        assert meter.used == 180 * 16
+        with pytest.raises(BudgetExceededError):
+            find_structure(g, ForbiddenKind.HANDCUFF, Budget(max_enumerations=100))
+
     def test_enumeration_gate(self):
         g = cocktail_party(12)
         with pytest.raises(BudgetExceededError):

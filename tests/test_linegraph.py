@@ -6,17 +6,20 @@ from strongstable.core import (
     Budget,
     GraphError,
     Multigraph,
+    _iter_bits,
+    _meter,
     from_edge_list,
     line_graph,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
 from strongstable.generators import (
+    antihole,
     bicycle,
     random_connected_bipartite,
     random_connected_bipartite_multigraph,
     theta,
 )
-from strongstable.linegraph import recover_root, suitable_matching
+from strongstable.linegraph import _augment_edges, recover_root, suitable_matching
 from strongstable.core import is_strong_stable_set
 from oracles import (
     bipartite_graphs_up_to,
@@ -24,6 +27,7 @@ from oracles import (
     cycle,
     graph_isomorphic,
     multigraph_isomorphic,
+    naive_augment_edges,
     naive_is_harmless,
     naive_suitable_matching_exists,
     nbrs,
@@ -273,3 +277,34 @@ class TestContraction:
             if checked >= 20:
                 break
         assert checked >= 10
+
+
+def augment_edges(g, budget=None):
+    """:func:`_augment_edges` with K as a set, and the meter it ticked."""
+    meter = _meter(budget)
+    return [(u, v, frozenset(_iter_bits(k))) for u, v, k in _augment_edges(g, meter)], meter
+
+
+class TestAugmentEdges:
+    def test_matches_every_split_on_small_connected_graphs(self, graphs_by_n):
+        connected = with_pair = 0
+        for n in range(8):
+            for g in graphs_by_n[n]:
+                if not g.is_connected():
+                    continue
+                want = naive_augment_edges(g)
+                assert augment_edges(g)[0] == want, sorted(g.edges())
+                connected += 1
+                with_pair += bool(want)
+        assert (connected, with_pair) == (997, 339)
+
+    def test_a_whole_component_is_not_a_pair(self):
+        # two triangles: each is X | Y for any split, but has no outside
+        # vertex to tell its sides apart
+        g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert augment_edges(g)[0] == []
+
+    def test_one_tick_per_edge(self):
+        g = antihole(41)
+        got, meter = augment_edges(g, Budget(max_enumerations=779))
+        assert got == [] and meter.used == g.edge_count() == 779

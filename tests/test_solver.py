@@ -10,6 +10,7 @@ from strongstable.core import (
     Budget,
     BudgetExceededError,
     GraphError,
+    _iter_bits,
     _meter,
     complement,
     from_edge_list,
@@ -22,12 +23,11 @@ from strongstable.decompose import (
     find_one_join,
     find_w_join,
     grow_square_connected_pair,
-    w_join_partition,
 )
 from strongstable.forbidden import Innocent, innocence_certificate
 from strongstable.generators import antihole, clown, peculiar
 from strongstable.graphio import decode_graph6
-from strongstable.linegraph import _augment_candidates, recover_root
+from strongstable.linegraph import _augment_edges, recover_root
 from strongstable.recognizers import find_claw, find_clowns, simplicial_vertices
 from strongstable.solver import (
     CaseNotApplicable,
@@ -53,6 +53,7 @@ from oracles import (
     naive_is_strong_stable_set,
     naive_maximal_cliques,
     naive_peel,
+    naive_w_join_parts,
     nbrs,
     path,
     strip_anchor_gadgets,
@@ -667,6 +668,11 @@ class TestCombineWJoin:
         kept = [i for i, v in enumerate(mapping) if v in s]
         assert len(kept) == 2 and naive_is_strong_stable_set(sub, kept)
 
+    @pytest.mark.parametrize("a, b", [({99}, {0}), ({-1}, {0})])
+    def test_ids_outside_the_graph_are_not_applicable(self, a, b):
+        with pytest.raises(CaseNotApplicable):
+            combine_w_join(cycle(6), WJoin(frozenset(a), frozenset(b)), frozenset(), plain_subsolver)
+
     def test_w_join_whose_far_side_sees_both_attachments(self):
         # claw-free, not a line graph past the peel, with the W-join
         # A = {2, 3}, B = {1, 4, 5}, C = {6}, D = {7} and F = {0} seeing C
@@ -754,7 +760,7 @@ class TestCliquePairLemmas:
         # C4 on A = {0, 1} and B = {2, 3}; 5 sees 1 but not 0, with pendant 4
         g = from_edge_list(6, [(0, 1), (2, 3), (0, 2), (1, 3), (1, 5), (4, 5)])
         a, b = frozenset({0, 1}), frozenset({2, 3})
-        assert w_join_partition(g, a, b) is None
+        assert naive_w_join_parts(g, a, b) is None and g.is_mixed_on(5, a)
         assert naive_is_strong_stable_set(induced(g, a | b)[0], {0, 3})  # ids kept
         reduced, back = induced(g, {0, 3, 4, 5})
         s = frozenset(back[v] for v in brute_force(reduced, {0, 1}))
@@ -946,17 +952,6 @@ class TestSimplicialRemovalInvariant:
 
 
 class TestAugmentationBranch:
-    @staticmethod
-    def _shrink(g, xs, ys):
-        """The branch's reduced vertex set: all but one vertex of each side,
-        u in xs complete to ys and v in ys complete to xs; None without them."""
-        adj = nbrs(g)
-        u = next((x for x in sorted(xs) if ys <= adj[x]), None)
-        v = next((y for y in sorted(ys) if xs <= adj[y]), None)
-        if u is None or v is None:
-            return None
-        return g.vertex_set() - ((xs - {u}) | (ys - {v}))
-
     def test_every_strong_set_of_the_shrunk_graph_lifts(self):
         rng = random.Random(20)
         pairs = lifted = 0
@@ -966,13 +961,11 @@ class TestAugmentationBranch:
             slots = itertools.combinations(range(n), 2)
             g = from_edge_list(n, [e for e in slots if rng.random() < p])
             cliques = naive_maximal_cliques(g)
-            for xs, ys in _augment_candidates(g, _meter(None)):
-                keep = self._shrink(g, xs, ys)
-                if keep is None:
-                    continue
+            for u, v, k in _augment_edges(g, _meter(None)):
                 pairs += 1
+                keep = g.vertex_set() - frozenset(_iter_bits(k)) | {u, v}
                 ok, failed = strong_sets_lift(g, cliques, keep, ())
-                assert not failed, (sorted(g.edges()), sorted(xs), sorted(ys), failed)
+                assert not failed, (sorted(g.edges()), u, v, sorted(keep), failed)
                 lifted += len(ok)
         assert pairs >= 300 and lifted >= 600
 
